@@ -369,6 +369,32 @@ def cmd_reuse_opt(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low; argparse names the flag on error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _probability(text: str) -> float:
+    """argparse type: a number in (0, 1]; argparse names the flag on error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmsenet",
@@ -379,17 +405,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a configured sweep, emit CSV")
     sim.add_argument("--config", required=True, help="JSON run configuration")
-    sim.add_argument("--seed", type=int, default=None, help="override master_seed")
+    sim.add_argument("--seed", type=_int_at_least(0), default=None, help="override master_seed")
     sim.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    sim.add_argument("--replications", type=int, default=None, help="override replications")
-    sim.add_argument("--threads", type=int, default=1, help="worker processes")
-    sim.add_argument("--format", choices=["csv"], default="csv")
+    sim.add_argument(
+        "--replications", type=_int_at_least(1), default=None, help="override replications"
+    )
+    sim.add_argument("--threads", type=_int_at_least(1), default=1, help="worker processes")
     sim.set_defaults(func=cmd_simulate)
 
     asym = sub.add_parser("asymptote", help="evaluate the SIR limit three ways")
     asym.add_argument("--alpha", type=float, required=True)
     asym.add_argument("--rho-p", type=float, required=True, dest="rho_p")
-    asym.add_argument("--nu", type=float, default=1.0, help="activation probability")
+    asym.add_argument("--nu", type=_probability, default=1.0, help="activation probability")
     asym.add_argument("--c", type=float, required=True, help="ratio n/N")
     asym.add_argument("--n-branches", type=int, default=None, dest="n_branches")
     asym.add_argument("--r-t", type=float, default=None, dest="r_t")
@@ -407,8 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dens.add_argument("--rho-c", type=float, default=None, dest="rho_c")
     dens.add_argument("--kappa", type=int, default=None)
     dens.add_argument("--r-t", type=float, default=None, dest="r_t")
-    dens.add_argument("--replications", type=int, default=200)
-    dens.add_argument("--seed", type=int, default=0)
+    dens.add_argument("--replications", type=_int_at_least(1), default=200)
+    dens.add_argument("--seed", type=_int_at_least(0), default=0)
     dens.set_defaults(func=cmd_density)
 
     plot = sub.add_parser("plot", help="render a simulate CSV as SVG")

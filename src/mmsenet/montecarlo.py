@@ -77,7 +77,8 @@ def run_realization(config: NetworkConfig, seed) -> SirSample:
         rng = _attempt_rng(base, attempt)
         real = pointproc.realize(config, rng)
         act = real.active
-        radii = real.radii()[act]
+        pos = real.positions[act]
+        radii = np.hypot(pos[:, 0], pos[:, 1])
         weights = real.power_weight[act] * radii ** -alpha
         fading = mmse.draw_fading(config.n_branches, int(act.sum()), rng)
         cov = mmse.interference_covariance(fading.interferers, weights)

@@ -31,7 +31,6 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -397,63 +396,62 @@ def hex_lattice_band0(rho_c: float, kappa: int, extent: float) -> BaseStationLat
     )
 
 
-def _nearest_site(points: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integer coordinates of the nearest lattice site for each point.
+def _nearest_site(
+    points: np.ndarray, spacing: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer coordinates (p, q) of the nearest lattice site, and its distance.
 
-    Exact: the fractional lattice coordinates are floored and the best of the
-    surrounding 4 x 4 candidate block is taken, which always contains the
-    true nearest site of this (reduced) basis.  Returns (pq, distances).
+    One pass of cube-coordinate hex rounding
+    (https://www.redblobgames.com/grids/hexagons/#rounding): the fractional
+    axial coordinates (f1, f2) and f3 = -f1 - f2 are rounded to integers, and
+    the one with the largest rounding error is re-derived from the other two
+    so the three again sum to zero.  This is exact, not a heuristic: the set
+    of points that round to a site is that site's hexagonal Voronoi cell.
+    Returns (p, q, distances).
     """
     x, y = points[:, 0], points[:, 1]
     f2 = y / (spacing * math.sqrt(3.0) / 2.0)
     f1 = x / spacing - 0.5 * f2
-    i0 = np.floor(f1).astype(np.int64)
-    j0 = np.floor(f2).astype(np.int64)
-    best_d2 = np.full(points.shape[0], np.inf)
-    best_p = np.zeros(points.shape[0], dtype=np.int64)
-    best_q = np.zeros(points.shape[0], dtype=np.int64)
-    for di in (-1, 0, 1, 2):
-        for dj in (-1, 0, 1, 2):
-            p = i0 + di
-            q = j0 + dj
-            sx = spacing * (p + 0.5 * q)
-            sy = spacing * (math.sqrt(3.0) / 2.0) * q
-            d2 = (x - sx) ** 2 + (y - sy) ** 2
-            closer = d2 < best_d2
-            best_d2[closer] = d2[closer]
-            best_p[closer] = p[closer]
-            best_q[closer] = q[closer]
-    return np.column_stack((best_p, best_q)), np.sqrt(best_d2)
+    f3 = -f1 - f2
+    r1, r2, r3 = np.rint(f1), np.rint(f2), np.rint(f3)
+    e1, e2, e3 = np.abs(r1 - f1), np.abs(r2 - f2), np.abs(r3 - f3)
+    fix1 = (e1 > e2) & (e1 > e3)
+    fix2 = ~fix1 & (e2 > e3)
+    p = np.where(fix1, -r2 - r3, r1).astype(np.int64)
+    q = np.where(fix2, -r1 - r3, r2).astype(np.int64)
+    sx = spacing * (p + 0.5 * q)
+    sy = spacing * (math.sqrt(3.0) / 2.0) * q
+    d2 = (x - sx) ** 2 + (y - sy) ** 2
+    return p, q, np.sqrt(d2)
 
 
 def schedule_cellular(
     positions: np.ndarray,
     marks: np.ndarray,
-    lattice: BaseStationLattice,
-    x_t: np.ndarray,
+    spacing: float,
+    kappa: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uplink TDMA slot assignment on the band-0 cells.
 
-    Every mobile attaches to its nearest base station (the cells are the
-    lattice Voronoi tessellation).  In each band-0 cell other than the origin
-    cell, the occupant with the minimal mark transmits; the origin cell's
-    slot belongs to the representative transmitter, so its occupants stay
-    silent.  Returns the activation mask and each mobile's distance to its
-    serving station.
+    Every mobile attaches to its nearest base station of the hexagonal
+    lattice with nearest-neighbor distance spacing (the cells are the lattice
+    Voronoi tessellation, found in one pass by hex rounding).  In each band-0
+    cell of the reuse-kappa coloring other than the origin cell, the occupant
+    with the minimal mark transmits; the origin cell's slot belongs to the
+    representative transmitter, so its occupants stay silent.  Returns the
+    activation mask and each mobile's distance to its serving station.
     """
-    n = positions.shape[0]
-    pq, serving = _nearest_site(positions, lattice.spacing)
-    active = np.zeros(n, dtype=bool)
-    in_band0 = _band0_mask(pq[:, 0], pq[:, 1], lattice.kappa)
-    in_origin_cell = (pq[:, 0] == 0) & (pq[:, 1] == 0)
-    eligible = np.flatnonzero(in_band0 & ~in_origin_cell)
+    p, q, serving = _nearest_site(positions, spacing)
+    active = np.zeros(positions.shape[0], dtype=bool)
+    eligible = np.flatnonzero(_band0_mask(p, q, kappa) & ((p != 0) | (q != 0)))
     if eligible.size:
-        cells = pq[eligible]
-        # winner per cell: minimal mark, ties to the lower node index
-        order = np.lexsort((eligible, marks[eligible], cells[:, 1], cells[:, 0]))
-        cells_sorted = cells[order]
+        # one int64 key per cell (|q| < 2**31); a stable sort by (cell, mark)
+        # puts each cell's winner first: minimal mark, ties to the lower index
+        cell = (p[eligible] << 32) + q[eligible]
+        order = np.lexsort((marks[eligible], cell))
+        cell_sorted = cell[order]
         first = np.ones(order.size, dtype=bool)
-        first[1:] = np.any(cells_sorted[1:] != cells_sorted[:-1], axis=1)
+        first[1:] = cell_sorted[1:] != cell_sorted[:-1]
         active[eligible[order[first]]] = True
     return active, serving
 
@@ -462,20 +460,17 @@ def schedule_cellular(
 # full realization
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _cached_lattice(rho_c: float, kappa: int, extent: float) -> BaseStationLattice:
-    return hex_lattice_band0(rho_c, kappa, extent)
-
-
 def lattice_for(config: NetworkConfig) -> BaseStationLattice:
     """The base-station lattice a cellular config implies.
 
     Extends three lattice spacings beyond the network disk so every in-disk
-    mobile finds its true nearest station inside the generated set.
+    mobile finds its true nearest station inside the generated set.  The
+    simulation never builds it; it is the brute-force oracle that the
+    one-pass nearest-site search is checked against.
     """
     spec = config.model
     d = hex_spacing(spec.rho_c)
-    return _cached_lattice(spec.rho_c, spec.kappa, config.radius + 3.0 * d)
+    return hex_lattice_band0(spec.rho_c, spec.kappa, config.radius + 3.0 * d)
 
 
 def realize(config: NetworkConfig, seed) -> Realization:
@@ -500,7 +495,9 @@ def realize(config: NetworkConfig, seed) -> Realization:
         active = thin_hc2(positions, marks, config.x_t, spec.h)
     elif spec.name == "cellular":
         marks = rng.random(config.n_nodes)
-        active, serving = schedule_cellular(positions, marks, lattice_for(config), config.x_t)
+        active, serving = schedule_cellular(
+            positions, marks, hex_spacing(spec.rho_c), spec.kappa
+        )
     elif spec.name == "boolean":
         m = int(round(math.pi * spec.rho_b * config.radius ** 2))
         centers = _uniform_disk(rng, m, config.radius)

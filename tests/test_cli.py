@@ -238,3 +238,74 @@ class TestReuseOptCmd:
         ]) == 0
         out = capsys.readouterr().out
         assert float(out.split("\n")[0].split()[-1]) == pytest.approx(1.005, abs=0.01)
+
+
+class TestArgumentErrors:
+    """Invalid flags exit 2 and name the flag, with no traceback, before any
+    simulation work starts."""
+
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        from mmsenet import montecarlo
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_experiment called despite an invalid flag")
+
+        monkeypatch.setattr(montecarlo, "run_experiment", refuse)
+
+    def exit_code_and_stderr(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return exc.value.code, err
+
+    def test_replications_zero(self, tmp_path, capsys, no_run):
+        cfg = write_config(tmp_path / "c.json")
+        code, err = self.exit_code_and_stderr(
+            ["simulate", "--config", str(cfg), "--replications", "0"], capsys
+        )
+        assert code == 2
+        assert "--replications" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_not_positive(self, tmp_path, capsys, no_run, threads):
+        cfg = write_config(tmp_path / "c.json")
+        code, err = self.exit_code_and_stderr(
+            ["simulate", "--config", str(cfg), "--threads", threads], capsys
+        )
+        assert code == 2
+        assert "--threads" in err
+
+    def test_seed_negative(self, tmp_path, capsys, no_run):
+        cfg = write_config(tmp_path / "c.json")
+        code, err = self.exit_code_and_stderr(
+            ["simulate", "--config", str(cfg), "--seed", "-1"], capsys
+        )
+        assert code == 2
+        assert "--seed" in err
+
+    def test_nu_above_one(self, capsys):
+        code, err = self.exit_code_and_stderr(
+            ["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "100", "--nu", "1.5"],
+            capsys,
+        )
+        assert code == 2
+        assert "--nu" in err
+
+    def test_format_flag_removed(self, tmp_path, capsys, no_run):
+        cfg = write_config(tmp_path / "c.json")
+        code, err = self.exit_code_and_stderr(
+            ["simulate", "--config", str(cfg), "--format", "csv"], capsys
+        )
+        assert code == 2
+        assert "--format" in err
+
+    def test_density_replications_zero(self, capsys):
+        code, err = self.exit_code_and_stderr(
+            ["density", "--model", "independent", "--rho-p", "0.01", "--c", "10",
+             "--n-branches", "2", "--replications", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert "--replications" in err

@@ -252,3 +252,66 @@ class TestAipStatistic:
         active = p[p > 0]
         assert active.min() >= x0 * (1 - 1e-9)
         assert p.size == cfg.n_nodes
+
+
+class TestGoldenSamplePath:
+    """Pinned (sir, redraw_count, active_count) per seed and model.
+
+    Exact float equality: a change that moves any of these moved the sample
+    path, and must update the values on purpose and say so in CHANGES.md.
+    """
+
+    H_SPARSE = math.sqrt(0.14 / (math.pi * RHO_P))  # Boolean coverage ~13%
+    MODELS = {
+        "independent": (ModelSpec("independent"), 4, 50.0),
+        "hc1": (ModelSpec("hc1", h=0.5 * R_T), 4, 50.0),
+        "hc2": (ModelSpec("hc2", h=0.5 * R_T), 4, 50.0),
+        "boolean": (ModelSpec("boolean", h=R_T, rho_b=RHO_P), 4, 50.0),
+        "cellular_k3": (ModelSpec("cellular", rho_c=0.001, kappa=3), 4, 200.0),
+        "cellular_k7": (ModelSpec("cellular", rho_c=0.001, kappa=7), 4, 200.0),
+        "cellular_pc": (
+            ModelSpec("cellular", rho_c=0.001, kappa=3, power_control=True), 4, 200.0
+        ),
+        # c * nu barely above 1: these seeds redraw singular realizations
+        "boolean_redraw": (ModelSpec("boolean", h=H_SPARSE, rho_b=RHO_P), 16, 10.0),
+    }
+    # (model, master_seed, replication) -> (sir, redraw_count, active_count)
+    GOLDEN = {
+        ("independent", 2013, 0): (8.807924460514956, 0, 200),
+        ("independent", 2013, 1): (3.9428441171279056, 0, 200),
+        ("independent", 2013, 2): (5.734404059608516, 0, 200),
+        ("hc1", 2013, 0): (11.51303308501845, 0, 162),
+        ("hc1", 2013, 1): (7.102494983479802, 0, 150),
+        ("hc1", 2013, 2): (9.109876390822768, 0, 160),
+        ("hc2", 2013, 0): (36.520817484709305, 0, 180),
+        ("hc2", 2013, 1): (2.2613438697103967, 0, 173),
+        ("hc2", 2013, 2): (9.758720443380907, 0, 179),
+        ("boolean", 2013, 0): (4.430504622668217, 0, 129),
+        ("boolean", 2013, 1): (33.07919380525779, 0, 130),
+        ("boolean", 2013, 2): (58.71600315045034, 0, 125),
+        ("cellular_k3", 2013, 0): (8750.931351843481, 0, 30),
+        ("cellular_k3", 2013, 1): (10221.621377238727, 0, 31),
+        ("cellular_k3", 2013, 2): (8996.712430625988, 0, 30),
+        ("cellular_k7", 2013, 0): (84086.43700795241, 0, 12),
+        ("cellular_k7", 2013, 1): (102241.16507122871, 0, 12),
+        ("cellular_k7", 2013, 2): (84987.96236506873, 0, 12),
+        ("cellular_pc", 2013, 0): (276.0413919968422, 0, 30),
+        ("cellular_pc", 2013, 1): (335.20283019560856, 0, 31),
+        ("cellular_pc", 2013, 2): (893.0894684938211, 0, 30),
+        ("boolean_redraw", 11, 13): (14297.423760169744, 2, 24),
+        ("boolean_redraw", 11, 16): (168440.5315457258, 1, 17),
+        ("boolean_redraw", 11, 26): (8209.13256469719, 1, 21),
+    }
+
+    @pytest.mark.parametrize("model,master_seed,rep", sorted(GOLDEN))
+    def test_sample_path_pinned(self, model, master_seed, rep):
+        spec, n_branches, c = self.MODELS[model]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = NetworkConfig(
+                rho_p=RHO_P, alpha=4.0, n_branches=n_branches, c=c, r_t=R_T, model=spec
+            )
+        s = run_realization(cfg, derive_seed(master_seed, 0, rep))
+        assert (s.sir, s.redraw_count, s.active_count) == self.GOLDEN[
+            (model, master_seed, rep)
+        ]

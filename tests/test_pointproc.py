@@ -7,6 +7,7 @@ checked against their closed forms with binomial-style tolerances.
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mmsenet.pointproc import (
     ModelSpec,
     NetworkConfig,
     Realization,
+    _nearest_site,
     activate_boolean,
     hex_lattice_band0,
     hex_spacing,
@@ -295,13 +297,49 @@ class TestCellularScheduling:
             c=c,
         )
 
-    def test_nearest_site_matches_brute_force(self):
-        cfg = self.cfg()
+    @staticmethod
+    def boundary_points(cfg, lat, rng):
+        """Edge midpoints and vertices of cells spread over the disk, each
+        stepped 1e-9 d toward every site it is equidistant from."""
+        d = lat.spacing
+        in_disk = np.hypot(lat.sites[:, 0], lat.sites[:, 1]) < cfg.radius
+        centers = np.vstack(([0.0, 0.0], rng.choice(lat.sites[in_disk], 20, replace=False)))
+        steps = []
+        for edge in np.arange(6) * (math.pi / 3.0):
+            steps += [(edge, 0.5 * d, edge + math.pi), (edge, 0.5 * d, edge)]
+            vertex = edge + math.pi / 6.0
+            for toward in (vertex + math.pi, vertex + math.pi / 3.0, vertex - math.pi / 3.0):
+                steps.append((vertex, d / math.sqrt(3.0), toward))
+        angle, radius, toward = np.array(steps).T
+        offsets = radius[:, None] * np.column_stack((np.cos(angle), np.sin(angle)))
+        offsets += 1e-9 * d * np.column_stack((np.cos(toward), np.sin(toward)))
+        return (centers[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
+
+    @pytest.mark.parametrize("kind", ["random", "far", "boundary"])
+    @pytest.mark.parametrize("kappa", [1, 3, 4, 7])
+    def test_nearest_site_matches_brute_force(self, kappa, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # c * nu <= 1 at kappa = 7
+            if kind == "random":
+                cfg = self.cfg(kappa=kappa)
+            else:  # the widest disk of the reuse-3 uplink sweep, ~19 spacings
+                cfg = self.cfg(kappa=kappa, n_branches=16, c=800.0)
         lat = lattice_for(cfg)
-        pts = sample_potential_interferers(cfg, 7)
-        _, serving = schedule_cellular(pts, np.zeros(len(pts)), lat, cfg.x_t)
+        rng = np.random.default_rng(kappa)
+        if kind == "random":
+            pts = sample_potential_interferers(cfg, 7)
+        elif kind == "far":
+            r = cfg.radius - lat.spacing * rng.random(400)
+            theta = 2.0 * math.pi * rng.random(400)
+            pts = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+        else:
+            pts = self.boundary_points(cfg, lat, rng)
+        p, q, dist = _nearest_site(pts, lat.spacing)
         d_all = np.linalg.norm(pts[:, None, :] - lat.sites[None, :, :], axis=-1)
-        assert np.allclose(serving, d_all.min(axis=1), rtol=1e-12, atol=1e-9)
+        np.testing.assert_array_equal(np.column_stack((p, q)), lat.ij[d_all.argmin(axis=1)])
+        assert np.allclose(dist, d_all.min(axis=1), rtol=1e-12, atol=1e-9)
+        _, serving = schedule_cellular(pts, np.zeros(len(pts)), lat.spacing, lat.kappa)
+        np.testing.assert_array_equal(serving, dist)
 
     def test_at_most_one_active_per_band0_cell_and_none_in_origin(self):
         cfg = self.cfg()
@@ -324,7 +362,7 @@ class TestCellularScheduling:
         band0_idx = np.flatnonzero(lat.band0 & np.any(lat.ij != 0, axis=1))
         site = lat.sites[band0_idx[0]]
         pos = site[None, :] + 0.05 * lat.spacing
-        active, serving = schedule_cellular(pos, np.array([0.5]), lat, cfg.x_t)
+        active, serving = schedule_cellular(pos, np.array([0.5]), lat.spacing, lat.kappa)
         assert active.all()
         assert serving[0] == pytest.approx(np.linalg.norm(pos[0] - site), rel=1e-12)
 
@@ -333,7 +371,7 @@ class TestCellularScheduling:
         lat = lattice_for(cfg)
         other_idx = np.flatnonzero(~lat.band0)
         pos = lat.sites[other_idx[0]][None, :] + 0.05 * lat.spacing
-        active, _ = schedule_cellular(pos, np.array([0.5]), lat, cfg.x_t)
+        active, _ = schedule_cellular(pos, np.array([0.5]), lat.spacing, lat.kappa)
         assert not active.any()
 
     def test_min_mark_wins_within_cell(self):
@@ -343,7 +381,7 @@ class TestCellularScheduling:
         site = lat.sites[band0_idx[0]]
         pos = np.vstack([site + [0.1, 0.0], site + [0.0, 0.1], site + [0.1, 0.1]])
         marks = np.array([0.9, 0.05, 0.5])
-        active, _ = schedule_cellular(pos, marks, lat, cfg.x_t)
+        active, _ = schedule_cellular(pos, marks, lat.spacing, lat.kappa)
         assert list(active) == [False, True, False]
 
     def test_activation_fraction_limit(self):
