@@ -74,28 +74,72 @@ def _need(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _object(mapping: dict, key: str, path: str) -> dict:
+    value = _need(mapping, key, path)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected an object, got {value!r}")
+    return value
+
+
+def _real(value, path: str) -> float:
+    """A finite JSON number (bools and strings are not numbers)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+
+
+def _integer(value, path: str, low: int) -> int:
+    """A JSON integer literal >= low (2.0, true and "2" are not integers)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{path}: must be >= {low}, got {value}")
+    return value
+
+
+def _model_param(key: str, value, path: str):
+    if key == "power_control":
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path}: expected true or false, got {value!r}")
+        return value
+    if key == "kappa":
+        return _integer(value, path, 1)
+    return _real(value, path)
+
+
 def _model_variants(model_cfg: dict) -> list[ModelSpec]:
     """Expand a model block; exactly one numeric parameter may be a list."""
     name = _need(model_cfg, "name", "model")
     if name not in MODEL_NAMES:
         raise ConfigError(f"model.name: unknown model {name!r}; expected one of {MODEL_NAMES}")
     _reject_unknown(model_cfg, _MODEL_KEYS[name], "model")
-    listed = [k for k, v in model_cfg.items() if isinstance(v, list)]
+    params = {k: v for k, v in model_cfg.items() if k != "name"}
+    listed = [k for k, v in params.items() if isinstance(v, list)]
     if len(listed) > 1:
         raise ConfigError(f"model: at most one parameter may be a list, got {listed}")
+    fixed = {
+        k: _model_param(k, v, f"model.{k}") for k, v in params.items() if k not in listed
+    }
 
     def build(overrides: dict) -> ModelSpec:
-        kwargs = {k: v for k, v in model_cfg.items() if k != "name"}
-        kwargs.update(overrides)
         try:
-            return ModelSpec(name=name, **kwargs)
-        except (TypeError, ValueError) as exc:
+            return ModelSpec(name=name, **fixed, **overrides)
+        except ValueError as exc:
             raise ConfigError(f"model: {exc}") from exc
 
     if not listed:
         return [build({})]
     key = listed[0]
-    return [build({key: v}) for v in model_cfg[key]]
+    if not params[key]:
+        raise ConfigError(f"model.{key}: a list needs at least one value")
+    return [
+        build({key: _model_param(key, v, f"model.{key}[{i}]")})
+        for i, v in enumerate(params[key])
+    ]
 
 
 def load_config(path: str) -> montecarlo.ExperimentSpec:
@@ -116,42 +160,41 @@ def load_config(path: str) -> montecarlo.ExperimentSpec:
         raise ConfigError("config root must be an object")
     _reject_unknown(raw, _TOP_KEYS, "config")
     version = _need(raw, "schema_version", "config")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
 
-    net = _need(raw, "network", "config")
+    net = _object(raw, "network", "config")
     _reject_unknown(net, _NETWORK_KEYS, "network")
-    for key in _NETWORK_KEYS:
-        _need(net, key, "network")
+    net = {
+        key: _real(_need(net, key, "network"), f"network.{key}")
+        for key in sorted(_NETWORK_KEYS)
+    }
 
-    sweep = _need(raw, "sweep", "config")
+    sweep = _object(raw, "sweep", "config")
     _reject_unknown(sweep, {"N"}, "sweep")
     n_values = _need(sweep, "N", "sweep")
     if not isinstance(n_values, list) or not n_values:
         raise ConfigError("sweep.N must be a non-empty list of integers")
+    n_values = tuple(_integer(n, f"sweep.N[{i}]", 1) for i, n in enumerate(n_values))
 
-    variants = _model_variants(_need(raw, "model", "config"))
-    replications = _need(raw, "replications", "config")
-    master_seed = _need(raw, "master_seed", "config")
-    if not isinstance(replications, int) or replications < 1:
-        raise ConfigError("replications must be a positive integer")
-    if not isinstance(master_seed, int) or master_seed < 0:
-        raise ConfigError("master_seed must be a non-negative integer")
+    variants = _model_variants(_object(raw, "model", "config"))
+    replications = _integer(_need(raw, "replications", "config"), "replications", 1)
+    master_seed = _integer(_need(raw, "master_seed", "config"), "master_seed", 0)
 
     try:
         base = NetworkConfig(
-            rho_p=float(net["rho_p"]),
-            alpha=float(net["alpha"]),
-            n_branches=int(n_values[0]),
-            c=float(net["c"]),
-            r_t=float(net["r_T"]),
+            rho_p=net["rho_p"],
+            alpha=net["alpha"],
+            n_branches=n_values[0],
+            c=net["c"],
+            r_t=net["r_T"],
             model=variants[0],
         )
     except ValueError as exc:
         raise ConfigError(f"network: {exc}") from exc
     return montecarlo.ExperimentSpec(
         base=base,
-        n_values=tuple(int(n) for n in n_values),
+        n_values=n_values,
         replications=replications,
         master_seed=master_seed,
         variants=tuple(variants),
@@ -219,16 +262,56 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_asymptote(args) -> int:
+def _out_of_range(command: str, args, flags: tuple[str, ...], exc: Exception) -> int:
+    """Report flag values the formulas cannot evaluate (overflow and the like)."""
+    given = " ".join(
+        f"{flag} {value}"
+        for flag in flags
+        if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
+    )
+    print(f"{command}: cannot evaluate at {given}: {exc}", file=sys.stderr)
+    return 2
+
+
+def _asymptote_lines(args) -> list[str]:
     params = AsymptoticParams(rho_p=args.rho_p, c=args.c, alpha=args.alpha, nu=args.nu)
     if params.c * params.nu <= 1.0:
         print(
             f"warning: c * nu = {params.c * params.nu:.4g} <= 1, no SIR limit exists",
             file=sys.stderr,
         )
+    sol = asymptotics.solve_beta_fixed_point(params)
+    oracle = asymptotics.fixed_point_oracle(params)
+    large_c = asymptotics.beta_large_c(params.rho, params.alpha)
+
+    def rel(a, b):
+        return abs(a - b) / b
+
+    lines = [
+        f"beta (fixed point)       {sol.beta:.9g}",
+        f"beta (quadrature oracle) {oracle:.9g}",
+        f"beta (large-c formula)   {large_c:.9g}",
+        f"fixed-point residual     {sol.residual:.3g}",
+        f"rel diff fp vs oracle    {rel(sol.beta, oracle):.3g}",
+        f"rel diff fp vs large-c   {rel(sol.beta, large_c):.3g}",
+        f"rel diff oracle/large-c  {rel(oracle, large_c):.3g}",
+    ]
+    if args.n_branches is not None and args.r_t is not None:
+        rate_fp = sol.rate(args.n_branches, args.r_t)
+        rate_lc = asymptotics.rate_approx(args.n_branches, params.rho, params.alpha, args.r_t)
+        lines.append(f"rate at N={args.n_branches}, r_T={args.r_t:.9g}: "
+                     f"fixed point {rate_fp:.9g}, large-c {rate_lc:.9g} bits/symbol")
+    if args.rho_c is not None and args.n_branches is not None:
+        kappa_star = asymptotics.optimal_reuse(
+            args.alpha, args.n_branches, args.rho_p, args.rho_c
+        )
+        lines.append(f"optimal reuse kappa*     {kappa_star:.9g}")
+    return lines
+
+
+def cmd_asymptote(args) -> int:
     try:
-        sol = asymptotics.solve_beta_fixed_point(params)
-        oracle = asymptotics.fixed_point_oracle(params)
+        lines = _asymptote_lines(args)
     except NoBracket as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         print(
@@ -236,28 +319,10 @@ def cmd_asymptote(args) -> int:
             file=sys.stderr,
         )
         return 3
-    large_c = asymptotics.beta_large_c(params.rho, params.alpha)
-
-    def rel(a, b):
-        return abs(a - b) / b
-
-    print(f"beta (fixed point)       {sol.beta:.9g}")
-    print(f"beta (quadrature oracle) {oracle:.9g}")
-    print(f"beta (large-c formula)   {large_c:.9g}")
-    print(f"fixed-point residual     {sol.residual:.3g}")
-    print(f"rel diff fp vs oracle    {rel(sol.beta, oracle):.3g}")
-    print(f"rel diff fp vs large-c   {rel(sol.beta, large_c):.3g}")
-    print(f"rel diff oracle/large-c  {rel(oracle, large_c):.3g}")
-    if args.n_branches is not None and args.r_t is not None:
-        rate_fp = sol.rate(args.n_branches, args.r_t)
-        rate_lc = asymptotics.rate_approx(args.n_branches, params.rho, params.alpha, args.r_t)
-        print(f"rate at N={args.n_branches}, r_T={args.r_t:.9g}: "
-              f"fixed point {rate_fp:.9g}, large-c {rate_lc:.9g} bits/symbol")
-    if args.rho_c is not None and args.n_branches is not None:
-        kappa_star = asymptotics.optimal_reuse(
-            args.alpha, args.n_branches, args.rho_p, args.rho_c
-        )
-        print(f"optimal reuse kappa*     {kappa_star:.9g}")
+    except (ValueError, ArithmeticError) as exc:
+        flags = ("--alpha", "--rho-p", "--nu", "--c", "--n-branches", "--r-t", "--rho-c")
+        return _out_of_range("asymptote", args, flags, exc)
+    print("\n".join(lines))
     return 0
 
 
@@ -356,9 +421,13 @@ def cmd_plot(args) -> int:
 
 
 def cmd_reuse_opt(args) -> int:
-    kappa_star = asymptotics.optimal_reuse(
-        args.alpha, args.n_branches, args.rho_p, args.rho_c
-    )
+    try:
+        kappa_star = asymptotics.optimal_reuse(
+            args.alpha, args.n_branches, args.rho_p, args.rho_c
+        )
+    except (ValueError, ArithmeticError) as exc:
+        flags = ("--alpha", "--n-branches", "--rho-p", "--rho-c")
+        return _out_of_range("reuse-opt", args, flags, exc)
     print(f"optimal reuse kappa* {kappa_star:.9g}")
     nearest = max(1, round(kappa_star))
     print(f"nearest integer      {nearest}")
@@ -379,6 +448,21 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _real_above(low: float):
+    """argparse type: a finite number > low; argparse names the flag on error."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not (math.isfinite(value) and value > low):
+            raise argparse.ArgumentTypeError(f"must be a finite number > {low:g}, got {text}")
         return value
 
     return parse
@@ -414,26 +498,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     asym = sub.add_parser("asymptote", help="evaluate the SIR limit three ways")
-    asym.add_argument("--alpha", type=float, required=True)
-    asym.add_argument("--rho-p", type=float, required=True, dest="rho_p")
+    asym.add_argument("--alpha", type=_real_above(2.0), required=True)
+    asym.add_argument("--rho-p", type=_real_above(0.0), required=True, dest="rho_p")
     asym.add_argument("--nu", type=_probability, default=1.0, help="activation probability")
-    asym.add_argument("--c", type=float, required=True, help="ratio n/N")
-    asym.add_argument("--n-branches", type=int, default=None, dest="n_branches")
-    asym.add_argument("--r-t", type=float, default=None, dest="r_t")
-    asym.add_argument("--rho-c", type=float, default=None, dest="rho_c")
+    asym.add_argument("--c", type=_real_above(0.0), required=True, help="ratio n/N")
+    asym.add_argument("--n-branches", type=_int_at_least(1), default=None, dest="n_branches")
+    asym.add_argument("--r-t", type=_real_above(0.0), default=None, dest="r_t")
+    asym.add_argument("--rho-c", type=_real_above(0.0), default=None, dest="rho_c")
     asym.set_defaults(func=cmd_asymptote)
 
     dens = sub.add_parser("density", help="predicted vs simulated active density")
     dens.add_argument("--model", required=True, choices=MODEL_NAMES)
-    dens.add_argument("--rho-p", type=float, required=True, dest="rho_p")
-    dens.add_argument("--alpha", type=float, default=4.0)
-    dens.add_argument("--c", type=float, required=True)
-    dens.add_argument("--n-branches", type=int, required=True, dest="n_branches")
+    dens.add_argument("--rho-p", type=_real_above(0.0), required=True, dest="rho_p")
+    dens.add_argument("--alpha", type=_real_above(2.0), default=4.0)
+    dens.add_argument("--c", type=_real_above(0.0), required=True)
+    dens.add_argument("--n-branches", type=_int_at_least(1), required=True, dest="n_branches")
     dens.add_argument("--h", type=float, default=None)
-    dens.add_argument("--rho-b", type=float, default=None, dest="rho_b")
-    dens.add_argument("--rho-c", type=float, default=None, dest="rho_c")
+    dens.add_argument("--rho-b", type=_real_above(0.0), default=None, dest="rho_b")
+    dens.add_argument("--rho-c", type=_real_above(0.0), default=None, dest="rho_c")
     dens.add_argument("--kappa", type=int, default=None)
-    dens.add_argument("--r-t", type=float, default=None, dest="r_t")
+    dens.add_argument("--r-t", type=_real_above(0.0), default=None, dest="r_t")
     dens.add_argument("--replications", type=_int_at_least(1), default=200)
     dens.add_argument("--seed", type=_int_at_least(0), default=0)
     dens.set_defaults(func=cmd_density)
@@ -445,10 +529,10 @@ def _build_parser() -> argparse.ArgumentParser:
     plot.set_defaults(func=cmd_plot)
 
     reuse = sub.add_parser("reuse-opt", help="rate-optimal frequency reuse factor")
-    reuse.add_argument("--alpha", type=float, required=True)
-    reuse.add_argument("--n-branches", type=int, required=True, dest="n_branches")
-    reuse.add_argument("--rho-p", type=float, required=True, dest="rho_p")
-    reuse.add_argument("--rho-c", type=float, required=True, dest="rho_c")
+    reuse.add_argument("--alpha", type=_real_above(2.0), required=True)
+    reuse.add_argument("--n-branches", type=_int_at_least(1), required=True, dest="n_branches")
+    reuse.add_argument("--rho-p", type=_real_above(0.0), required=True, dest="rho_p")
+    reuse.add_argument("--rho-c", type=_real_above(0.0), required=True, dest="rho_c")
     reuse.set_defaults(func=cmd_reuse_opt)
     return parser
 

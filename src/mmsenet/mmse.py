@@ -108,7 +108,7 @@ def interference_covariance(interferers: np.ndarray, weights: np.ndarray) -> np.
         raise ValueError("interferer matrix must be (n_branches, count)")
     if weights.shape != (interferers.shape[1],):
         raise ValueError("one weight per interferer column required")
-    cov = np.einsum("ik,k,jk->ij", interferers, weights, interferers.conj())
+    cov = (interferers * weights) @ interferers.conj().T  # one BLAS product
     return 0.5 * (cov + cov.conj().T)  # clear rounding asymmetry
 
 

@@ -309,11 +309,17 @@ def thin_hc2(
 def activate_boolean(
     positions: np.ndarray, centers: np.ndarray, h: float
 ) -> np.ndarray:
-    """Node transmits iff some cluster center lies strictly within h of it."""
+    """Node transmits iff some cluster center lies strictly within h of it.
+
+    The tree query stops at h: a node with no center within h gets an
+    infinite distance, and a center exactly at h gives h or infinity, so the
+    strict test below decides the same as an unbounded nearest-center query.
+    """
     n = positions.shape[0]
     if h <= 0 or centers.shape[0] == 0:
         return np.zeros(n, dtype=bool)
-    nearest, _ = cKDTree(centers).query(positions, k=1)
+    tree = cKDTree(centers, balanced_tree=False)
+    nearest, _ = tree.query(positions, k=1, distance_upper_bound=h)
     return nearest < h
 
 

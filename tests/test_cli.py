@@ -64,6 +64,100 @@ class TestConfig:
         spec = load_config(str(p))
         assert [m.h for m in spec.variants] == [1.0, 2.0]
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            pytest.param(
+                {"sweep": {"N": [2.7]}}, r"sweep\.N\[0\]: expected an integer, got 2\.7",
+                id="N-float",
+            ),
+            pytest.param(
+                {"sweep": {"N": [4, True]}}, r"sweep\.N\[1\]: expected an integer, got True",
+                id="N-bool",
+            ),
+            pytest.param(
+                {"sweep": {"N": ["4"]}}, r"sweep\.N\[0\]: expected an integer, got '4'",
+                id="N-string",
+            ),
+            pytest.param(
+                {"sweep": {"N": [4, 0]}}, r"sweep\.N\[1\]: must be >= 1, got 0", id="N-zero"
+            ),
+            pytest.param(
+                {"model": {"name": "hc1", "h": "3"}},
+                r"model\.h: expected a finite number, got '3'",
+                id="h-string",
+            ),
+            pytest.param(
+                {"model": {"name": "hc1", "h": [1.0, False]}},
+                r"model\.h\[1\]: expected a finite number, got False",
+                id="h-list-bool",
+            ),
+            pytest.param(
+                {"model": {"name": "hc1", "h": []}},
+                r"model\.h: a list needs at least one value",
+                id="h-empty-list",
+            ),
+            pytest.param(
+                {"model": {"name": "cellular", "rho_c": 0.001, "kappa": 3.0}},
+                r"model\.kappa: expected an integer, got 3\.0",
+                id="kappa-float",
+            ),
+            pytest.param(
+                {"model": {"name": "cellular", "rho_c": 0.001, "kappa": 3, "power_control": 1}},
+                r"model\.power_control: expected true or false, got 1",
+                id="power_control-int",
+            ),
+            pytest.param(
+                {"replications": True}, r"replications: expected an integer, got True",
+                id="replications-bool",
+            ),
+            pytest.param(
+                {"replications": 2.0}, r"replications: expected an integer, got 2\.0",
+                id="replications-float",
+            ),
+            pytest.param(
+                {"master_seed": False}, r"master_seed: expected an integer, got False",
+                id="master_seed-bool",
+            ),
+            pytest.param(
+                {"schema_version": True}, r"schema_version: expected 1, got True",
+                id="schema_version-bool",
+            ),
+            pytest.param({"network": [1, 2]}, r"network: expected an object", id="network-list"),
+        ],
+    )
+    def test_non_numbers_rejected_with_key_path(self, tmp_path, overrides, message):
+        p = write_config(tmp_path / "c.json", **overrides)
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(p))
+
+    @pytest.mark.parametrize("key", ["rho_p", "alpha", "c", "r_T"])
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "true", '"3"', "1e999"])
+    def test_network_values_must_be_finite_numbers(self, tmp_path, key, literal):
+        # json.dumps cannot write these, so splice the literal into the text
+        p = write_config(tmp_path / "c.json")
+        cfg = json.loads(p.read_text())
+        cfg["network"][key] = "@"
+        p.write_text(json.dumps(cfg).replace('"@"', literal))
+        with pytest.raises(ConfigError, match=rf"network\.{key}: expected a finite number"):
+            load_config(str(p))
+
+    def test_huge_integer_literal_rejected(self, tmp_path):
+        p = write_config(tmp_path / "c.json")
+        p.write_text(p.read_text().replace('"c": 50.0', '"c": 1' + "0" * 400))
+        with pytest.raises(ConfigError, match=r"network\.c: expected a finite number"):
+            load_config(str(p))
+
+    def test_integer_literals_load_like_floats(self, tmp_path):
+        a = load_config(str(write_config(tmp_path / "a.json")))
+        b = load_config(
+            str(write_config(
+                tmp_path / "b.json",
+                network={"rho_p": RHO_P, "alpha": 4, "c": 50, "r_T": R_T},
+            ))
+        )
+        assert a == b
+
     def test_two_list_parameters_rejected(self, tmp_path):
         p = write_config(
             tmp_path / "c.json",
@@ -300,6 +394,110 @@ class TestArgumentErrors:
         )
         assert code == 2
         assert "--format" in err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            pytest.param(
+                ["asymptote", "--alpha", "2", "--rho-p", "0.01", "--c", "100"], "--alpha",
+                id="asymptote-alpha-2",
+            ),
+            pytest.param(
+                ["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "-1"], "--c",
+                id="asymptote-c-negative",
+            ),
+            pytest.param(
+                ["asymptote", "--alpha", "4", "--rho-p", "0", "--c", "100"], "--rho-p",
+                id="asymptote-rho_p-zero",
+            ),
+            pytest.param(
+                ["asymptote", "--alpha", "nan", "--rho-p", "0.01", "--c", "100"], "--alpha",
+                id="asymptote-alpha-nan",
+            ),
+            pytest.param(
+                ["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "100",
+                 "--n-branches", "0"], "--n-branches",
+                id="asymptote-n_branches-zero",
+            ),
+            pytest.param(
+                ["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "100",
+                 "--n-branches", "4", "--r-t", "inf"], "--r-t",
+                id="asymptote-r_t-inf",
+            ),
+            pytest.param(
+                ["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "100",
+                 "--n-branches", "4", "--rho-c", "0"], "--rho-c",
+                id="asymptote-rho_c-zero",
+            ),
+            pytest.param(
+                ["reuse-opt", "--alpha", "4", "--n-branches", "0", "--rho-p", "1",
+                 "--rho-c", "0.001"], "--n-branches",
+                id="reuse-n_branches-zero",
+            ),
+            pytest.param(
+                ["reuse-opt", "--alpha", "2", "--n-branches", "4", "--rho-p", "1",
+                 "--rho-c", "0.001"], "--alpha",
+                id="reuse-alpha-2",
+            ),
+            pytest.param(
+                ["reuse-opt", "--alpha", "4", "--n-branches", "4", "--rho-p", "1",
+                 "--rho-c", "-0.001"], "--rho-c",
+                id="reuse-rho_c-negative",
+            ),
+            pytest.param(
+                ["density", "--model", "independent", "--rho-p", "0", "--c", "10",
+                 "--n-branches", "2"], "--rho-p",
+                id="density-rho_p-zero",
+            ),
+            pytest.param(
+                ["density", "--model", "boolean", "--rho-p", "0.01", "--c", "10",
+                 "--n-branches", "2", "--h", "1", "--rho-b", "inf"], "--rho-b",
+                id="density-rho_b-inf",
+            ),
+        ],
+    )
+    def test_asymptote_reuse_density_bounds(self, capsys, argv, flag):
+        code, err = self.exit_code_and_stderr(argv, capsys)
+        assert code == 2
+        assert f"argument {flag}:" in err
+
+    def test_negative_branches_fail_before_any_output(self, capsys):
+        code, err = self.exit_code_and_stderr(
+            ["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "100",
+             "--n-branches", "-3", "--r-t", "5.64"],
+            capsys,
+        )
+        assert code == 2
+        assert "--n-branches" in err
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv,given",
+        [
+            pytest.param(
+                ["asymptote", "--alpha", "1e6", "--rho-p", "0.01", "--c", "100"],
+                "--alpha 1000000.0",
+                id="asymptote-alpha-overflow",
+            ),
+            pytest.param(
+                ["asymptote", "--alpha", "300", "--rho-p", "0.01", "--c", "100",
+                 "--n-branches", "4", "--r-t", "1e-3"],
+                "--r-t 0.001",
+                id="asymptote-rate-overflow",
+            ),
+            pytest.param(
+                ["reuse-opt", "--alpha", "1e300", "--n-branches", "4", "--rho-p", "1",
+                 "--rho-c", "0.001"],
+                "--alpha 1e+300",
+                id="reuse-alpha-underflow",
+            ),
+        ],
+    )
+    def test_out_of_range_values_exit_2_without_output(self, capsys, argv, given):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot evaluate at" in captured.err and given in captured.err
 
     def test_density_replications_zero(self, capsys):
         code, err = self.exit_code_and_stderr(

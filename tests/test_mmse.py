@@ -85,6 +85,23 @@ class TestCovariance:
         cov = interference_covariance(f.interferers, np.ones(30))
         assert np.allclose(cov, cov.conj().T)
 
+    @pytest.mark.parametrize("k", [0, 1, 1500])
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    def test_matches_einsum_oracle(self, n, k):
+        f = draw_fading(n, k, 100 * n + k)
+        # received powers r^-4 over a wide range of distances
+        weights = np.random.default_rng(k).uniform(1.0, 30.0, k) ** -4.0
+        cov = interference_covariance(f.interferers, weights)
+        ref = np.einsum("ik,k,jk->ij", f.interferers, weights, f.interferers.conj())
+        assert cov.shape == (n, n)
+        if k == 0:
+            assert np.all(cov == 0.0)
+        else:
+            assert np.abs(cov - ref).max() <= 1e-12 * np.abs(ref).max()
+        # exactly Hermitian, with a real diagonal
+        assert np.array_equal(cov, cov.conj().T)
+        assert np.all(cov.diagonal().imag == 0.0)
+
 
 class TestMmseSir:
     def test_scalar_case(self):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mmsenet import mmse
 from mmsenet.montecarlo import (
     ExperimentSpec,
     RealizationFailed,
@@ -259,6 +260,8 @@ class TestGoldenSamplePath:
 
     Exact float equality: a change that moves any of these moved the sample
     path, and must update the values on purpose and say so in CHANGES.md.
+    The sir values also carry the BLAS library's summation order for the
+    covariance product.
     """
 
     H_SPARSE = math.sqrt(0.14 / (math.pi * RHO_P))  # Boolean coverage ~13%
@@ -277,6 +280,35 @@ class TestGoldenSamplePath:
     }
     # (model, master_seed, replication) -> (sir, redraw_count, active_count)
     GOLDEN = {
+        ("independent", 2013, 0): (8.807924460513469, 0, 200),
+        ("independent", 2013, 1): (3.942844117127902, 0, 200),
+        ("independent", 2013, 2): (5.734404059608613, 0, 200),
+        ("hc1", 2013, 0): (11.513033085015993, 0, 162),
+        ("hc1", 2013, 1): (7.102494983479937, 0, 150),
+        ("hc1", 2013, 2): (9.109876390822741, 0, 160),
+        ("hc2", 2013, 0): (36.52081748474461, 0, 180),
+        ("hc2", 2013, 1): (2.26134386971038, 0, 173),
+        ("hc2", 2013, 2): (9.758720443380923, 0, 179),
+        ("boolean", 2013, 0): (4.43050462266575, 0, 129),
+        ("boolean", 2013, 1): (33.07919380525798, 0, 130),
+        ("boolean", 2013, 2): (58.716003150449566, 0, 125),
+        ("cellular_k3", 2013, 0): (8750.931351843486, 0, 30),
+        ("cellular_k3", 2013, 1): (10221.621377238724, 0, 31),
+        ("cellular_k3", 2013, 2): (8996.712430625988, 0, 30),
+        ("cellular_k7", 2013, 0): (84086.43700795245, 0, 12),
+        ("cellular_k7", 2013, 1): (102241.16507122871, 0, 12),
+        ("cellular_k7", 2013, 2): (84987.96236506874, 0, 12),
+        ("cellular_pc", 2013, 0): (276.0413919968422, 0, 30),
+        ("cellular_pc", 2013, 1): (335.2028301956081, 0, 31),
+        ("cellular_pc", 2013, 2): (893.0894684938221, 0, 30),
+        ("boolean_redraw", 11, 13): (14297.423760169973, 2, 24),
+        ("boolean_redraw", 11, 16): (168440.5315457139, 1, 17),
+        ("boolean_redraw", 11, 26): (8209.132564697775, 1, 21),
+    }
+
+    # the same cases with the covariance summed by np.einsum, as it was built
+    # before the BLAS product; only the sir rounding differs
+    GOLDEN_EINSUM = {
         ("independent", 2013, 0): (8.807924460514956, 0, 200),
         ("independent", 2013, 1): (3.9428441171279056, 0, 200),
         ("independent", 2013, 2): (5.734404059608516, 0, 200),
@@ -303,8 +335,7 @@ class TestGoldenSamplePath:
         ("boolean_redraw", 11, 26): (8209.13256469719, 1, 21),
     }
 
-    @pytest.mark.parametrize("model,master_seed,rep", sorted(GOLDEN))
-    def test_sample_path_pinned(self, model, master_seed, rep):
+    def sample(self, model, master_seed, rep):
         spec, n_branches, c = self.MODELS[model]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -312,6 +343,20 @@ class TestGoldenSamplePath:
                 rho_p=RHO_P, alpha=4.0, n_branches=n_branches, c=c, r_t=R_T, model=spec
             )
         s = run_realization(cfg, derive_seed(master_seed, 0, rep))
-        assert (s.sir, s.redraw_count, s.active_count) == self.GOLDEN[
-            (model, master_seed, rep)
-        ]
+        return s.sir, s.redraw_count, s.active_count
+
+    @pytest.mark.parametrize("model,master_seed,rep", sorted(GOLDEN))
+    def test_sample_path_pinned(self, model, master_seed, rep):
+        assert self.sample(model, master_seed, rep) == self.GOLDEN[(model, master_seed, rep)]
+
+    @pytest.mark.parametrize("model,master_seed,rep", sorted(GOLDEN_EINSUM))
+    def test_einsum_covariance_reproduces_old_pins(self, model, master_seed, rep, monkeypatch):
+        # with the covariance summed in the old order, the old values come
+        # back exactly: the BLAS product changed nothing but that rounding
+        def einsum_covariance(interferers, weights):
+            cov = np.einsum("ik,k,jk->ij", interferers, weights, interferers.conj())
+            return 0.5 * (cov + cov.conj().T)
+
+        monkeypatch.setattr(mmse, "interference_covariance", einsum_covariance)
+        got = self.sample(model, master_seed, rep)
+        assert got == self.GOLDEN_EINSUM[(model, master_seed, rep)]

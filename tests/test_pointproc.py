@@ -227,6 +227,52 @@ class TestBoolean:
         pos = np.array([[1.0, 2.0]])
         assert not activate_boolean(pos, np.empty((0, 2)), 1.0).any()
 
+    @staticmethod
+    def brute_force(positions, centers, h):
+        """Strict hypot(...) < h against every center."""
+        dx = positions[:, None, 0] - centers[None, :, 0]
+        dy = positions[:, None, 1] - centers[None, :, 1]
+        return (np.hypot(dx, dy) < h).any(axis=1)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "n,m,h",
+        [(500, 2000, 0.05), (500, 2000, 0.5), (300, 40, 2.0), (50, 3000, 0.01)],
+    )
+    def test_matches_brute_force(self, seed, n, m, h):
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(-5.0, 5.0, (n, 2))
+        centers = rng.uniform(-5.5, 5.5, (m, 2))
+        got = activate_boolean(pos, centers, h)
+        assert got.dtype == bool
+        assert np.array_equal(got, self.brute_force(pos, centers, h))
+
+    @pytest.mark.parametrize("h", [0.7, 1.0, 3.3])
+    def test_center_at_h_inactive_one_ulp_inside_active(self, h):
+        # far centers keep the tree non-trivial without covering the origin
+        far = np.random.default_rng(7).uniform(3.0 * h, 6.0 * h, (200, 2))
+        origin = np.zeros((1, 2))
+        inside = math.nextafter(h, 0.0)
+        for ring, want in (
+            ([[h, 0.0], [0.0, -h], [-h, 0.0], [0.0, h]], False),
+            ([[inside, 0.0]], True),
+            ([[0.0, -inside]], True),
+        ):
+            centers = np.vstack([far, ring])
+            got = activate_boolean(origin, centers, h)
+            assert got.tolist() == [want]
+            assert np.array_equal(got, self.brute_force(origin, centers, h))
+
+    @pytest.mark.parametrize(
+        "centers,h",
+        [(np.empty((0, 2)), 1.0), (np.zeros((3, 2)), 0.0), (np.zeros((3, 2)), -1.0)],
+    )
+    def test_degenerate_inputs_none_active(self, centers, h):
+        pos = np.zeros((4, 2))
+        got = activate_boolean(pos, centers, h)
+        assert got.shape == (4,) and not got.any()
+        assert np.array_equal(got, self.brute_force(pos, centers, h))
+
     def test_coverage_fraction_limit(self):
         # 1 - exp(-pi rho_b h^2) = 1 - e^{-1}
         h = math.sqrt(1.0 / (math.pi * RHO_P))
