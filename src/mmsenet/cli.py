@@ -310,6 +310,10 @@ def _asymptote_lines(args) -> list[str]:
 
 
 def cmd_asymptote(args) -> int:
+    if args.n_branches is None and (args.r_t is not None or args.rho_c is not None):
+        flag = "--r-t" if args.r_t is not None else "--rho-c"
+        print(f"asymptote: {flag} needs --n-branches", file=sys.stderr)
+        return 2
     try:
         lines = _asymptote_lines(args)
     except NoBracket as exc:
@@ -347,6 +351,13 @@ def cmd_density(args) -> int:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
     predicted = config.predicted_density()
+    if not predicted > 0.0:
+        # only the exclusion radius (and the Boolean centre density) can drive
+        # the limiting density to 0; the relative error would divide by it
+        given = f"--h {args.h}" + (f" --rho-b {args.rho_b}" if args.model == "boolean" else "")
+        print(f"density: the limiting active density of model {args.model!r} is "
+              f"{predicted:.3g} at {given}; nothing to compare against", file=sys.stderr)
+        return 2
     simulated = montecarlo.density_estimate(config, args.replications, args.seed)
     nu = config.nu_expected
     n = config.n_nodes

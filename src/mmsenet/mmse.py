@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .pointproc import as_generator
 
@@ -26,6 +25,8 @@ __all__ = [
     "draw_fading",
     "interference_covariance",
     "mmse_sir",
+    "quadratic_forms",
+    "sir_samples",
     "min_eigenvalue",
     "edf",
     "ks_distance",
@@ -73,10 +74,17 @@ class SirSample:
     redraw_count: int = 0
 
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / math.sqrt(2.0)
+    # real parts first, then imaginary parts, each scaled in place; equal bit
+    # for bit to (re + 1j * im) / sqrt(2), which numpy also computes as a
+    # product with the reciprocal
+    out = np.empty(shape, dtype=complex)
+    np.multiply(rng.standard_normal(shape), _INV_SQRT2, out=out.real)
+    np.multiply(rng.standard_normal(shape), _INV_SQRT2, out=out.imag)
+    return out
 
 
 def draw_fading(n_branches: int, count: int, seed) -> FadingSet:
@@ -112,6 +120,74 @@ def interference_covariance(interferers: np.ndarray, weights: np.ndarray) -> np.
     return 0.5 * (cov + cov.conj().T)  # clear rounding asymmetry
 
 
+def quadratic_forms(g_t: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """g^H R^{-1} g for each member of a stack, NaN where R is unusable.
+
+    g_t is (B, N) and cov is (B, N, N).  A member is unusable when its
+    covariance is not positive definite or its spectral condition number
+    exceeds CONDITION_CAP.  The usable members go through one batched
+    Cholesky factorization R = L L^H and one batched solve y = L^{-1} g, so
+    the form is |y|^2 (never an explicit inverse).  Each member's value does
+    not depend on the rest of the stack.
+    """
+    g_t = np.asarray(g_t)
+    cov = np.asarray(cov)
+    if g_t.ndim != 2 or cov.shape != g_t.shape + g_t.shape[-1:]:
+        raise ValueError(f"stack shapes g_t {g_t.shape}, cov {cov.shape} do not match")
+    evals = np.linalg.eigvalsh(cov)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        usable = ~((evals[:, 0] <= 0.0) | (evals[:, -1] / evals[:, 0] > CONDITION_CAP))
+    quad = np.full(g_t.shape[0], np.nan)
+    if usable.any():
+        quad[usable] = _cholesky_forms(g_t[usable], cov[usable])
+    return quad
+
+
+def _cholesky_forms(g_t: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        # the spectrum test admits condition numbers up to CONDITION_CAP,
+        # where rounding can still stop a factorization: factor one member at
+        # a time, and only the members that fail are unusable
+        if len(cov) == 1:
+            return np.array([np.nan])
+        return np.concatenate([_cholesky_forms(g_t[i:i + 1], cov[i:i + 1])
+                               for i in range(len(cov))])
+    y = np.linalg.solve(chol, g_t[:, :, None])[:, :, 0]
+    return (y.real ** 2 + y.imag ** 2).sum(axis=-1)
+
+
+def sir_samples(
+    g_t: np.ndarray,
+    cov: np.ndarray,
+    r_t: float,
+    alpha: float,
+    active_counts,
+    n_branches: int | None = None,
+    signal_weight: float = 1.0,
+) -> list[SirSample | None]:
+    """Exact MMSE output SIR of every member of a stack, None where singular.
+
+    g_t is (B, N) and cov is (B, N, N); r_t, alpha, n_branches and
+    signal_weight are shared by the stack, active_counts has one entry per
+    member.  See mmse_sir for the formula.
+    """
+    quad = quadratic_forms(g_t, cov)
+    if n_branches is None:
+        n_branches = np.shape(g_t)[-1]
+    scale = float(n_branches) ** (-alpha / 2.0) * r_t ** alpha
+    samples = []
+    for q, count in zip(quad.tolist(), active_counts):
+        if math.isnan(q):
+            samples.append(None)
+            continue
+        sir = float(signal_weight * r_t ** -alpha * q)
+        samples.append(SirSample(sir=sir, beta_n=scale * sir, rate=math.log2(1.0 + sir),
+                                 active_count=count))
+    return samples
+
+
 def mmse_sir(
     g_t: np.ndarray,
     cov: np.ndarray,
@@ -124,41 +200,24 @@ def mmse_sir(
     """Exact MMSE output SIR for one realization.
 
     sir = signal_weight * r_t^-alpha * g_t^H cov^{-1} g_t, solved through a
-    Hermitian Cholesky factorization (never an explicit inverse).  The
-    default signal_weight of 1 is the unit-transmit-power case; a
-    power-controlled representative passes r_t^alpha, making the received
-    signal power 1.
+    Hermitian Cholesky factorization (never an explicit inverse) by the
+    stacked kernel on a stack of one.  The default signal_weight of 1 is the
+    unit-transmit-power case; a power-controlled representative passes
+    r_t^alpha, making the received signal power 1.
 
     Raises SingularCovariance when the covariance is not positive definite
     or its condition number exceeds CONDITION_CAP; the caller is expected to
     redraw the realization.
     """
-    g_t = np.asarray(g_t)
-    cov = np.asarray(cov)
-    n = g_t.shape[0]
-    if n_branches is None:
-        n_branches = n
-    if cov.shape != (n, n):
-        raise ValueError(f"covariance shape {cov.shape} does not match g_t ({n},)")
-
-    evals = np.linalg.eigvalsh(cov)
-    if evals[0] <= 0.0 or evals[-1] / evals[0] > CONDITION_CAP:
+    (sample,) = sir_samples(np.asarray(g_t)[None], np.asarray(cov)[None], r_t, alpha,
+                            [active_count], n_branches=n_branches,
+                            signal_weight=signal_weight)
+    if sample is None:
         raise SingularCovariance(
-            f"covariance spectrum [{evals[0]:.3g}, {evals[-1]:.3g}] unusable"
+            f"covariance is not positive definite or its condition number "
+            f"exceeds {CONDITION_CAP:g}"
         )
-    try:
-        cho = linalg.cho_factor(cov, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - caught above
-        raise SingularCovariance(str(exc)) from exc
-    quad = np.vdot(g_t, linalg.cho_solve(cho, g_t))
-    sir = float(signal_weight * r_t ** -alpha * quad.real)
-    beta_n = float(n_branches) ** (-alpha / 2.0) * r_t ** alpha * sir
-    return SirSample(
-        sir=sir,
-        beta_n=beta_n,
-        rate=math.log2(1.0 + sir),
-        active_count=active_count,
-    )
+    return sample
 
 
 def min_eigenvalue(mat: np.ndarray) -> float:

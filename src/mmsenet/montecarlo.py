@@ -5,7 +5,8 @@ variants) of a base network configuration.  Every realization's random
 stream is derived from (master_seed, point_index, replication_index,
 attempt) through numpy SeedSequence spawn keys on a counter-based bit
 generator, so results are bitwise identical for any worker count and any
-execution order.
+execution order.  Replications run in fixed-size blocks of one point whose
+SIRs are solved as one stack.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import asymptotics, mmse, pointproc
-from .mmse import SingularCovariance, SirSample
+from .mmse import SirSample
 from .pointproc import ModelSpec, NetworkConfig
 
 __all__ = [
@@ -38,6 +39,10 @@ __all__ = [
 
 MAX_REDRAWS = 100
 
+# replications per work item; fixed, so that no result depends on the worker
+# count
+BLOCK_SIZE = 25
+
 
 class RealizationFailed(Exception):
     """Every redraw produced a singular covariance (c * nu too close to 1)."""
@@ -52,58 +57,81 @@ def derive_seed(
     )
 
 
-def _attempt_rng(base: np.random.SeedSequence, attempt: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(
-        entropy=base.entropy, spawn_key=tuple(base.spawn_key) + (attempt,)
+def _member(config: NetworkConfig, rng: np.random.Generator):
+    """Positions -> activation -> fading -> covariance of one attempt.
+
+    Returns (g_t, covariance, active count); the N x k interferer fading
+    matrix is dropped on return.
+    """
+    alpha = config.alpha
+    real = pointproc.realize(config, rng)
+    act = real.active
+    pos = real.positions[act]
+    radii = np.hypot(pos[:, 0], pos[:, 1])
+    weights = real.power_weight[act] * radii ** -alpha
+    count = int(act.sum())
+    fading = mmse.draw_fading(config.n_branches, count, rng)
+    return fading.g_t, mmse.interference_covariance(fading.interferers, weights), count
+
+
+def _run_block(config: NetworkConfig, entropy, keys) -> list[SirSample | None]:
+    """Realizations of one configuration, solved as a stack.
+
+    keys[i] is the spawn key of member i; attempt a of that member draws from
+    Philox(SeedSequence(entropy, spawn_key=keys[i] + (a,))).  Each round
+    builds every pending member's covariance and solves the stack with one
+    batched kernel; only the singular members are redrawn, at the next
+    attempt, up to MAX_REDRAWS times.  A member that never gets a usable
+    covariance is None.  No diagonal loading is applied anywhere: that would
+    quietly turn the SIR into an SINR and bias comparisons against the
+    noise-free theory.
+    """
+    n = config.n_branches
+    signal_weight = (
+        config.r_t ** config.alpha
+        if (config.model.name == "cellular" and config.model.power_control)
+        else 1.0
     )
-    return np.random.Generator(np.random.Philox(ss))
+    samples: list[SirSample | None] = [None] * len(keys)
+    pending = list(range(len(keys)))
+    for attempt in range(MAX_REDRAWS + 1):
+        if not pending:
+            break
+        g_t = np.empty((len(pending), n), dtype=complex)
+        cov = np.empty((len(pending), n, n), dtype=complex)
+        counts = []
+        for j, i in enumerate(pending):
+            ss = np.random.SeedSequence(entropy=entropy, spawn_key=(*keys[i], attempt))
+            g_t[j], cov[j], count = _member(config, np.random.Generator(np.random.Philox(ss)))
+            counts.append(count)
+        solved = mmse.sir_samples(
+            g_t, cov, config.r_t, config.alpha, counts, n_branches=n,
+            signal_weight=signal_weight,
+        )
+        for i, sample in zip(pending, solved):
+            if sample is not None:
+                samples[i] = replace(sample, redraw_count=attempt)
+        pending = [i for i, sample in zip(pending, solved) if sample is None]
+    return samples
 
 
 def run_realization(config: NetworkConfig, seed) -> SirSample:
     """One full pipeline pass: positions -> activation -> fading -> SIR.
 
-    On a singular interference covariance the entire realization (positions
-    and fading) is redrawn from a fresh substream, up to MAX_REDRAWS times,
-    and the number of redraws is recorded on the sample.  No diagonal
-    loading is applied anywhere: that would quietly turn the SIR into an
-    SINR and bias comparisons against the noise-free theory.
+    A block of one.  On a singular interference covariance the entire
+    realization (positions and fading) is redrawn from a fresh substream, up
+    to MAX_REDRAWS times, and the number of redraws is recorded on the
+    sample.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        base = seed
-    else:
-        base = np.random.SeedSequence(entropy=int(seed))
-    alpha = config.alpha
-    for attempt in range(MAX_REDRAWS + 1):
-        rng = _attempt_rng(base, attempt)
-        real = pointproc.realize(config, rng)
-        act = real.active
-        pos = real.positions[act]
-        radii = np.hypot(pos[:, 0], pos[:, 1])
-        weights = real.power_weight[act] * radii ** -alpha
-        fading = mmse.draw_fading(config.n_branches, int(act.sum()), rng)
-        cov = mmse.interference_covariance(fading.interferers, weights)
-        signal_weight = (
-            config.r_t ** alpha
-            if (config.model.name == "cellular" and config.model.power_control)
-            else 1.0
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(entropy=int(seed))
+    (sample,) = _run_block(config, seed.entropy, [tuple(seed.spawn_key)])
+    if sample is None:
+        raise RealizationFailed(
+            f"{MAX_REDRAWS} consecutive singular redraws for N={config.n_branches}, "
+            f"model={config.model.name!r}; c * nu is likely too close to 1"
         )
-        try:
-            sample = mmse.mmse_sir(
-                fading.g_t,
-                cov,
-                config.r_t,
-                alpha,
-                n_branches=config.n_branches,
-                signal_weight=signal_weight,
-                active_count=int(act.sum()),
-            )
-        except SingularCovariance:
-            continue
-        return replace(sample, redraw_count=attempt)
-    raise RealizationFailed(
-        f"{MAX_REDRAWS} consecutive singular redraws for N={config.n_branches}, "
-        f"model={config.model.name!r}; c * nu is likely too close to 1"
-    )
+    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -224,48 +252,43 @@ def predicted_rate(config: NetworkConfig) -> float | None:
     return asymptotics.rate_approx(config.n_branches, rho, config.alpha, config.r_t)
 
 
-def _run_point_rep(args) -> tuple[int, int, SirSample | None]:
-    config, master_seed, point_idx, rep_idx = args
-    try:
-        sample = run_realization(config, derive_seed(master_seed, point_idx, rep_idx))
-    except RealizationFailed:
-        return point_idx, rep_idx, None
-    return point_idx, rep_idx, sample
+def _run_point_block(args) -> list[SirSample | None]:
+    config, master_seed, point_idx, r0, r1 = args
+    return _run_block(config, master_seed, [(point_idx, ri) for ri in range(r0, r1)])
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
     """Execute all points x replications and aggregate deterministically.
 
-    Replications are independent work items; with workers > 1 they run on a
-    process pool.  Aggregation happens in (point, replication) index order,
-    so the emitted numbers never depend on the execution schedule.  A point
-    whose replication fails is flagged and reported with empty statistics;
-    the remaining points still run.
+    The work items are blocks of BLOCK_SIZE consecutive replications of one
+    point; with workers > 1 they run on a process pool.  Aggregation happens
+    in (point, replication) index order, and a replication's numbers do not
+    depend on its block, so the emitted numbers never depend on the worker
+    count or the execution schedule.  A point whose replication fails is
+    flagged and reported with empty statistics; the remaining points still
+    run.
     """
     from . import __version__
 
     t0 = time.perf_counter()
     configs = spec.point_configs()
     tasks = [
-        (cfg, spec.master_seed, pi, ri)
+        (cfg, spec.master_seed, pi, r0, min(r0 + BLOCK_SIZE, spec.replications))
         for pi, cfg in enumerate(configs)
-        for ri in range(spec.replications)
+        for r0 in range(0, spec.replications, BLOCK_SIZE)
     ]
     if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_point_rep, tasks, chunksize=chunk))
+            blocks = list(pool.map(_run_point_block, tasks))
     else:
-        raw = [_run_point_rep(t) for t in tasks]
+        blocks = [_run_point_block(t) for t in tasks]
 
-    by_point: dict[int, dict[int, SirSample | None]] = {}
-    for pi, ri, sample in raw:
-        by_point.setdefault(pi, {})[ri] = sample
+    by_point: list[list[SirSample | None]] = [[] for _ in configs]
+    for (_, _, pi, _, _), block in zip(tasks, blocks):
+        by_point[pi].extend(block)
 
     points = []
-    for pi, cfg in enumerate(configs):
-        samples_by_rep = by_point.get(pi, {})
-        ordered = [samples_by_rep[ri] for ri in sorted(samples_by_rep)]
+    for cfg, ordered in zip(configs, by_point):
         failed = any(s is None for s in ordered)
         good = [s for s in ordered if s is not None]
         predicted = cfg.predicted_density()

@@ -3,6 +3,7 @@ plotting round trip, exit codes."""
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -498,6 +499,40 @@ class TestArgumentErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cannot evaluate at" in captured.err and given in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,given",
+        [
+            pytest.param(["--model", "hc1", "--h", "1e308"], "--h 1e+308", id="hc1-h-1e308"),
+            pytest.param(["--model", "hc1", "--h", "inf"], "--h inf", id="hc1-h-inf"),
+            pytest.param(["--model", "hc2", "--h", "1e308"], "--h 1e+308", id="hc2-h-1e308"),
+            pytest.param(["--model", "boolean", "--h", "0", "--rho-b", "0.01"],
+                         "--h 0.0 --rho-b 0.01", id="boolean-h-0"),
+        ],
+    )
+    def test_density_zero_limiting_density(self, capsys, monkeypatch, argv, given):
+        from mmsenet import montecarlo
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("density_estimate called despite a zero limiting density")
+
+        monkeypatch.setattr(montecarlo, "density_estimate", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["density", "--rho-p", "0.01", "--c", "10", "--n-branches", "2",
+                         "--replications", "2", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "limiting active density" in captured.err and given in captured.err
+
+    @pytest.mark.parametrize("flag,value", [("--r-t", "5.64"), ("--rho-c", "0.001")])
+    def test_asymptote_flag_needs_branches(self, capsys, flag, value):
+        code = main(["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "100", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{flag} needs --n-branches" in captured.err
 
     def test_density_replications_zero(self, capsys):
         code, err = self.exit_code_and_stderr(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mmsenet.mmse import (
+    CONDITION_CAP,
     EmpiricalDistribution,
     SingularCovariance,
     draw_fading,
@@ -19,7 +20,9 @@ from mmsenet.mmse import (
     ks_distance,
     min_eigenvalue,
     mmse_sir,
+    quadratic_forms,
     scaled_received_powers,
+    sir_samples,
 )
 
 
@@ -202,6 +205,93 @@ class TestMmseSir:
         if evals[-1] / evals[0] > 1e12:
             with pytest.raises(SingularCovariance):
                 mmse_sir(f.g_t, cov, 2.0, 4.0)
+
+
+class TestStackedKernel:
+    """sir_samples / quadratic_forms over (B, N) channels and (B, N, N)
+    covariances, against mmse_sir one matrix at a time."""
+
+    def stack(self, n, count, b, seed):
+        g_t = np.empty((b, n), dtype=complex)
+        cov = np.empty((b, n, n), dtype=complex)
+        for i in range(b):
+            f = draw_fading(n, count, seed + i)
+            w = np.random.default_rng(seed + i).uniform(1.0, 30.0, count) ** -4.0
+            g_t[i] = f.g_t
+            cov[i] = interference_covariance(f.interferers, w)
+        return g_t, cov
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    def test_rows_equal_mmse_sir(self, n):
+        g_t, cov = self.stack(n, 3 * n, 9, 300)
+        # member 4 gets fewer interferers than branches: singular
+        f = draw_fading(n, n - 1, 77)
+        cov[4] = interference_covariance(f.interferers, np.ones(n - 1))
+        counts = list(range(9))
+        stacked = sir_samples(g_t, cov, 2.0, 4.0, counts, signal_weight=3.0)
+        for i in range(9):
+            try:
+                want = mmse_sir(g_t[i], cov[i], 2.0, 4.0, signal_weight=3.0, active_count=i)
+            except SingularCovariance:
+                want = None
+            assert stacked[i] == want
+        assert stacked[4] is None
+        assert sum(s is None for s in stacked) == 1
+
+    def test_matches_dense_solve(self):
+        g_t, cov = self.stack(6, 40, 12, 500)
+        quad = quadratic_forms(g_t, cov)
+        for i in range(12):
+            want = np.vdot(g_t[i], np.linalg.solve(cov[i], g_t[i])).real
+            assert quad[i] == pytest.approx(want, rel=1e-12)
+
+    def test_condition_cap_boundary(self):
+        # diagonal covariances have exact eigenvalues: a ratio of exactly
+        # CONDITION_CAP is usable, one ulp above is not; rotated covariances
+        # 10% either side of the cap decide the same way as the per-matrix
+        # test did
+        q, _ = np.linalg.qr(
+            np.random.default_rng(3).standard_normal((4, 4))
+            + 1j * np.random.default_rng(4).standard_normal((4, 4))
+        )
+        mats = [
+            np.diag([CONDITION_CAP, 1.0, 2.0, 1.0]),
+            np.diag([np.nextafter(CONDITION_CAP, np.inf), 1.0, 2.0, 1.0]),
+            np.diag([1.0, 0.0, 1.0, 1.0]),
+            np.diag([1.0, -1e-3, 1.0, 1.0]),
+        ]
+        for cond in (0.9 * CONDITION_CAP, 1.1 * CONDITION_CAP):
+            m = q @ np.diag([cond, 1.0, 3.0, 10.0]) @ q.conj().T
+            mats.append(0.5 * (m + m.conj().T))
+        cov = np.stack(mats).astype(complex)
+        g_t = np.ones((len(mats), 4), dtype=complex)
+        usable = ~np.isnan(quadratic_forms(g_t, cov))
+        want = []
+        for m in cov:
+            evals = np.linalg.eigvalsh(m)
+            want.append(not (evals[0] <= 0.0 or evals[-1] / evals[0] > CONDITION_CAP))
+        assert usable.tolist() == want == [True, False, False, False, True, False]
+
+    def test_failed_factorization_marks_only_its_member(self, monkeypatch):
+        g_t, cov = self.stack(4, 12, 5, 700)
+        want = quadratic_forms(g_t, cov)
+        cholesky = np.linalg.cholesky
+
+        def refuse_member_2(a):
+            if any(np.array_equal(m, cov[2]) for m in a):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse_member_2)
+        got = quadratic_forms(g_t, cov)
+        assert np.isnan(got[2])
+        assert np.array_equal(np.delete(got, 2), np.delete(want, 2))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="stack shapes"):
+            quadratic_forms(np.ones((2, 3)), np.ones((2, 4, 4)))
+        with pytest.raises(ValueError, match="stack shapes"):
+            quadratic_forms(np.ones(3), np.eye(3))
 
 
 class TestMinEigenvalue:

@@ -5,9 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import linalg
 
-from mmsenet import mmse
+from mmsenet import mmse, montecarlo
 from mmsenet.montecarlo import (
+    BLOCK_SIZE,
     ExperimentSpec,
     RealizationFailed,
     aip_statistic,
@@ -65,11 +67,13 @@ class TestRunRealization:
         s = run_realization(cfg, seed)
         assert s.active_count == 2
 
-        from mmsenet.montecarlo import _attempt_rng
         from mmsenet.mmse import draw_fading
         from mmsenet.pointproc import realize
 
-        rng = _attempt_rng(seed, 0)
+        # attempt 0 of replication (0, 0): spawn key (0, 0, 0)
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=5, spawn_key=(0, 0, 0)))
+        )
         real = realize(cfg, rng)
         fading = draw_fading(1, 2, rng)
         r = real.radii()
@@ -260,8 +264,8 @@ class TestGoldenSamplePath:
 
     Exact float equality: a change that moves any of these moved the sample
     path, and must update the values on purpose and say so in CHANGES.md.
-    The sir values also carry the BLAS library's summation order for the
-    covariance product.
+    The sir values also carry the rounding of the BLAS covariance product and
+    of the batched LAPACK solve.
     """
 
     H_SPARSE = math.sqrt(0.14 / (math.pi * RHO_P))  # Boolean coverage ~13%
@@ -280,6 +284,36 @@ class TestGoldenSamplePath:
     }
     # (model, master_seed, replication) -> (sir, redraw_count, active_count)
     GOLDEN = {
+        ("independent", 2013, 0): (8.807924460513464, 0, 200),
+        ("independent", 2013, 1): (3.942844117127902, 0, 200),
+        ("independent", 2013, 2): (5.734404059608614, 0, 200),
+        ("hc1", 2013, 0): (11.513033085015993, 0, 162),
+        ("hc1", 2013, 1): (7.10249498347994, 0, 150),
+        ("hc1", 2013, 2): (9.109876390822736, 0, 160),
+        ("hc2", 2013, 0): (36.52081748474461, 0, 180),
+        ("hc2", 2013, 1): (2.2613438697103803, 0, 173),
+        ("hc2", 2013, 2): (9.758720443380923, 0, 179),
+        ("boolean", 2013, 0): (4.430504622665751, 0, 129),
+        ("boolean", 2013, 1): (33.07919380525798, 0, 130),
+        ("boolean", 2013, 2): (58.716003150449566, 0, 125),
+        ("cellular_k3", 2013, 0): (8750.931351843486, 0, 30),
+        ("cellular_k3", 2013, 1): (10221.621377238724, 0, 31),
+        ("cellular_k3", 2013, 2): (8996.71243062599, 0, 30),
+        ("cellular_k7", 2013, 0): (84086.43700795245, 0, 12),
+        ("cellular_k7", 2013, 1): (102241.16507122872, 0, 12),
+        ("cellular_k7", 2013, 2): (84987.96236506873, 0, 12),
+        ("cellular_pc", 2013, 0): (276.04139199684226, 0, 30),
+        ("cellular_pc", 2013, 1): (335.20283019560816, 0, 31),
+        ("cellular_pc", 2013, 2): (893.0894684938227, 0, 30),
+        ("boolean_redraw", 11, 13): (14297.423760169977, 2, 24),
+        ("boolean_redraw", 11, 16): (168440.53154571392, 1, 17),
+        ("boolean_redraw", 11, 26): (8209.132564697778, 1, 21),
+    }
+
+    # the same cases solved one matrix at a time by scipy's cho_factor,
+    # cho_solve and vdot, as before the batched kernel; only the sir rounding
+    # differs
+    GOLDEN_CHOLESKY = {
         ("independent", 2013, 0): (8.807924460513469, 0, 200),
         ("independent", 2013, 1): (3.942844117127902, 0, 200),
         ("independent", 2013, 2): (5.734404059608613, 0, 200),
@@ -307,7 +341,8 @@ class TestGoldenSamplePath:
     }
 
     # the same cases with the covariance summed by np.einsum, as it was built
-    # before the BLAS product; only the sir rounding differs
+    # before the BLAS product, and solved as for GOLDEN_CHOLESKY; only the
+    # sir rounding differs
     GOLDEN_EINSUM = {
         ("independent", 2013, 0): (8.807924460514956, 0, 200),
         ("independent", 2013, 1): (3.9428441171279056, 0, 200),
@@ -349,14 +384,105 @@ class TestGoldenSamplePath:
     def test_sample_path_pinned(self, model, master_seed, rep):
         assert self.sample(model, master_seed, rep) == self.GOLDEN[(model, master_seed, rep)]
 
+    @staticmethod
+    def scipy_cholesky_forms(g_t, cov):
+        # the per-matrix solve before the batched kernel, same redraw test
+        quad = np.full(len(g_t), np.nan)
+        for i, (g, r) in enumerate(zip(g_t, cov)):
+            evals = np.linalg.eigvalsh(r)
+            if evals[0] <= 0.0 or evals[-1] / evals[0] > mmse.CONDITION_CAP:
+                continue
+            quad[i] = np.vdot(g, linalg.cho_solve(linalg.cho_factor(r, lower=True), g)).real
+        return quad
+
+    @pytest.mark.parametrize("model,master_seed,rep", sorted(GOLDEN_CHOLESKY))
+    def test_scipy_cholesky_reproduces_old_pins(self, model, master_seed, rep, monkeypatch):
+        # with each matrix solved by scipy as before, the old values come
+        # back exactly: the batched kernel changed nothing but that rounding
+        monkeypatch.setattr(mmse, "quadratic_forms", self.scipy_cholesky_forms)
+        got = self.sample(model, master_seed, rep)
+        assert got == self.GOLDEN_CHOLESKY[(model, master_seed, rep)]
+
     @pytest.mark.parametrize("model,master_seed,rep", sorted(GOLDEN_EINSUM))
     def test_einsum_covariance_reproduces_old_pins(self, model, master_seed, rep, monkeypatch):
-        # with the covariance summed in the old order, the old values come
-        # back exactly: the BLAS product changed nothing but that rounding
+        # with the covariance summed in the old order and solved as before,
+        # the older values come back exactly: the BLAS product changed
+        # nothing but that rounding
         def einsum_covariance(interferers, weights):
             cov = np.einsum("ik,k,jk->ij", interferers, weights, interferers.conj())
             return 0.5 * (cov + cov.conj().T)
 
         monkeypatch.setattr(mmse, "interference_covariance", einsum_covariance)
+        monkeypatch.setattr(mmse, "quadratic_forms", self.scipy_cholesky_forms)
         got = self.sample(model, master_seed, rep)
         assert got == self.GOLDEN_EINSUM[(model, master_seed, rep)]
+
+
+class TestBlocks:
+    """A block of replications gives each replication's run_realization
+    result bit for bit, whatever the block size, split or worker count."""
+
+    # the golden models; replications 13, 16 and 26 of boolean_redraw at
+    # seed 11 redraw
+    MODELS = TestGoldenSamplePath.MODELS
+    COUNTS = (1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE + 3)
+    SEED = 11
+
+    def config(self, model):
+        spec, n_branches, c = self.MODELS[model]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return NetworkConfig(
+                rho_p=RHO_P, alpha=4.0, n_branches=n_branches, c=c, r_t=R_T, model=spec
+            )
+
+    def singles(self, cfg, count):
+        return [run_realization(cfg, derive_seed(self.SEED, 0, r)) for r in range(count)]
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_block_equals_per_replication(self, model):
+        cfg = self.config(model)
+        singles = self.singles(cfg, max(self.COUNTS))
+        if model == "boolean_redraw":
+            assert sum(s.redraw_count for s in singles) > 0
+        for count in self.COUNTS:
+            block = montecarlo._run_block(cfg, self.SEED, [(0, r) for r in range(count)])
+            assert block == singles[:count]
+            # run_experiment splits the replications into BLOCK_SIZE blocks
+            p = run_experiment(ExperimentSpec(
+                base=cfg, n_values=(cfg.n_branches,), replications=count,
+                master_seed=self.SEED,
+            )).points[0]
+            assert p.rate == summarize(s.rate for s in singles[:count])
+            assert p.sir == summarize(s.sir for s in singles[:count])
+            assert p.redraw_total == sum(s.redraw_count for s in singles[:count])
+
+    def test_failed_member_fails_only_its_point(self, monkeypatch):
+        # with no redraws allowed, the members that needed one fail; the rest
+        # of their block is unchanged, and only their point is flagged
+        sparse, healthy = self.config("boolean_redraw"), self.config("boolean")
+        singles = self.singles(sparse, 30)
+        monkeypatch.setattr(montecarlo, "MAX_REDRAWS", 0)
+        block = montecarlo._run_block(sparse, self.SEED, [(0, r) for r in range(30)])
+        for got, want in zip(block, singles):
+            assert got == (want if want.redraw_count == 0 else None)
+        assert block.count(None) == 3
+        spec = ExperimentSpec(
+            base=sparse, n_values=(16,), replications=30, master_seed=self.SEED,
+            variants=(sparse.model, healthy.model),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = run_experiment(spec)
+        assert rep.points[0].failed and rep.points[0].rate is None
+        assert not rep.points[1].failed
+        point1 = [run_realization(rep.points[1].config, derive_seed(self.SEED, 1, r))
+                  for r in range(30)]
+        assert rep.points[1].rate == summarize(s.rate for s in point1)
+
+    def test_worker_count_does_not_change_results(self):
+        cfg = self.config("hc2")
+        spec = ExperimentSpec(
+            base=cfg, n_values=(2, 4), replications=2 * BLOCK_SIZE + 3, master_seed=5,
+        )
+        assert run_experiment(spec, workers=1).points == run_experiment(spec, workers=2).points
