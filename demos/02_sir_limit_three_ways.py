@@ -2,7 +2,7 @@
 
 The limit beta solves a one-dimensional fixed-point equation.  This script
 compares the hypergeometric closed-form solver against a quadrature oracle
-(same integral equation, no shared code path) and against the simple
+(same integral equation, sharing only the root finder) and against the simple
 many-interferers-per-branch formula, across path-loss exponents and
 activation fractions, then prints the reuse factor that maximizes
 reuse-normalized cell-edge rate.

@@ -5,10 +5,11 @@ co-channel interferers have limiting density ``rho``, the normalized SIR
 ``beta_N = N^{-alpha/2} r_T^alpha SIR`` converges to a deterministic value
 ``beta``.  This module provides:
 
-* the defining fixed-point equation for ``beta`` and a solver built on a
-  self-contained Gauss hypergeometric evaluation (``solve_beta_fixed_point``),
+* the defining fixed-point equation for ``beta`` and a solver built on its
+  Gauss hypergeometric closed form (``solve_beta_fixed_point``),
 * an independent quadrature oracle for the same fixed point that never
-  touches the hypergeometric code path (``fixed_point_oracle``),
+  touches the hypergeometric code path (``fixed_point_oracle``); the two
+  share only the root finder (a bracket expansion, then scipy's ``brentq``),
 * the closed-form value of ``beta`` in the many-interferers-per-branch
   limit (``beta_large_c``) and the rate predictions built on it,
 * limiting active-interferer densities for every activation model,
@@ -16,17 +17,20 @@ co-channel interferers have limiting density ``rho``, the normalized SIR
   control, and the reuse factor maximizing reuse-normalized rate,
 * the limiting distribution of scaled received powers (``limiting_edf``).
 
-All functions are pure; none hold state.
+scipy evaluates the special functions: ``gauss_2f1`` and ``lambert_w0``
+are validating wrappers over ``scipy.special.hyp2f1`` and
+``scipy.special.lambertw``.  All functions are pure; none hold state.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize, special
 
 __all__ = [
     "NoBracket",
@@ -45,10 +49,6 @@ __all__ = [
     "limiting_edf",
 ]
 
-# Series truncation: stop once a term falls below this fraction of the sum.
-_SERIES_TOL = 1e-16
-_MAX_TERMS = 100_000
-
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, edge of the W0 domain
 
 
@@ -65,113 +65,40 @@ class NoBracket(RuntimeError):
 # special functions
 # ---------------------------------------------------------------------------
 
-def _hyp_series(a: float, b: float, c: float, z: float) -> float:
-    """Direct power series sum_k (a)_k (b)_k / (c)_k z^k / k!.
-
-    Converges usefully for |z| <= 0.5; the callers keep arguments there.
-    """
-    term = 1.0
-    total = 1.0
-    for k in range(_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) <= _SERIES_TOL * abs(total):
-            return total
-    raise RuntimeError(
-        f"hypergeometric series did not converge for a={a}, b={b}, c={c}, z={z}"
-    )
-
-
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) for real arguments.
 
-    Evaluation strategy (arguments here are confined to z in (-1, 1]):
-
-    * ``z <= 0.5`` -- direct power series,
-    * ``0.5 < z < 1`` -- the 1-z linear connection (DLMF 15.8.4), which
-      re-expresses the value through two fast series in ``1 - z``; requires
-      ``c - a - b`` non-integer, which holds on the parameter family used
-      by the fixed point (c - a - b = 2/alpha in (0, 1)),
-    * ``z == 1`` -- the Gauss summation formula, valid for c - a - b > 0.
-
-    Raises ValueError for a nonpositive-integer c, for z outside (-1, 1],
-    and for the divergent z = 1 case with c - a - b <= 0.
+    scipy.special.hyp2f1 evaluates it; this wrapper confines z to (-1, 1],
+    the range the fixed point needs, and rejects the undefined cases:
+    a nonpositive-integer c, z outside (-1, 1], and the divergent z = 1
+    case with c - a - b <= 0.
     """
     if c <= 0 and c == int(c):
         raise ValueError(f"2F1 undefined for nonpositive integer c={c}")
     if z > 1.0 or z <= -1.0:
         raise ValueError(f"2F1 argument z={z} outside the supported range (-1, 1]")
-
-    if z == 1.0:
-        s = c - a - b
-        if s <= 0:
-            raise ValueError(
-                f"2F1(a={a}, b={b}; c={c}; 1) diverges: c - a - b = {s} <= 0"
-            )
-        return (
-            math.gamma(c) * math.gamma(s) / (math.gamma(c - a) * math.gamma(c - b))
-        )
-
-    if z <= 0.5:
-        return _hyp_series(a, b, c, z)
-
-    # 1-z connection.  Both component series run in w = 1 - z in (0, 0.5).
-    s = c - a - b
-    if abs(s - round(s)) < 1e-12:
+    if z == 1.0 and c - a - b <= 0:
         raise ValueError(
-            f"1-z connection needs non-integer c - a - b (got {s}); "
-            "argument reduction for this parameter set is not implemented"
+            f"2F1(a={a}, b={b}; c={c}; 1) diverges: c - a - b = {c - a - b} <= 0"
         )
-    w = 1.0 - z
-    first = (
-        math.gamma(c) * math.gamma(s) / (math.gamma(c - a) * math.gamma(c - b))
-    ) * _hyp_series(a, b, a + b - c + 1.0, w)
-    second = (
-        w ** s
-        * math.gamma(c) * math.gamma(-s) / (math.gamma(a) * math.gamma(b))
-    ) * _hyp_series(c - a, c - b, s + 1.0, w)
-    return first + second
+    return float(special.hyp2f1(a, b, c, z))
 
 
 def lambert_w0(z: float) -> float:
     """Principal branch of the Lambert W function, w * exp(w) = z, w >= -1.
 
-    Halley iteration from a piecewise initial guess: the branch-point
-    series near -1/e (Corless et al. 1996, eq. 4.22), the Taylor series at
-    the origin for small |z|, and log(z) - log(log(z)) for large z.
-    Raises ValueError for z < -1/e.
+    scipy.special.lambertw evaluates it.  The double nearest -1/e lies just
+    below the true branch point, where scipy returns NaN, so it and values
+    within a relative 1e-12 below it map to -1 exactly.  Raises ValueError
+    for NaN and for z < -1/e.
     """
     if math.isnan(z):
         raise ValueError("lambert_w0 is undefined for NaN")
-    if z < _BRANCH_POINT:
+    if z <= _BRANCH_POINT:
         if z > _BRANCH_POINT * (1.0 + 1e-12):
-            return -1.0  # rounding right below the branch point
+            return -1.0  # the branch point, or rounding right below it
         raise ValueError(f"lambert_w0 domain is z >= -1/e; got z={z}")
-    if z == 0.0:
-        return 0.0
-    if abs(z - _BRANCH_POINT) < 1e-16:
-        return -1.0
-
-    if z < -0.25:
-        p = math.sqrt(2.0 * (math.e * z + 1.0))
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p ** 3 / 72.0
-    elif z < 1.0:
-        w = z * (1.0 - z + 1.5 * z * z)
-    else:
-        lz = math.log(z)
-        w = lz - math.log(lz) if lz > 1.0 else lz
-
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - z
-        wp1 = w + 1.0
-        if wp1 == 0.0:
-            break
-        dw = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        w -= dw
-        if abs(dw) <= 1e-16 * (2.0 + abs(w)):
-            break
-    return w
+    return float(special.lambertw(z).real)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +134,7 @@ class AsymptoticParams:
             warnings.warn(
                 f"c * nu = {self.c * self.nu:.4g} <= 1: fewer active interferers "
                 "than diversity branches; the SIR limit does not exist",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -297,7 +224,15 @@ def fixed_point_equation(beta: float, params: AsymptoticParams) -> float:
     return lhs - rhs
 
 
-def _check_regime(params: AsymptoticParams) -> None:
+def _solve_root(func, params: AsymptoticParams, max_expand: int = 60) -> float:
+    """The root in beta of an increasing fixed-point defect.
+
+    Both fixed points share this path: expand [b/10, 10 b] geometrically
+    around the large-c value b until func changes sign, then Brent's method
+    to machine relative precision (brentq's default rtol, 4 eps, is its
+    floor; the negligible xtol keeps the stopping rule relative at every
+    scale of beta).
+    """
     # the activity integral is bounded by c * nu, so no positive root can
     # exist at or below one; the closed form would only produce spurious
     # sign changes through cancellation at absurd beta
@@ -306,76 +241,28 @@ def _check_regime(params: AsymptoticParams) -> None:
             f"c * nu = {params.c * params.nu:.4g} <= 1: the fixed point has no "
             "positive solution (fewer active interferers than branches)"
         )
-
-
-def _bracket_root(func, center: float, max_expand: int = 60) -> tuple[float, float]:
-    """Geometrically expand [center/10, 10*center] until func changes sign."""
+    center = beta_large_c(params.rho, params.alpha)
     lo, hi = center / 10.0, center * 10.0
-    flo, fhi = func(lo), func(hi)
     for _ in range(max_expand):
-        if flo == 0.0:
-            return lo, lo
-        if fhi == 0.0:
-            return hi, hi
-        if flo * fhi < 0.0:
-            return lo, hi
+        if func(lo) * func(hi) <= 0.0:
+            return optimize.brentq(func, lo, hi, xtol=sys.float_info.min)
         lo /= 10.0
         hi *= 10.0
-        flo, fhi = func(lo), func(hi)
     raise NoBracket(
         f"no sign change in [{lo:.3g}, {hi:.3g}] after {max_expand} expansions; "
         "check that c * nu > 1"
     )
 
 
-def _bisect_log(func, lo: float, hi: float, rel_tol: float = 1e-13) -> float:
-    """Bisection on log(beta), followed by a few safeguarded secant steps."""
-    if lo == hi:
-        return lo
-    flo, fhi = func(lo), func(hi)
-    llo, lhi = math.log(lo), math.log(hi)
-    while lhi - llo > rel_tol:
-        lmid = 0.5 * (llo + lhi)
-        if lmid <= llo or lmid >= lhi:
-            break  # interval below one ulp
-        mid = math.exp(lmid)
-        fmid = func(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            lhi, fhi = lmid, fmid
-        else:
-            llo, flo = lmid, fmid
-    x = math.exp(0.5 * (llo + lhi))
-    # secant polish inside the bracket
-    a, b = math.exp(llo), math.exp(lhi)
-    fa = func(a)
-    for _ in range(4):
-        fb = func(x)
-        if fb == fa or fb == 0.0:
-            break
-        step = fb * (x - a) / (fb - fa)
-        cand = x - step
-        if not (min(a, b) < cand < max(a, b)):
-            break
-        a, fa = x, fb
-        x = cand
-    return x
-
-
 def solve_beta_fixed_point(params: AsymptoticParams) -> AsymptoticSolution:
     """Solve the normalized-SIR fixed point via the hypergeometric closed form.
 
     Seeded at the large-c value (the exact c -> infinity limit), bracketed by
-    geometric expansion, then solved by log-space bisection with a secant
-    polish.  The reported residual is |lhs - rhs| / rhs of the defining
+    geometric expansion, then solved by Brent's method to machine relative
+    precision.  The reported residual is |lhs - rhs| / rhs of the defining
     equation; it is required to be below 1e-10.
     """
-    _check_regime(params)
-    func = lambda b: fixed_point_equation(b, params)
-    seed = beta_large_c(params.rho, params.alpha)
-    lo, hi = _bracket_root(func, seed)
-    beta = _bisect_log(func, lo, hi)
+    beta = _solve_root(lambda b: fixed_point_equation(b, params), params)
     lhs, rhs = _fixed_point_sides(beta, params)
     residual = abs(lhs - rhs) / abs(rhs)
     if residual > 1e-10:
@@ -430,11 +317,7 @@ def fixed_point_oracle(params: AsymptoticParams) -> float:
     integral is strictly increasing in gamma from 0 to c * nu, so a unique
     root exists exactly when c * nu > 1.
     """
-    _check_regime(params)
-    func = lambda g: _activity_integral(g, params) - 1.0
-    seed = beta_large_c(params.rho, params.alpha)
-    lo, hi = _bracket_root(func, seed)
-    return _bisect_log(func, lo, hi, rel_tol=1e-14)
+    return _solve_root(lambda g: _activity_integral(g, params) - 1.0, params)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +364,7 @@ def cell_edge_rate(
     coeff = 9.0 * math.sqrt(3.0) / 5.0 if power_control else 3.0 * math.sqrt(3.0) / 4.0
     arg = (
         coeff * n_branches * kappa * alpha * math.sin(2.0 * math.pi / alpha)
-        / (math.pi ** 2 * (1.0 - math.exp(-rho_p / rho_c)))
+        / (math.pi ** 2 * -math.expm1(-rho_p / rho_c))
     )
     return math.log2(1.0 + arg ** (alpha / 2.0))
 
@@ -501,7 +384,7 @@ def optimal_reuse(alpha: float, n_branches: float, rho_p: float, rho_c: float) -
     w = lambert_w0(-(alpha / 2.0) * math.exp(-alpha / 2.0))
     return (
         (-(w + alpha) / w) ** (2.0 / alpha)
-        * 5.0 * math.pi ** 2 * (1.0 - math.exp(-rho_p / rho_c))
+        * 5.0 * math.pi ** 2 * -math.expm1(-rho_p / rho_c)
         / (9.0 * math.sqrt(3.0) * n_branches * alpha * math.sin(2.0 * math.pi / alpha))
     )
 
@@ -532,17 +415,22 @@ def limiting_density(
         return rho_p * math.exp(-math.pi * rho_p * h * h)
     if model == "hc2":
         _require(h is not None and h >= 0, "hc2 needs h >= 0")
-        if h == 0:
+        x = math.pi * rho_p * h * h
+        area = math.pi * h * h
+        if min(x, area) < sys.float_info.min:
+            # below the normal range the ratio loses its precision, while the
+            # density is rho_p (1 - x/2 + ...), rho_p to the last bit
             return rho_p
-        return (1.0 - math.exp(-math.pi * rho_p * h * h)) / (math.pi * h * h)
+        # (1 - exp(-x)) / area <= rho_p always; only rounding can cross it
+        return min(rho_p, -math.expm1(-x) / area)
     if model == "cellular":
         _require(rho_c is not None and rho_c > 0, "cellular needs rho_c > 0")
         _require(kappa is not None and kappa >= 1, "cellular needs kappa >= 1")
-        return rho_c * (1.0 - math.exp(-rho_p / rho_c)) / kappa
+        return rho_c * -math.expm1(-rho_p / rho_c) / kappa
     if model == "boolean":
         _require(h is not None and h >= 0, "boolean needs h >= 0")
         _require(rho_b is not None and rho_b > 0, "boolean needs rho_b > 0")
-        return rho_p * (1.0 - math.exp(-math.pi * rho_b * h * h))
+        return rho_p * -math.expm1(-math.pi * rho_b * h * h)
     raise ValueError(f"unknown model {model!r}")
 
 

@@ -262,14 +262,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _out_of_range(command: str, args, flags: tuple[str, ...], exc: Exception) -> int:
-    """Report flag values the formulas cannot evaluate (overflow and the like)."""
-    given = " ".join(
+def _given(args, flags: tuple[str, ...]) -> str:
+    """The flags that were set, with their values, as typed on a command line."""
+    return " ".join(
         f"{flag} {value}"
         for flag in flags
         if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
     )
-    print(f"{command}: cannot evaluate at {given}: {exc}", file=sys.stderr)
+
+
+def _out_of_range(command: str, args, flags: tuple[str, ...], exc: Exception) -> int:
+    """Report flag values the formulas cannot evaluate (overflow and the like)."""
+    print(f"{command}: cannot evaluate at {_given(args, flags)}: {exc}", file=sys.stderr)
     return 2
 
 
@@ -352,9 +356,11 @@ def cmd_density(args) -> int:
         return 2
     predicted = config.predicted_density()
     if not predicted > 0.0:
-        # only the exclusion radius (and the Boolean centre density) can drive
-        # the limiting density to 0; the relative error would divide by it
-        given = f"--h {args.h}" + (f" --rho-b {args.rho_b}" if args.model == "boolean" else "")
+        # a limiting density can underflow to 0 (a huge exclusion radius,
+        # rho_p / rho_c below the smallest double); the relative error would
+        # divide by it.  Name rho_p and the model's own parameters.
+        own = [key for key in ("h", "rho_b", "rho_c", "kappa") if key in _MODEL_KEYS[args.model]]
+        given = _given(args, ("--rho-p", *(f"--{key.replace('_', '-')}" for key in own)))
         print(f"density: the limiting active density of model {args.model!r} is "
               f"{predicted:.3g} at {given}; nothing to compare against", file=sys.stderr)
         return 2
@@ -363,12 +369,15 @@ def cmd_density(args) -> int:
     n = config.n_nodes
     area = math.pi * config.radius ** 2
     sigma = math.sqrt(n * nu * (1.0 - nu) / args.replications) / area
+    # when every node is active (nu = 1) sigma is 0 and only rounding of the
+    # disk area separates the two densities
+    band = max(3.0 * sigma, 1e-12 * predicted)
     rel_err = abs(simulated - predicted) / predicted
-    inside = abs(simulated - predicted) <= 3.0 * sigma
+    inside = abs(simulated - predicted) <= band
     print(f"predicted density  {predicted:.9g}")
     print(f"simulated density  {simulated:.9g}   ({args.replications} replications)")
     print(f"relative error     {rel_err:.3g}")
-    print(f"3-sigma band       +/- {3.0 * sigma:.3g}   ({'inside' if inside else 'OUTSIDE'})")
+    print(f"3-sigma band       +/- {band:.3g}   ({'inside' if inside else 'OUTSIDE'})")
     return 0 if inside else 1
 
 

@@ -185,7 +185,7 @@ class NetworkConfig:
             warnings.warn(
                 f"c * nu = {self.c * nu:.4g} <= 1 for model {self.model.name!r}: "
                 "the interference covariance will often be singular",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -1,8 +1,9 @@
 """Tests for the closed-form/fixed-point layer.
 
 Expected values marked as frozen were computed offline with mpmath at 30
-significant digits from the defining formulas and integrals; scipy.special
-serves as an extra cross-implementation oracle where available.
+significant digits from the defining formulas and integrals.  gauss_2f1 and
+lambert_w0 wrap scipy.special, so they are checked against frozen values
+rather than against scipy itself.
 """
 
 import math
@@ -10,7 +11,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import special
 
 from mmsenet.asymptotics import (
     AsymptoticParams,
@@ -33,6 +33,25 @@ from mmsenet.asymptotics import (
 ALPHAS = [2.5, 3.0, 4.0, 6.0]
 NUS = [0.3, 0.6, 1.0]
 CS = [5.0, 50.0, 500.0]
+
+
+# 2F1(a, a; a + 1; z) with a = 1 - 2/alpha at each z of FROZEN_2F1_Z, by
+# alpha; mpmath 30 digits at the same double arguments
+FROZEN_2F1_Z = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999)
+FROZEN_2F1 = {
+    2.5: [1.0, 1.00344828401534067, 1.01116456703053929, 1.02040433962664874,
+          1.03218859802170618, 1.04972920903828357, 1.06479531854988514,
+          1.06882296448504018],
+    3.0: [1.0, 1.00866926990118482, 1.0284380885645273, 1.05285157424912892,
+          1.0853724175506476, 1.13770823297767488, 1.1899090784568285,
+          1.20816260351309857],
+    4.0: [1.0, 1.01746459031529253, 1.05827253674546194, 1.11072073453959156,
+          1.18465870843277871, 1.31660984752758605, 1.47803766237477476,
+          1.56087420578220948],
+    6.0: [1.0, 1.02815234966470432, 1.09560763696019255, 1.18594963683666679,
+          1.32102162687672416, 1.58987517614274029, 2.00051083262010812,
+          2.32572165270685832],
+}
 
 
 def params(alpha=4.0, nu=1.0, c=50.0, rho_p=0.01):
@@ -67,13 +86,17 @@ class TestGauss2F1:
         with pytest.raises(ValueError, match="nonpositive integer"):
             gauss_2f1(0.5, 0.5, -1.0, 0.3)
 
+    @pytest.mark.parametrize("z", [1.5, -1.0])
+    def test_z_outside_range_rejected(self, z):
+        with pytest.raises(ValueError, match="outside the supported range"):
+            gauss_2f1(0.5, 0.5, 1.5, z)
+
     @pytest.mark.parametrize("alpha", ALPHAS)
-    @pytest.mark.parametrize("z", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999])
-    def test_against_scipy_on_used_family(self, alpha, z):
+    @pytest.mark.parametrize("z", FROZEN_2F1_Z)
+    def test_frozen_on_used_family(self, alpha, z):
         a = 1.0 - 2.0 / alpha
-        ours = gauss_2f1(a, a, a + 1.0, z)
-        ref = float(special.hyp2f1(a, a, a + 1.0, z))
-        assert ours == pytest.approx(ref, rel=1e-12)
+        ref = FROZEN_2F1[alpha][FROZEN_2F1_Z.index(z)]
+        assert gauss_2f1(a, a, a + 1.0, z) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("z", [0.0, 0.1, 0.25, 0.4, 0.45])
@@ -99,11 +122,20 @@ class TestLambertW0:
         assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-15)
 
     def test_branch_point(self):
-        assert lambert_w0(-1.0 / math.e) == pytest.approx(-1.0, abs=1e-7)
+        # the double nearest -1/e lies below the true branch point
+        assert lambert_w0(-math.exp(-1.0)) == -1.0
+
+    def test_one_ulp_above_branch_point(self):
+        w = lambert_w0(math.nextafter(-math.exp(-1.0), 0.0))
+        assert math.isfinite(w) and -1.0 <= w < -0.9999999
 
     def test_domain_error(self):
         with pytest.raises(ValueError, match="domain"):
             lambert_w0(-0.5)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            lambert_w0(math.nan)
 
     @pytest.mark.parametrize(
         "z",
@@ -114,11 +146,19 @@ class TestLambertW0:
         assert abs(w * math.exp(w) - z) <= 1e-12 * max(1.0, abs(z))
         assert w >= -1.0
 
-    @pytest.mark.parametrize("z", [-0.35, -0.05, 0.7, 3.0, 50.0])
-    def test_against_scipy(self, z):
-        assert lambert_w0(z) == pytest.approx(
-            float(special.lambertw(z).real), rel=1e-12
-        )
+    @pytest.mark.parametrize(
+        "z,ref",
+        [
+            # mpmath 30 digits
+            (-0.35, -0.71663881645607369),
+            (-0.05, -0.052705983551546351),
+            (0.7, 0.447470259269654987),
+            (3.0, 1.04990889496403996),
+            (50.0, 2.86089017798221087),
+        ],
+    )
+    def test_frozen_values(self, z, ref):
+        assert lambert_w0(z) == pytest.approx(ref, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +236,10 @@ class TestFixedPoint:
             solve_beta_fixed_point(p)
 
     def test_regime_warning(self):
-        with pytest.warns(UserWarning, match="c \\* nu"):
+        with pytest.warns(UserWarning, match="c \\* nu") as record:
             params(alpha=4.0, nu=0.3, c=2.0)
+        # attributed to the caller, not to the generated dataclass __init__
+        assert record[0].filename == __file__
 
     def test_solution_rate_predictor(self):
         p = params(alpha=4.0, nu=1.0, c=50.0)
@@ -257,13 +299,12 @@ class TestRateFormulas:
         ks_n = [optimal_reuse(2.5, n, 1.0, 1e-4) for n in (2, 4, 8, 16)]
         assert all(a > b for a, b in zip(ks_n, ks_n[1:]))
 
-    def test_optimal_reuse_occupancy_scaling(self):
+    # rho_p / rho_c and the occupancy 1 - exp(-rho_p / rho_c)
+    @pytest.mark.parametrize("lam,occupancy", [(0.7, 0.5034146962085905), (1e-20, 1e-20)])
+    def test_optimal_reuse_occupancy_scaling(self, lam, occupancy):
         k_full = optimal_reuse(3.0, 4, 1.0, 1e-4)
-        lam = 0.7  # rho_p / rho_c
         k_part = optimal_reuse(3.0, 4, lam, 1.0)
-        assert k_part / k_full == pytest.approx(
-            (1.0 - math.exp(-lam)) / (1.0 - math.exp(-1e4)), rel=1e-9
-        )
+        assert k_part / k_full / occupancy == pytest.approx(1.0, rel=1e-9)
 
 
 class TestLimitingDensity:
@@ -294,6 +335,19 @@ class TestLimitingDensity:
         h = math.sqrt(1.0 / (math.pi * 0.01))
         got = limiting_density("boolean", rho_p=0.01, rho_b=0.01, h=h)
         assert got == pytest.approx(0.01 * (1 - math.exp(-1.0)), rel=1e-12)
+
+    @pytest.mark.parametrize("h", [1e-6, 1e-8, 1e-160, 1e-170, 1e-300])
+    def test_hc2_tiny_radius_is_rho_p(self, h):
+        # (1 - exp(-x)) / (pi h^2) = rho_p (1 - x/2 + ...) with x = pi rho_p h^2
+        got = limiting_density("hc2", rho_p=0.01, h=h)
+        assert got <= 0.01
+        assert got == pytest.approx(0.01, rel=1e-12)
+
+    def test_tiny_exponents_do_not_underflow(self):
+        got = limiting_density("cellular", rho_p=0.01, rho_c=1e300, kappa=3)
+        assert got == pytest.approx(0.01 / 3.0, rel=1e-12)
+        got = limiting_density("boolean", rho_p=0.01, rho_b=1e-300, h=1.0)
+        assert got / (0.01 * math.pi * 1e-300) == pytest.approx(1.0, rel=1e-12)
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):

@@ -293,6 +293,25 @@ class TestDensityCmd:
         assert "inside" in out
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--model", "independent"], id="independent"),
+            pytest.param(["--model", "hc1", "--h", "0"], id="hc1-h-0"),
+            pytest.param(["--model", "hc2", "--h", "0"], id="hc2-h-0"),
+            pytest.param(["--model", "hc2", "--h", "1e-8"], id="hc2-h-1e-8"),
+            pytest.param(["--model", "hc2", "--h", "1e-300"], id="hc2-h-1e-300"),
+        ],
+    )
+    def test_every_node_active(self, capsys, argv):
+        # nu = 1 leaves no binomial scatter; the two densities differ by the
+        # rounding of the disk area only, which must not count as a miss
+        code = main(["density", "--rho-p", "0.01", "--c", "10", "--n-branches", "2",
+                     "--replications", "3", *argv])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "predicted density  0.01\n" in out and "(inside)" in out
+
 
 class TestPlotCmd:
     def make_report(self, tmp_path):
@@ -508,6 +527,9 @@ class TestArgumentErrors:
             pytest.param(["--model", "hc2", "--h", "1e308"], "--h 1e+308", id="hc2-h-1e308"),
             pytest.param(["--model", "boolean", "--h", "0", "--rho-b", "0.01"],
                          "--h 0.0 --rho-b 0.01", id="boolean-h-0"),
+            pytest.param(["--model", "cellular", "--rho-p", "1e-300", "--rho-c", "1e300",
+                          "--kappa", "3"], "--rho-p 1e-300 --rho-c 1e+300 --kappa 3",
+                         id="cellular-rho_c-1e300"),
         ],
     )
     def test_density_zero_limiting_density(self, capsys, monkeypatch, argv, given):

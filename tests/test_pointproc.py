@@ -474,8 +474,10 @@ class TestRealization:
         assert buf.getvalue() == text
 
     def test_regime_warning(self):
-        with pytest.warns(UserWarning, match="c \\* nu"):
+        with pytest.warns(UserWarning, match="c \\* nu") as record:
             config(ModelSpec("cellular", rho_c=0.001, kappa=3), n_branches=8, c=20.0)
+        # attributed to the caller, not to the generated dataclass __init__
+        assert record[0].filename == __file__
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="unknown model"):
