@@ -244,8 +244,11 @@ def _solve_root(func, params: AsymptoticParams, max_expand: int = 60) -> float:
     center = beta_large_c(params.rho, params.alpha)
     lo, hi = center / 10.0, center * 10.0
     for _ in range(max_expand):
-        if func(lo) * func(hi) <= 0.0:
-            return optimize.brentq(func, lo, hi, xtol=sys.float_info.min)
+        ends = {lo: func(lo), hi: func(hi)}
+        if ends[lo] * ends[hi] <= 0.0:  # brentq reuses the two known end values
+            return optimize.brentq(
+                lambda x: ends[x] if x in ends else func(x), lo, hi, xtol=sys.float_info.min
+            )
         lo /= 10.0
         hi *= 10.0
     raise NoBracket(

@@ -26,7 +26,7 @@ from dataclasses import replace
 
 from . import __version__, asymptotics, montecarlo
 from .asymptotics import AsymptoticParams, NoBracket
-from .pointproc import MODEL_NAMES, ModelSpec, NetworkConfig
+from .pointproc import MODEL_NAMES, MODEL_PARAMS, ModelSpec, NetworkConfig
 from .svgplot import RateSeries, render_rate_chart
 
 CSV_COLUMNS = (
@@ -37,14 +37,11 @@ CSV_COLUMNS = (
 SCHEMA_VERSION = 1
 
 _NETWORK_KEYS = {"rho_p", "alpha", "c", "r_T"}
-_MODEL_KEYS = {
-    "independent": {"name"},
-    "hc1": {"name", "h"},
-    "hc2": {"name", "h"},
-    "boolean": {"name", "h", "rho_b"},
-    "cellular": {"name", "rho_c", "kappa", "power_control"},
-}
 _TOP_KEYS = {"schema_version", "network", "model", "sweep", "replications", "master_seed"}
+
+# budget on the interferer fading matrix of one sweep point, N x round(c N)
+# complex entries (1.6 GB); the test, demo and benchmark regimes stay near 2e5
+MAX_FADING_ENTRIES = 10**8
 
 
 class ConfigError(Exception):
@@ -116,7 +113,7 @@ def _model_variants(model_cfg: dict) -> list[ModelSpec]:
     name = _need(model_cfg, "name", "model")
     if name not in MODEL_NAMES:
         raise ConfigError(f"model.name: unknown model {name!r}; expected one of {MODEL_NAMES}")
-    _reject_unknown(model_cfg, _MODEL_KEYS[name], "model")
+    _reject_unknown(model_cfg, {"name", *MODEL_PARAMS[name]}, "model")
     params = {k: v for k, v in model_cfg.items() if k != "name"}
     listed = [k for k, v in params.items() if isinstance(v, list)]
     if len(listed) > 1:
@@ -192,12 +189,36 @@ def load_config(path: str) -> montecarlo.ExperimentSpec:
         )
     except ValueError as exc:
         raise ConfigError(f"network: {exc}") from exc
-    return montecarlo.ExperimentSpec(
+    spec = montecarlo.ExperimentSpec(
         base=base,
         n_values=n_values,
         replications=replications,
         master_seed=master_seed,
         variants=tuple(variants),
+    )
+    for k, config in enumerate(spec.point_configs()):
+        _check_point(config, f"sweep.N[{k % len(n_values)}]")
+    return spec
+
+
+def _check_point(config: NetworkConfig, where: str) -> None:
+    """Reject a sweep point the fading budget cannot hold or the theory cannot predict."""
+    try:
+        if config.n_branches * config.n_nodes > MAX_FADING_ENTRIES:
+            raise ConfigError(
+                f"network.c, {where}: N x round(c N) at N={config.n_branches}, "
+                f"c={config.c:.9g} exceeds the budget of {MAX_FADING_ENTRIES:.0e} fading entries"
+            )
+        rate = montecarlo.predicted_rate(config)  # None for a zero density
+        if rate is None or math.isfinite(rate):
+            return
+        problem = "the asymptotic prediction is not finite"
+    except (ValueError, ArithmeticError) as exc:  # beyond the float range
+        problem = f"cannot size or predict the point ({type(exc).__name__}: {exc})"
+    raise ConfigError(
+        f"network, {where}: {problem} at rho_p={config.rho_p:.9g}, alpha={config.alpha:.9g}, "
+        f"c={config.c:.9g}, r_T={config.r_t:.9g}, N={config.n_branches}, "
+        f"model {config.model.name} {config.model.params_label()}"
     )
 
 
@@ -263,11 +284,11 @@ def cmd_simulate(args) -> int:
 
 
 def _given(args, flags: tuple[str, ...]) -> str:
-    """The flags that were set, with their values, as typed on a command line."""
+    """The flags that were set, with their values, as typed; one the command lacks is unset."""
     return " ".join(
         f"{flag} {value}"
         for flag in flags
-        if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
+        if (value := getattr(args, flag[2:].replace("-", "_"), None)) is not None
     )
 
 
@@ -337,11 +358,7 @@ def cmd_asymptote(args) -> int:
 def cmd_density(args) -> int:
     try:
         model = ModelSpec(
-            name=args.model,
-            h=args.h,
-            rho_b=args.rho_b,
-            rho_c=args.rho_c,
-            kappa=args.kappa,
+            args.model, h=args.h, rho_b=args.rho_b, rho_c=args.rho_c, kappa=args.kappa
         )
         config = NetworkConfig(
             rho_p=args.rho_p,
@@ -359,8 +376,8 @@ def cmd_density(args) -> int:
         # a limiting density can underflow to 0 (a huge exclusion radius,
         # rho_p / rho_c below the smallest double); the relative error would
         # divide by it.  Name rho_p and the model's own parameters.
-        own = [key for key in ("h", "rho_b", "rho_c", "kappa") if key in _MODEL_KEYS[args.model]]
-        given = _given(args, ("--rho-p", *(f"--{key.replace('_', '-')}" for key in own)))
+        own = (f"--{key.replace('_', '-')}" for key in MODEL_PARAMS[args.model])
+        given = _given(args, ("--rho-p", *own))
         print(f"density: the limiting active density of model {args.model!r} is "
               f"{predicted:.3g} at {given}; nothing to compare against", file=sys.stderr)
         return 2

@@ -87,11 +87,7 @@ def _run_block(config: NetworkConfig, entropy, keys) -> list[SirSample | None]:
     noise-free theory.
     """
     n = config.n_branches
-    signal_weight = (
-        config.r_t ** config.alpha
-        if (config.model.name == "cellular" and config.model.power_control)
-        else 1.0
-    )
+    signal_weight = config.r_t ** config.alpha if config.model.power_control else 1.0
     samples: list[SirSample | None] = [None] * len(keys)
     pending = list(range(len(keys)))
     for attempt in range(MAX_REDRAWS + 1):
@@ -102,7 +98,7 @@ def _run_block(config: NetworkConfig, entropy, keys) -> list[SirSample | None]:
         counts = []
         for j, i in enumerate(pending):
             ss = np.random.SeedSequence(entropy=entropy, spawn_key=(*keys[i], attempt))
-            g_t[j], cov[j], count = _member(config, np.random.Generator(np.random.Philox(ss)))
+            g_t[j], cov[j], count = _member(config, pointproc.as_generator(ss))
             counts.append(count)
         solved = mmse.sir_samples(
             g_t, cov, config.r_t, config.alpha, counts, n_branches=n,
@@ -237,7 +233,7 @@ def predicted_rate(config: NetworkConfig) -> float | None:
     None for a degenerate model whose limiting active density is zero.
     """
     spec = config.model
-    if spec.name == "cellular" and spec.power_control:
+    if spec.power_control:
         return asymptotics.cell_edge_rate(
             config.n_branches,
             spec.kappa,
@@ -289,41 +285,27 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
 
     points = []
     for cfg, ordered in zip(configs, by_point):
+        # replications >= 1, so a point without a failed member has samples
         failed = any(s is None for s in ordered)
-        good = [s for s in ordered if s is not None]
-        predicted = cfg.predicted_density()
         asym = predicted_rate(cfg)
-        if failed or not good:
-            points.append(
-                PointResult(
-                    config=cfg,
-                    rate=None,
-                    sir=None,
-                    empirical_density=None,
-                    predicted_density=predicted,
-                    asymptote_rate=asym,
-                    rel_gap=None,
-                    redraw_total=sum(s.redraw_count for s in good),
-                    failed=True,
-                )
-            )
-            continue
-        rate = summarize(s.rate for s in good)
-        sir = summarize(s.sir for s in good)
-        area = math.pi * cfg.radius ** 2
-        emp_density = float(np.mean([s.active_count for s in good])) / area
-        rel_gap = abs(rate.mean - asym) / asym if asym else None
+        rate = sir = emp_density = rel_gap = None
+        if not failed:
+            rate = summarize(s.rate for s in ordered)
+            sir = summarize(s.sir for s in ordered)
+            area = math.pi * cfg.radius ** 2
+            emp_density = float(np.mean([s.active_count for s in ordered])) / area
+            rel_gap = abs(rate.mean - asym) / asym if asym else None
         points.append(
             PointResult(
                 config=cfg,
                 rate=rate,
                 sir=sir,
                 empirical_density=emp_density,
-                predicted_density=predicted,
+                predicted_density=cfg.predicted_density(),
                 asymptote_rate=asym,
                 rel_gap=rel_gap,
-                redraw_total=sum(s.redraw_count for s in good),
-                failed=False,
+                redraw_total=sum(s.redraw_count for s in ordered if s is not None),
+                failed=failed,
             )
         )
     return ExperimentReport(

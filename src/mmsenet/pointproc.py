@@ -53,10 +53,30 @@ __all__ = [
     "realization_to_csv",
 ]
 
-MODEL_NAMES = ("independent", "hc1", "hc2", "cellular", "boolean")
+# the parameters each activation model takes, in the order the CSV label
+# prints them; every other ModelSpec field must stay unset (None / False)
+MODEL_PARAMS = {
+    "independent": (),
+    "hc1": ("h",),
+    "hc2": ("h",),
+    "cellular": ("rho_c", "kappa", "power_control"),
+    "boolean": ("h", "rho_b"),
+}
+MODEL_NAMES = tuple(MODEL_PARAMS)
 
 # sublattices of the hexagonal lattice exist for kappa = i^2 + i j + j^2
 _KAPPA_ANCHOR = {1: (1, 0), 3: (1, 1), 4: (2, 0), 7: (2, 1)}
+
+# per parameter: its range rule (written so that NaN fails it), what a model
+# that takes it needs, and its format in the CSV label
+_PARAM_RULES = {
+    "h": (lambda v: v >= 0, "needs h >= 0", "h={:.9g}"),
+    "rho_b": (lambda v: v > 0, "needs rho_b > 0", "rho_b={:.9g}"),
+    "rho_c": (lambda v: v > 0, "needs rho_c > 0", "rho_c={:.9g}"),
+    "kappa": (lambda v: v in _KAPPA_ANCHOR,
+              f"has an unsupported reuse factor (supported: {sorted(_KAPPA_ANCHOR)})", "kappa={}"),
+    "power_control": (lambda v: isinstance(v, bool), "needs a bool power_control", "pc={:d}"),
+}
 
 _CSV_HEADER = "x,y,mark,active,power_weight,serving_distance"
 
@@ -82,11 +102,13 @@ def as_generator(seed) -> np.random.Generator:
 class ModelSpec:
     """Activation model tag plus its parameters.
 
-    h: guard / cluster radius (hc1, hc2, boolean)
-    rho_b: cluster-center density (boolean)
-    rho_c: base-station density (cellular)
-    kappa: frequency-reuse factor (cellular)
-    power_control: mobiles transmit at r_b^alpha instead of unit power (cellular)
+    MODEL_PARAMS names the parameters each model takes; the others stay unset.
+
+    h: guard / cluster radius
+    rho_b: cluster-center density
+    rho_c: base-station density
+    kappa: frequency-reuse factor
+    power_control: mobiles transmit at r_b^alpha instead of unit power
     """
 
     name: str
@@ -97,53 +119,22 @@ class ModelSpec:
     power_control: bool = False
 
     def __post_init__(self):
-        if self.name not in MODEL_NAMES:
+        if self.name not in MODEL_PARAMS:
             raise ValueError(f"unknown model {self.name!r}; expected one of {MODEL_NAMES}")
-        if self.name in ("hc1", "hc2", "boolean"):
-            if self.h is None or self.h < 0:
-                raise ValueError(f"model {self.name!r} needs h >= 0")
-        if self.name == "boolean":
-            if self.rho_b is None or self.rho_b <= 0:
-                raise ValueError("model 'boolean' needs rho_b > 0")
-        if self.name == "cellular":
-            if self.rho_c is None or self.rho_c <= 0:
-                raise ValueError("model 'cellular' needs rho_c > 0")
-            if self.kappa not in _KAPPA_ANCHOR:
-                raise ValueError(
-                    f"unsupported reuse factor kappa={self.kappa}; supported: "
-                    f"{sorted(_KAPPA_ANCHOR)}"
-                )
-        if self.power_control and self.name != "cellular":
-            raise ValueError("power_control applies to the cellular model only")
-
-    def activation_probability(self, rho_p: float) -> float:
-        """Limiting probability that a potential interferer transmits."""
-        return self.limiting_density(rho_p) / rho_p
-
-    def limiting_density(self, rho_p: float) -> float:
-        """Limiting density of active interferers for this model."""
-        return limiting_density(
-            self.name,
-            rho_p=rho_p,
-            h=self.h,
-            rho_b=self.rho_b,
-            rho_c=self.rho_c,
-            kappa=self.kappa,
-        )
+        for key, (valid, rule, _) in _PARAM_RULES.items():
+            value = getattr(self, key)
+            if key in MODEL_PARAMS[self.name]:
+                ok = value is not None and valid(value)
+            else:
+                ok, rule = value is None or value is False, f"does not take {key}"
+            if not ok:
+                raise ValueError(f"model {self.name!r} {rule}, got {key}={value!r}")
 
     def params_label(self) -> str:
         """Canonical short string of the model parameters (CSV column)."""
-        parts = []
-        if self.h is not None:
-            parts.append(f"h={self.h:.9g}")
-        if self.rho_b is not None:
-            parts.append(f"rho_b={self.rho_b:.9g}")
-        if self.rho_c is not None:
-            parts.append(f"rho_c={self.rho_c:.9g}")
-        if self.kappa is not None:
-            parts.append(f"kappa={self.kappa}")
-        if self.name == "cellular":
-            parts.append(f"pc={int(self.power_control)}")
+        parts = [
+            _PARAM_RULES[key][2].format(getattr(self, key)) for key in MODEL_PARAMS[self.name]
+        ]
         return ";".join(parts) if parts else "-"
 
 
@@ -180,7 +171,7 @@ class NetworkConfig:
             raise ValueError(f"c must be positive, got {self.c}")
         if not self.r_t > 0:
             raise ValueError(f"r_t must be positive, got {self.r_t}")
-        nu = self.model.activation_probability(self.rho_p)
+        nu = self.nu_expected
         if self.c * nu <= 1.0:
             warnings.warn(
                 f"c * nu = {self.c * nu:.4g} <= 1 for model {self.model.name!r}: "
@@ -205,10 +196,15 @@ class NetworkConfig:
 
     @property
     def nu_expected(self) -> float:
-        return self.model.activation_probability(self.rho_p)
+        """Limiting probability that a potential interferer transmits."""
+        return self.predicted_density() / self.rho_p
 
     def predicted_density(self) -> float:
-        return self.model.limiting_density(self.rho_p)
+        """Limiting density of active interferers for the configured model."""
+        m = self.model
+        return limiting_density(
+            m.name, rho_p=self.rho_p, h=m.h, rho_b=m.rho_b, rho_c=m.rho_c, kappa=m.kappa
+        )
 
 
 @dataclass
@@ -504,15 +500,13 @@ def realize(config: NetworkConfig, seed) -> Realization:
         active, serving = schedule_cellular(
             positions, marks, hex_spacing(spec.rho_c), spec.kappa
         )
-    elif spec.name == "boolean":
+    else:  # boolean
         m = int(round(math.pi * spec.rho_b * config.radius ** 2))
         centers = _uniform_disk(rng, m, config.radius)
         active = activate_boolean(positions, centers, spec.h)
-    else:  # pragma: no cover - ModelSpec already validates
-        raise ValueError(f"unknown model {spec.name!r}")
 
     power_weight = np.where(active, 1.0, 0.0)
-    if spec.name == "cellular" and spec.power_control:
+    if spec.power_control:
         power_weight = np.where(active, serving ** config.alpha, 0.0)
     return Realization(
         positions=positions,

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mmsenet import asymptotics
 from mmsenet.asymptotics import (
     AsymptoticParams,
     NoBracket,
@@ -200,6 +201,36 @@ class TestFixedPoint:
         assert fixed_point_oracle(params(3.0, 0.6, 5.0)) == pytest.approx(
             210.657691701, rel=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "solve,defect",
+        [
+            (solve_beta_fixed_point, "fixed_point_equation"),
+            (fixed_point_oracle, "_activity_integral"),
+        ],
+    )
+    def test_bracket_ends_evaluated_once(self, monkeypatch, solve, defect):
+        # the sign-change test evaluates both ends of the final bracket, and
+        # brentq reuses those two values rather than evaluating them again
+        calls = []
+        inner = getattr(asymptotics, defect)
+
+        def counted(x, p):
+            calls.append(x)
+            return inner(x, p)
+
+        brackets = []
+        brentq = asymptotics.optimize.brentq
+
+        def spy(f, a, b, **kwargs):
+            brackets.append((a, b))
+            return brentq(f, a, b, **kwargs)
+
+        monkeypatch.setattr(asymptotics, defect, counted)
+        monkeypatch.setattr(asymptotics.optimize, "brentq", spy)
+        solve(params(alpha=4.0, nu=0.6, c=50.0))
+        ((lo, hi),) = brackets
+        assert (calls.count(lo), calls.count(hi)) == (1, 1)
 
     def test_no_thinning_equals_unit_nu(self):
         p1 = params(alpha=4.0, nu=1.0, c=50.0)

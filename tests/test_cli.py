@@ -168,6 +168,71 @@ class TestConfig:
             load_config(str(p))
 
 
+    # exp(-735) rho_p is a subnormal density whose predicted rate overflows
+    H_SUBNORMAL = math.sqrt(735.0 / (math.pi * RHO_P))
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            pytest.param(
+                {"network": {"rho_p": RHO_P, "alpha": 4.0, "c": 1e300, "r_T": R_T}},
+                r"network\.c, sweep\.N\[0\]: N x round\(c N\) at N=2, c=1e\+300 exceeds "
+                r"the budget",
+                id="c-1e300",
+            ),
+            pytest.param(
+                {"sweep": {"N": [2, 2000]}},
+                r"network\.c, sweep\.N\[1\]: N x round\(c N\) at N=2000, c=50 exceeds the budget",
+                id="N-2000-c-50",
+            ),
+            pytest.param(
+                {"sweep": {"N": [2, 10**400]}},
+                r"network, sweep\.N\[1\]: cannot size or predict the point \(OverflowError",
+                id="N-beyond-float",
+            ),
+            pytest.param(
+                {"network": {"rho_p": 1e308, "alpha": 4.0, "c": 50.0, "r_T": R_T}},
+                r"network, sweep\.N\[0\]: cannot size or predict the point \(ValueError: "
+                r"cannot convert float NaN to integer\) at rho_p=1e\+308",
+                id="rho_p-1e308",
+            ),
+            pytest.param(
+                {"network": {"rho_p": 1e-300, "alpha": 4.0, "c": 50.0, "r_T": 1e-100}},
+                r"network, sweep\.N\[0\]: cannot size or predict the point \(ZeroDivisionError"
+                r".*\) at rho_p=1e-300, alpha=4, c=50, r_T=1e-100, N=2, model hc1 h=",
+                id="rho_p-r_T-underflow",
+            ),
+            pytest.param(
+                {"model": {"name": "hc1", "h": [1.0, H_SUBNORMAL]}},
+                r"network, sweep\.N\[0\]: the asymptotic prediction is not finite at "
+                r".* model hc1 h=152\.9",
+                id="hc1-subnormal-density",
+            ),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:c \\* nu")
+    def test_every_sweep_point_checked_before_any_work(self, tmp_path, overrides, message):
+        p = write_config(tmp_path / "c.json", **overrides)
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(p))
+
+    def test_unsized_sweep_point_exits_2_without_running(self, tmp_path, capsys, monkeypatch):
+        from mmsenet import montecarlo
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_experiment called on an invalid config")
+
+        monkeypatch.setattr(montecarlo, "run_experiment", refuse)
+        p = write_config(
+            tmp_path / "c.json",
+            network={"rho_p": RHO_P, "alpha": 4.0, "c": 1e300, "r_T": R_T},
+        )
+        assert main(["simulate", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "network.c, sweep.N[0]" in captured.err
+
+
 class TestSimulate:
     def test_csv_schema_and_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
@@ -311,6 +376,31 @@ class TestDensityCmd:
         out = capsys.readouterr().out
         assert code == 0
         assert "predicted density  0.01\n" in out and "(inside)" in out
+
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            pytest.param(["--model", "hc1", "--h", "5", "--kappa", "3"], "kappa", id="hc1-kappa"),
+            pytest.param(["--model", "hc1", "--h", "5", "--rho-c", "0.001"], "rho_c",
+                         id="hc1-rho_c"),
+            pytest.param(["--model", "independent", "--h", "1"], "h", id="independent-h"),
+            pytest.param(["--model", "cellular", "--rho-c", "0.001", "--kappa", "3",
+                          "--rho-b", "0.01"], "rho_b", id="cellular-rho_b"),
+        ],
+    )
+    def test_flag_the_model_does_not_take(self, capsys, monkeypatch, argv, key):
+        from mmsenet import montecarlo
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("density_estimate called despite an invalid flag")
+
+        monkeypatch.setattr(montecarlo, "density_estimate", refuse)
+        code = main(["density", "--rho-p", "0.01", "--c", "10", "--n-branches", "2", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"does not take {key}," in captured.err
 
 
 class TestPlotCmd:

@@ -1,4 +1,5 @@
-"""Smoke test of the narrative scripts under demos/: each runs to exit 0."""
+"""Smoke test of the narrative scripts under demos/: each runs to exit 0 and
+leaves its temporary directory empty."""
 
 import os
 import pathlib
@@ -13,10 +14,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # demo 03 writes its charts under a temporary directory; keep them in tmp_path
+    # a demo may write scratch files under the temporary directory, but must
+    # leave nothing behind there
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

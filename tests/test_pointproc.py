@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from mmsenet.pointproc import (
+    MODEL_NAMES,
+    MODEL_PARAMS,
     BaseStationLattice,
     ModelSpec,
     NetworkConfig,
@@ -488,3 +490,46 @@ class TestRealization:
             ModelSpec("cellular", rho_c=0.001, kappa=5)
         with pytest.raises(ValueError, match="power_control"):
             ModelSpec("hc1", h=1.0, power_control=True)
+
+    @pytest.mark.parametrize(
+        "name,params,key",
+        [
+            ("independent", {"h": 1.0}, "h"),
+            ("independent", {"h": 0.0}, "h"),
+            ("hc1", {"h": 1.0, "kappa": 3}, "kappa"),
+            ("hc2", {"h": 1.0, "rho_c": 0.001}, "rho_c"),
+            ("boolean", {"h": 1.0, "rho_b": 0.01, "power_control": True}, "power_control"),
+            ("cellular", {"rho_c": 0.001, "kappa": 3, "rho_b": 0.01}, "rho_b"),
+        ],
+    )
+    def test_parameter_the_model_does_not_take(self, name, params, key):
+        with pytest.raises(ValueError, match=rf"model '{name}' does not take {key}\b"):
+            ModelSpec(name, **params)
+
+    @pytest.mark.parametrize(
+        "name,params,key",
+        [
+            ("hc1", {"h": math.nan}, "h"),
+            ("boolean", {"h": 1.0, "rho_b": math.nan}, "rho_b"),
+            ("cellular", {"rho_c": math.nan, "kappa": 3}, "rho_c"),
+            ("cellular", {"rho_c": 0.001, "kappa": math.nan}, "kappa"),
+            ("cellular", {"rho_c": 0.001, "kappa": 3, "power_control": 1}, "power_control"),
+        ],
+    )
+    def test_nan_and_wrong_kinds_fail_the_range_rules(self, name, params, key):
+        with pytest.raises(ValueError, match=key):
+            ModelSpec(name, **params)
+
+    def test_params_label_lists_the_model_parameters_in_table_order(self):
+        assert MODEL_NAMES == tuple(MODEL_PARAMS)
+        assert ModelSpec("independent").params_label() == "-"
+        assert ModelSpec("hc2", h=2.5).params_label() == "h=2.5"
+        assert ModelSpec("boolean", h=1 / 3, rho_b=0.01).params_label() == (
+            "h=0.333333333;rho_b=0.01"
+        )
+        assert ModelSpec("cellular", rho_c=0.001, kappa=3).params_label() == (
+            "rho_c=0.001;kappa=3;pc=0"
+        )
+        assert ModelSpec("cellular", rho_c=0.001, kappa=7, power_control=True).params_label() == (
+            "rho_c=0.001;kappa=7;pc=1"
+        )
