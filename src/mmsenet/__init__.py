@@ -16,7 +16,6 @@ from .asymptotics import (
     fixed_point_oracle,
     gauss_2f1,
     lambert_w0,
-    limiting_density,
     limiting_edf,
     optimal_reuse,
     rate_approx,
@@ -66,7 +65,6 @@ __all__ = [
     "fixed_point_oracle",
     "gauss_2f1",
     "lambert_w0",
-    "limiting_density",
     "limiting_edf",
     "optimal_reuse",
     "rate_approx",

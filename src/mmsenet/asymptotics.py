@@ -12,7 +12,6 @@ co-channel interferers have limiting density ``rho``, the normalized SIR
   share only the root finder (a bracket expansion, then scipy's ``brentq``),
 * the closed-form value of ``beta`` in the many-interferers-per-branch
   limit (``beta_large_c``) and the rate predictions built on it,
-* limiting active-interferer densities for every activation model,
 * cell-edge rate expressions with and without distance-proportional power
   control, and the reuse factor maximizing reuse-normalized rate,
 * the limiting distribution of scaled received powers (``limiting_edf``).
@@ -26,11 +25,12 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, optimize, special
+
+from ._warn import warn_caller
 
 __all__ = [
     "NoBracket",
@@ -45,11 +45,13 @@ __all__ = [
     "rate_approx",
     "cell_edge_rate",
     "optimal_reuse",
-    "limiting_density",
     "limiting_edf",
 ]
 
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, edge of the W0 domain
+
+# decades the fixed-point bracket may grow on each side before giving up
+_MAX_EXPAND = 60
 
 
 class NoBracket(RuntimeError):
@@ -131,10 +133,9 @@ class AsymptoticParams:
         if not 0.0 < self.nu <= 1.0:
             raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
         if self.c * self.nu <= 1.0:
-            warnings.warn(
+            warn_caller(
                 f"c * nu = {self.c * self.nu:.4g} <= 1: fewer active interferers "
-                "than diversity branches; the SIR limit does not exist",
-                stacklevel=3,
+                "than diversity branches; the SIR limit does not exist"
             )
 
     @property
@@ -153,7 +154,6 @@ class AsymptoticSolution:
     """A solved normalized-SIR limit plus the residual of its defining equation."""
 
     beta: float
-    method: str  # fixed_point | large_c | quadrature_oracle
     residual: float
     params: AsymptoticParams = field(repr=False)
 
@@ -224,7 +224,7 @@ def fixed_point_equation(beta: float, params: AsymptoticParams) -> float:
     return lhs - rhs
 
 
-def _solve_root(func, params: AsymptoticParams, max_expand: int = 60) -> float:
+def _solve_root(func, params: AsymptoticParams) -> float:
     """The root in beta of an increasing fixed-point defect.
 
     Both fixed points share this path: expand [b/10, 10 b] geometrically
@@ -243,7 +243,7 @@ def _solve_root(func, params: AsymptoticParams, max_expand: int = 60) -> float:
         )
     center = beta_large_c(params.rho, params.alpha)
     lo, hi = center / 10.0, center * 10.0
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         ends = {lo: func(lo), hi: func(hi)}
         if ends[lo] * ends[hi] <= 0.0:  # brentq reuses the two known end values
             return optimize.brentq(
@@ -252,7 +252,7 @@ def _solve_root(func, params: AsymptoticParams, max_expand: int = 60) -> float:
         lo /= 10.0
         hi *= 10.0
     raise NoBracket(
-        f"no sign change in [{lo:.3g}, {hi:.3g}] after {max_expand} expansions; "
+        f"no sign change in [{lo:.3g}, {hi:.3g}] after {_MAX_EXPAND} expansions; "
         "check that c * nu > 1"
     )
 
@@ -270,7 +270,7 @@ def solve_beta_fixed_point(params: AsymptoticParams) -> AsymptoticSolution:
     residual = abs(lhs - rhs) / abs(rhs)
     if residual > 1e-10:
         raise RuntimeError(f"fixed-point solve stalled: residual {residual:.3g}")
-    return AsymptoticSolution(beta=beta, method="fixed_point", residual=residual, params=params)
+    return AsymptoticSolution(beta=beta, residual=residual, params=params)
 
 
 def _activity_integral(gamma: float, params: AsymptoticParams) -> float:
@@ -324,7 +324,7 @@ def fixed_point_oracle(params: AsymptoticParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# rate predictions and densities
+# rate predictions
 # ---------------------------------------------------------------------------
 
 def rate_approx(n_branches: float, rho: float, alpha: float, r_t: float) -> float:
@@ -390,56 +390,6 @@ def optimal_reuse(alpha: float, n_branches: float, rho_p: float, rho_c: float) -
         * 5.0 * math.pi ** 2 * -math.expm1(-rho_p / rho_c)
         / (9.0 * math.sqrt(3.0) * n_branches * alpha * math.sin(2.0 * math.pi / alpha))
     )
-
-
-def limiting_density(
-    model: str,
-    *,
-    rho_p: float,
-    h: float | None = None,
-    rho_b: float | None = None,
-    rho_c: float | None = None,
-    kappa: float | None = None,
-) -> float:
-    """Limiting density of active interferers for each activation model.
-
-    independent: rho_p
-    hc1:         rho_p exp(-pi rho_p h^2)          (all conflicting nodes mute)
-    hc2:         (1 - exp(-pi rho_p h^2))/(pi h^2) (lowest mark survives)
-    cellular:    rho_c (1 - exp(-rho_p/rho_c))/kappa
-    boolean:     rho_p (1 - exp(-pi rho_b h^2))    (coverage of the cluster disks)
-    """
-    if not rho_p > 0:
-        raise ValueError(f"rho_p must be positive, got {rho_p}")
-    if model == "independent":
-        return rho_p
-    if model == "hc1":
-        _require(h is not None and h >= 0, "hc1 needs h >= 0")
-        return rho_p * math.exp(-math.pi * rho_p * h * h)
-    if model == "hc2":
-        _require(h is not None and h >= 0, "hc2 needs h >= 0")
-        x = math.pi * rho_p * h * h
-        area = math.pi * h * h
-        if min(x, area) < sys.float_info.min:
-            # below the normal range the ratio loses its precision, while the
-            # density is rho_p (1 - x/2 + ...), rho_p to the last bit
-            return rho_p
-        # (1 - exp(-x)) / area <= rho_p always; only rounding can cross it
-        return min(rho_p, -math.expm1(-x) / area)
-    if model == "cellular":
-        _require(rho_c is not None and rho_c > 0, "cellular needs rho_c > 0")
-        _require(kappa is not None and kappa >= 1, "cellular needs kappa >= 1")
-        return rho_c * -math.expm1(-rho_p / rho_c) / kappa
-    if model == "boolean":
-        _require(h is not None and h >= 0, "boolean needs h >= 0")
-        _require(rho_b is not None and rho_b > 0, "boolean needs rho_b > 0")
-        return rho_p * -math.expm1(-math.pi * rho_b * h * h)
-    raise ValueError(f"unknown model {model!r}")
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
 
 
 def limiting_edf(x, params: AsymptoticParams):

@@ -40,7 +40,8 @@ _NETWORK_KEYS = {"rho_p", "alpha", "c", "r_T"}
 _TOP_KEYS = {"schema_version", "network", "model", "sweep", "replications", "master_seed"}
 
 # budget on the interferer fading matrix of one sweep point, N x round(c N)
-# complex entries (1.6 GB); the test, demo and benchmark regimes stay near 2e5
+# complex entries (1.6 GB), and on its Boolean cluster centers; the test, demo
+# and benchmark regimes stay near 2e5
 MAX_FADING_ENTRIES = 10**8
 
 
@@ -201,14 +202,21 @@ def load_config(path: str) -> montecarlo.ExperimentSpec:
     return spec
 
 
+def _check_size(config: NetworkConfig, nodes_by: str, clusters_by: str) -> None:
+    """Reject a point over the size budget, naming the keys or flags that set the size."""
+    at = f"at N={config.n_branches}, c={config.c:.9g}"
+    budget = f"exceeds the budget of {MAX_FADING_ENTRIES:.0e}"
+    if config.n_branches * config.n_nodes > MAX_FADING_ENTRIES:
+        raise ConfigError(f"{nodes_by}: N x round(c N) {at} {budget} fading entries")
+    if config.n_clusters > MAX_FADING_ENTRIES:
+        raise ConfigError(f"{clusters_by}: round(pi rho_b R^2) {at}, "
+                          f"rho_b={config.model.rho_b:.9g} {budget} cluster centers")
+
+
 def _check_point(config: NetworkConfig, where: str) -> None:
-    """Reject a sweep point the fading budget cannot hold or the theory cannot predict."""
+    """Reject a sweep point the size budget cannot hold or the theory cannot predict."""
     try:
-        if config.n_branches * config.n_nodes > MAX_FADING_ENTRIES:
-            raise ConfigError(
-                f"network.c, {where}: N x round(c N) at N={config.n_branches}, "
-                f"c={config.c:.9g} exceeds the budget of {MAX_FADING_ENTRIES:.0e} fading entries"
-            )
+        _check_size(config, f"network.c, {where}", f"model.rho_b, {where}")
         rate = montecarlo.predicted_rate(config)  # None for a zero density
         if rate is None or math.isfinite(rate):
             return
@@ -300,11 +308,6 @@ def _out_of_range(command: str, args, flags: tuple[str, ...], exc: Exception) ->
 
 def _asymptote_lines(args) -> list[str]:
     params = AsymptoticParams(rho_p=args.rho_p, c=args.c, alpha=args.alpha, nu=args.nu)
-    if params.c * params.nu <= 1.0:
-        print(
-            f"warning: c * nu = {params.c * params.nu:.4g} <= 1, no SIR limit exists",
-            file=sys.stderr,
-        )
     sol = asymptotics.solve_beta_fixed_point(params)
     oracle = asymptotics.fixed_point_oracle(params)
     large_c = asymptotics.beta_large_c(params.rho, params.alpha)
@@ -368,9 +371,12 @@ def cmd_density(args) -> int:
             r_t=args.r_t if args.r_t else math.sqrt(1.0 / (math.pi * args.rho_p)),
             model=model,
         )
-    except ValueError as exc:
+        _check_size(config, "--c, --n-branches", "--rho-b")
+    except (ValueError, ConfigError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        return _out_of_range("density", args, ("--rho-p", "--c", "--n-branches", "--rho-b"), exc)
     predicted = config.predicted_density()
     if not predicted > 0.0:
         # a limiting density can underflow to 0 (a huge exclusion radius,

@@ -55,10 +55,6 @@ class FadingSet:
     g_t: np.ndarray
     interferers: np.ndarray
 
-    @property
-    def n_branches(self) -> int:
-        return self.g_t.shape[0]
-
 
 @dataclass
 class SirSample:
@@ -252,10 +248,6 @@ class EmpiricalDistribution:
         if np.isscalar(x):
             return float(out)
         return out
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._sorted
 
     def atom_at_zero(self) -> float:
         """Probability mass sitting exactly at zero."""

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import io
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .asymptotics import limiting_density
+from ._warn import warn_caller
 
 __all__ = [
     "ModelSpec",
@@ -149,8 +149,9 @@ class NetworkConfig:
     r_t: representative link length
     model: activation model
 
-    The disk radius R = sqrt(c N / (pi rho_p)) and the node count
-    n = round(pi rho_p R^2) are derived, never set directly.
+    The disk radius R = sqrt(c N / (pi rho_p)), the node count
+    n = round(pi rho_p R^2) and the Boolean cluster count round(pi rho_b R^2)
+    are derived, never set directly.
     """
 
     rho_p: float
@@ -173,10 +174,9 @@ class NetworkConfig:
             raise ValueError(f"r_t must be positive, got {self.r_t}")
         nu = self.nu_expected
         if self.c * nu <= 1.0:
-            warnings.warn(
+            warn_caller(
                 f"c * nu = {self.c * nu:.4g} <= 1 for model {self.model.name!r}: "
-                "the interference covariance will often be singular",
-                stacklevel=3,
+                "the interference covariance will often be singular"
             )
 
     @property
@@ -190,6 +190,13 @@ class NetworkConfig:
         return int(round(math.pi * self.rho_p * self.radius ** 2))
 
     @property
+    def n_clusters(self) -> int:
+        """Number of Boolean cluster centers, round(pi rho_b R^2); 0 for other models."""
+        if self.model.rho_b is None:
+            return 0
+        return int(round(math.pi * self.model.rho_b * self.radius ** 2))
+
+    @property
     def x_t(self) -> np.ndarray:
         """Representative transmitter position (r_t, 0)."""
         return np.array([self.r_t, 0.0])
@@ -200,11 +207,31 @@ class NetworkConfig:
         return self.predicted_density() / self.rho_p
 
     def predicted_density(self) -> float:
-        """Limiting density of active interferers for the configured model."""
-        m = self.model
-        return limiting_density(
-            m.name, rho_p=self.rho_p, h=m.h, rho_b=m.rho_b, rho_c=m.rho_c, kappa=m.kappa
-        )
+        """Limiting density of active interferers for the configured model.
+
+        independent: rho_p
+        hc1:         rho_p exp(-pi rho_p h^2)          (all conflicting nodes mute)
+        hc2:         (1 - exp(-pi rho_p h^2))/(pi h^2) (lowest mark survives)
+        cellular:    rho_c (1 - exp(-rho_p/rho_c))/kappa
+        boolean:     rho_p (1 - exp(-pi rho_b h^2))    (coverage of the cluster disks)
+        """
+        m, rho_p, h = self.model, self.rho_p, self.model.h
+        if m.name == "independent":
+            return rho_p
+        if m.name == "hc1":
+            return rho_p * math.exp(-math.pi * rho_p * h * h)
+        if m.name == "hc2":
+            x = math.pi * rho_p * h * h
+            area = math.pi * h * h
+            if min(x, area) < sys.float_info.min:
+                # below the normal range the ratio loses its precision, while the
+                # density is rho_p (1 - x/2 + ...), rho_p to the last bit
+                return rho_p
+            # (1 - exp(-x)) / area <= rho_p always; only rounding can cross it
+            return min(rho_p, -math.expm1(-x) / area)
+        if m.name == "cellular":
+            return m.rho_c * -math.expm1(-rho_p / m.rho_c) / m.kappa
+        return rho_p * -math.expm1(-math.pi * m.rho_b * h * h)  # boolean
 
 
 @dataclass
@@ -501,8 +528,7 @@ def realize(config: NetworkConfig, seed) -> Realization:
             positions, marks, hex_spacing(spec.rho_c), spec.kappa
         )
     else:  # boolean
-        m = int(round(math.pi * spec.rho_b * config.radius ** 2))
-        centers = _uniform_disk(rng, m, config.radius)
+        centers = _uniform_disk(rng, config.n_clusters, config.radius)
         active = activate_boolean(positions, centers, spec.h)
 
     power_weight = np.where(active, 1.0, 0.0)

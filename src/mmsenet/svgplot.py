@@ -28,10 +28,6 @@ class RateSeries:
     asymptote: list[float] | None = None
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0

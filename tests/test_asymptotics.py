@@ -22,7 +22,6 @@ from mmsenet.asymptotics import (
     fixed_point_oracle,
     gauss_2f1,
     lambert_w0,
-    limiting_density,
     limiting_edf,
     optimal_reuse,
     rate_approx,
@@ -281,7 +280,7 @@ class TestFixedPoint:
 
 
 # ---------------------------------------------------------------------------
-# rates, reuse, densities
+# rates, reuse, limiting distribution
 # ---------------------------------------------------------------------------
 
 class TestRateFormulas:
@@ -336,53 +335,6 @@ class TestRateFormulas:
         k_full = optimal_reuse(3.0, 4, 1.0, 1e-4)
         k_part = optimal_reuse(3.0, 4, lam, 1.0)
         assert k_part / k_full / occupancy == pytest.approx(1.0, rel=1e-9)
-
-
-class TestLimitingDensity:
-    def test_h_zero_degenerates_to_rho_p(self):
-        assert limiting_density("hc1", rho_p=0.01, h=0.0) == 0.01
-        assert limiting_density("hc2", rho_p=0.01, h=0.0) == 0.01
-
-    def test_frozen_hard_core_values(self):
-        h = math.sqrt(1.0 / (math.pi * 0.01))  # pi rho_p h^2 = 1
-        assert limiting_density("hc1", rho_p=0.01, h=h) == pytest.approx(
-            0.0036787944117144233, rel=1e-12
-        )
-        assert limiting_density("hc2", rho_p=0.01, h=h) == pytest.approx(
-            0.006321205588285577, rel=1e-12
-        )
-
-    def test_retention_ordering(self):
-        # keeping the lowest mark always beats muting every conflict
-        for x in np.linspace(0.05, 4.0, 30):
-            h = math.sqrt(x / (math.pi * 0.01))
-            d1 = limiting_density("hc1", rho_p=0.01, h=h)
-            d2 = limiting_density("hc2", rho_p=0.01, h=h)
-            assert d2 >= d1
-
-    def test_cellular_and_boolean(self):
-        got = limiting_density("cellular", rho_p=0.01, rho_c=0.001, kappa=3)
-        assert got == pytest.approx(0.001 * (1 - math.exp(-10.0)) / 3.0, rel=1e-12)
-        h = math.sqrt(1.0 / (math.pi * 0.01))
-        got = limiting_density("boolean", rho_p=0.01, rho_b=0.01, h=h)
-        assert got == pytest.approx(0.01 * (1 - math.exp(-1.0)), rel=1e-12)
-
-    @pytest.mark.parametrize("h", [1e-6, 1e-8, 1e-160, 1e-170, 1e-300])
-    def test_hc2_tiny_radius_is_rho_p(self, h):
-        # (1 - exp(-x)) / (pi h^2) = rho_p (1 - x/2 + ...) with x = pi rho_p h^2
-        got = limiting_density("hc2", rho_p=0.01, h=h)
-        assert got <= 0.01
-        assert got == pytest.approx(0.01, rel=1e-12)
-
-    def test_tiny_exponents_do_not_underflow(self):
-        got = limiting_density("cellular", rho_p=0.01, rho_c=1e300, kappa=3)
-        assert got == pytest.approx(0.01 / 3.0, rel=1e-12)
-        got = limiting_density("boolean", rho_p=0.01, rho_b=1e-300, h=1.0)
-        assert got / (0.01 * math.pi * 1e-300) == pytest.approx(1.0, rel=1e-12)
-
-    def test_unknown_model(self):
-        with pytest.raises(ValueError, match="unknown model"):
-            limiting_density("ppp", rho_p=0.01)
 
 
 class TestLimitingEdf:

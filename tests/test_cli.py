@@ -7,10 +7,16 @@ import warnings
 
 import pytest
 
+from mmsenet.asymptotics import AsymptoticParams, rate_approx, solve_beta_fixed_point
 from mmsenet.cli import CSV_COLUMNS, ConfigError, load_config, main
 
 RHO_P = 0.01
 R_T = math.sqrt(1.0 / (math.pi * RHO_P))
+
+
+# c * nu = 0.667 <= 1: the regime in which the covariance is often singular
+REGIME_MODEL = {"name": "cellular", "rho_c": 0.001, "kappa": 3}
+REGIME_NETWORK = {"rho_p": RHO_P, "alpha": 4.0, "c": 20.0, "r_T": R_T}
 
 
 def write_config(path, **overrides):
@@ -216,21 +222,37 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             load_config(str(p))
 
-    def test_unsized_sweep_point_exits_2_without_running(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            pytest.param({"network": {"rho_p": RHO_P, "alpha": 4.0, "c": 1e300, "r_T": R_T}},
+                         "network.c, sweep.N[0]: N x round(c N)", id="nodes"),
+            pytest.param({"model": {"name": "boolean", "h": 1, "rho_b": 1e300}},
+                         "model.rho_b, sweep.N[0]: round(pi rho_b R^2)", id="clusters"),
+        ],
+    )
+    def test_unsized_sweep_point_exits_2_without_running(
+        self, tmp_path, capsys, monkeypatch, overrides, key
+    ):
         from mmsenet import montecarlo
 
         def refuse(*args, **kwargs):
             raise AssertionError("run_experiment called on an invalid config")
 
         monkeypatch.setattr(montecarlo, "run_experiment", refuse)
-        p = write_config(
-            tmp_path / "c.json",
-            network={"rho_p": RHO_P, "alpha": 4.0, "c": 1e300, "r_T": R_T},
-        )
+        p = write_config(tmp_path / "c.json", **overrides)
         assert main(["simulate", "--config", str(p)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "network.c, sweep.N[0]" in captured.err
+        assert key in captured.err
+
+    def test_regime_warning_names_the_caller(self, tmp_path):
+        p = write_config(tmp_path / "c.json", model=REGIME_MODEL, network=REGIME_NETWORK)
+        with pytest.warns(UserWarning, match="c \\* nu") as record:
+            load_config(str(p))
+        # the base config and every sweep point warn from this one line,
+        # not from the package or from dataclasses.replace
+        assert {(w.filename, w.lineno) for w in record} == {(__file__, record[0].lineno)}
 
 
 class TestSimulate:
@@ -278,6 +300,22 @@ class TestSimulate:
         main(["simulate", "--config", str(cfg), "--out", str(out3), "--seed", "11"])
         assert out1.read_text() != out2.read_text()
         assert out1.read_text() == out3.read_text()
+
+    def test_replications_override_equals_the_config_value(self, tmp_path):
+        over = write_config(tmp_path / "c3.json", sweep={"N": [2]}, replications=3)
+        direct = write_config(tmp_path / "c5.json", sweep={"N": [2]}, replications=5)
+        out_over, out_direct = tmp_path / "over.csv", tmp_path / "direct.csv"
+        main(["simulate", "--config", str(over), "--out", str(out_over), "--replications", "5"])
+        main(["simulate", "--config", str(direct), "--out", str(out_direct)])
+        assert out_over.read_bytes() == out_direct.read_bytes()
+
+    def test_regime_printed_once(self, tmp_path):
+        p = write_config(tmp_path / "c.json", model=REGIME_MODEL, network=REGIME_NETWORK,
+                         replications=1)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("default")
+            assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "r.csv")]) == 0
+        assert [w.filename for w in record if "c * nu" in str(w.message)] == [__file__]
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
@@ -337,13 +375,28 @@ class TestAsymptoteCmd:
         kappa_line = [l for l in out.split("\n") if "kappa*" in l][0]
         assert float(kappa_line.split()[-1]) == pytest.approx(1.005, abs=0.01)
 
+    def test_rate_line(self, capsys):
+        assert main([
+            "asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "100",
+            "--n-branches", "8", "--r-t", "5.64",
+        ]) == 0
+        params = AsymptoticParams(rho_p=0.01, c=100.0, alpha=4.0)
+        rate_fp = solve_beta_fixed_point(params).rate(8, 5.64)
+        rate_lc = rate_approx(8, params.rho, 4.0, 5.64)
+        assert (f"rate at N=8, r_T=5.64: fixed point {rate_fp:.9g}, "
+                f"large-c {rate_lc:.9g} bits/symbol\n") in capsys.readouterr().out
+
     def test_no_bracket_exit_3(self, capsys):
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("default")
             code = main([
                 "asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "2",
                 "--nu", "0.3",
             ])
         assert code == 3
+        # the regime is reported once, by the AsymptoticParams warning
+        assert len(record) == 1 and str(record[0].message).startswith("c * nu = 0.6 <= 1")
+        assert "warning" not in capsys.readouterr().err
 
 
 class TestDensityCmd:
@@ -377,6 +430,30 @@ class TestDensityCmd:
         assert code == 0
         assert "predicted density  0.01\n" in out and "(inside)" in out
 
+
+    @pytest.mark.parametrize(
+        "argv,given",
+        [
+            pytest.param(["--model", "independent", "--c", "1e300"],
+                         "--c, --n-branches: N x round(c N)", id="nodes"),
+            pytest.param(["--model", "boolean", "--c", "10", "--h", "1", "--rho-b", "1e300"],
+                         "--rho-b: round(pi rho_b R^2)", id="clusters"),
+            pytest.param(["--model", "independent", "--c", "1e308", "--rho-p", "1e-10"],
+                         "cannot evaluate at --rho-p 1e-10 --c 1e+308", id="overflow"),
+        ],
+    )
+    def test_size_budget(self, capsys, monkeypatch, argv, given):
+        from mmsenet import montecarlo
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("density_estimate called beyond the size budget")
+
+        monkeypatch.setattr(montecarlo, "density_estimate", refuse)
+        code = main(["density", "--rho-p", "0.01", "--n-branches", "2", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert given in captured.err
 
     @pytest.mark.parametrize(
         "argv,key",

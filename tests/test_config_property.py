@@ -1,5 +1,6 @@
 """Property test of config loading: every config that load_config accepts
-gives a sized network and finite predictions at every sweep point.
+gives a sized network (nodes and Boolean cluster centers) and finite
+predictions at every sweep point.
 
 Configs are drawn across the full float exponent range, the integer fields,
 every activation model and parameters the model does not take.  Nothing is
@@ -91,6 +92,7 @@ def test_loaded_config_is_sized_and_predicted_everywhere(tmp_path_factory, raw):
         return
     for config in spec.point_configs():
         assert config.n_branches * config.n_nodes <= MAX_FADING_ENTRIES
+        assert config.n_clusters <= MAX_FADING_ENTRIES
         density = config.predicted_density()
         assert math.isfinite(density) and density >= 0.0
         rate = montecarlo.predicted_rate(config)

@@ -454,6 +454,59 @@ class TestCellularScheduling:
 
 
 # ---------------------------------------------------------------------------
+# limiting active densities
+# ---------------------------------------------------------------------------
+
+class TestLimitingDensity:
+    @staticmethod
+    def density(model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # c * nu <= 1 at the sparse densities
+            return config(model).predicted_density()
+
+    def test_h_zero_degenerates_to_rho_p(self):
+        assert self.density(ModelSpec("hc1", h=0.0)) == 0.01
+        assert self.density(ModelSpec("hc2", h=0.0)) == 0.01
+
+    def test_frozen_hard_core_values(self):
+        h = math.sqrt(1.0 / (math.pi * 0.01))  # pi rho_p h^2 = 1
+        assert self.density(ModelSpec("hc1", h=h)) == pytest.approx(
+            0.0036787944117144233, rel=1e-12
+        )
+        assert self.density(ModelSpec("hc2", h=h)) == pytest.approx(
+            0.006321205588285577, rel=1e-12
+        )
+
+    def test_retention_ordering(self):
+        # keeping the lowest mark always beats muting every conflict
+        for x in np.linspace(0.05, 4.0, 30):
+            h = math.sqrt(x / (math.pi * 0.01))
+            d1 = self.density(ModelSpec("hc1", h=h))
+            d2 = self.density(ModelSpec("hc2", h=h))
+            assert d2 >= d1
+
+    def test_cellular_and_boolean(self):
+        got = self.density(ModelSpec("cellular", rho_c=0.001, kappa=3))
+        assert got == pytest.approx(0.001 * (1 - math.exp(-10.0)) / 3.0, rel=1e-12)
+        h = math.sqrt(1.0 / (math.pi * 0.01))
+        got = self.density(ModelSpec("boolean", rho_b=0.01, h=h))
+        assert got == pytest.approx(0.01 * (1 - math.exp(-1.0)), rel=1e-12)
+
+    @pytest.mark.parametrize("h", [1e-6, 1e-8, 1e-160, 1e-170, 1e-300])
+    def test_hc2_tiny_radius_is_rho_p(self, h):
+        # (1 - exp(-x)) / (pi h^2) = rho_p (1 - x/2 + ...) with x = pi rho_p h^2
+        got = self.density(ModelSpec("hc2", h=h))
+        assert got <= 0.01
+        assert got == pytest.approx(0.01, rel=1e-12)
+
+    def test_tiny_exponents_do_not_underflow(self):
+        got = self.density(ModelSpec("cellular", rho_c=1e300, kappa=3))
+        assert got == pytest.approx(0.01 / 3.0, rel=1e-12)
+        got = self.density(ModelSpec("boolean", rho_b=1e-300, h=1.0))
+        assert got / (0.01 * math.pi * 1e-300) == pytest.approx(1.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # realization plumbing
 # ---------------------------------------------------------------------------
 
@@ -474,6 +527,11 @@ class TestRealization:
         buf = io.StringIO()
         realization_to_csv(r, buf)
         assert buf.getvalue() == text
+
+    def test_cluster_count_is_derived(self):
+        cfg = config(ModelSpec("boolean", h=R_T, rho_b=0.005), n_branches=4, c=10.0)
+        assert cfg.n_clusters == round(math.pi * 0.005 * cfg.radius ** 2) == 20
+        assert config(ModelSpec("hc1", h=1.0)).n_clusters == 0
 
     def test_regime_warning(self):
         with pytest.warns(UserWarning, match="c \\* nu") as record:
