@@ -13,7 +13,8 @@ Subcommands:
 
 All commands are non-interactive; data goes to stdout or the requested
 output file, progress and diagnostics to stderr.  Exit codes: 0 success,
-2 invalid config/CSV input, 3 fixed-point bracketing failure.
+2 invalid input (a subcommand raises ConfigError; main prints
+``<command>: <message>``), 3 fixed-point bracketing failure.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ MAX_FADING_ENTRIES = 10**8
 
 
 class ConfigError(Exception):
-    """Invalid run configuration; message carries the offending key path."""
+    """Invalid input; the message names the offending key path, flag or CSV field."""
 
 
 def _fmt(value) -> str:
@@ -263,11 +264,7 @@ def report_to_csv(report: montecarlo.ExperimentReport) -> str:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        spec = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    spec = load_config(args.config)
     if args.seed is not None:
         spec = replace(spec, master_seed=args.seed)
     if args.replications is not None:
@@ -300,12 +297,6 @@ def _given(args, flags: tuple[str, ...]) -> str:
     )
 
 
-def _out_of_range(command: str, args, flags: tuple[str, ...], exc: Exception) -> int:
-    """Report flag values the formulas cannot evaluate (overflow and the like)."""
-    print(f"{command}: cannot evaluate at {_given(args, flags)}: {exc}", file=sys.stderr)
-    return 2
-
-
 def _asymptote_lines(args) -> list[str]:
     params = AsymptoticParams(rho_p=args.rho_p, c=args.c, alpha=args.alpha, nu=args.nu)
     sol = asymptotics.solve_beta_fixed_point(params)
@@ -329,19 +320,12 @@ def _asymptote_lines(args) -> list[str]:
         rate_lc = asymptotics.rate_approx(args.n_branches, params.rho, params.alpha, args.r_t)
         lines.append(f"rate at N={args.n_branches}, r_T={args.r_t:.9g}: "
                      f"fixed point {rate_fp:.9g}, large-c {rate_lc:.9g} bits/symbol")
-    if args.rho_c is not None and args.n_branches is not None:
-        kappa_star = asymptotics.optimal_reuse(
-            args.alpha, args.n_branches, args.rho_p, args.rho_c
-        )
-        lines.append(f"optimal reuse kappa*     {kappa_star:.9g}")
     return lines
 
 
 def cmd_asymptote(args) -> int:
-    if args.n_branches is None and (args.r_t is not None or args.rho_c is not None):
-        flag = "--r-t" if args.r_t is not None else "--rho-c"
-        print(f"asymptote: {flag} needs --n-branches", file=sys.stderr)
-        return 2
+    if args.n_branches is None and args.r_t is not None:
+        raise ConfigError("--r-t needs --n-branches")
     try:
         lines = _asymptote_lines(args)
     except NoBracket as exc:
@@ -352,8 +336,8 @@ def cmd_asymptote(args) -> int:
         )
         return 3
     except (ValueError, ArithmeticError) as exc:
-        flags = ("--alpha", "--rho-p", "--nu", "--c", "--n-branches", "--r-t", "--rho-c")
-        return _out_of_range("asymptote", args, flags, exc)
+        flags = ("--alpha", "--rho-p", "--nu", "--c", "--n-branches", "--r-t")
+        raise ConfigError(f"cannot evaluate at {_given(args, flags)}: {exc}") from exc
     print("\n".join(lines))
     return 0
 
@@ -365,18 +349,18 @@ def cmd_density(args) -> int:
         )
         config = NetworkConfig(
             rho_p=args.rho_p,
-            alpha=args.alpha,
+            alpha=4.0,  # activation reads alpha only under power control, which density never sets
             n_branches=args.n_branches,
             c=args.c,
             r_t=args.r_t if args.r_t else math.sqrt(1.0 / (math.pi * args.rho_p)),
             model=model,
         )
         _check_size(config, "--c, --n-branches", "--rho-b")
-    except (ValueError, ConfigError) as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     except ArithmeticError as exc:
-        return _out_of_range("density", args, ("--rho-p", "--c", "--n-branches", "--rho-b"), exc)
+        flags = ("--rho-p", "--c", "--n-branches", "--rho-b")
+        raise ConfigError(f"cannot evaluate at {_given(args, flags)}: {exc}") from exc
     predicted = config.predicted_density()
     if not predicted > 0.0:
         # a limiting density can underflow to 0 (a huge exclusion radius,
@@ -384,9 +368,8 @@ def cmd_density(args) -> int:
         # divide by it.  Name rho_p and the model's own parameters.
         own = (f"--{key.replace('_', '-')}" for key in MODEL_PARAMS[args.model])
         given = _given(args, ("--rho-p", *own))
-        print(f"density: the limiting active density of model {args.model!r} is "
-              f"{predicted:.3g} at {given}; nothing to compare against", file=sys.stderr)
-        return 2
+        raise ConfigError(f"the limiting active density of model {args.model!r} is "
+                          f"{predicted:.3g} at {given}; nothing to compare against")
     simulated = montecarlo.density_estimate(config, args.replications, args.seed)
     nu = config.nu_expected
     n = config.n_nodes
@@ -404,7 +387,19 @@ def cmd_density(args) -> int:
     return 0 if inside else 1
 
 
+def _csv_number(text: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_csv(path: str) -> list[dict]:
+    """The rows of a simulate report; the plotted columns become numbers, or
+    None where a failed point or a single replication left them empty."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().split("\n") if ln.strip()]
@@ -418,22 +413,21 @@ def _parse_csv(path: str) -> list[dict]:
         parts = line.split(",")
         if len(parts) != len(cols):
             raise ConfigError(f"line {lineno}: expected {len(cols)} fields, got {len(parts)}")
-        rows.append(dict(zip(cols, parts)))
+        row = dict(zip(cols, parts))
+        for col in ("N", "mean_rate", "std_rate", "asymptote"):
+            where = f"line {lineno}, column {col}"
+            row[col] = _csv_number(row[col], where) if row[col] or col == "N" else None
+        rows.append(row)
     if not rows:
         raise ConfigError("report has no data rows")
     return rows
 
 
 def cmd_plot(args) -> int:
-    try:
-        rows = _parse_csv(args.report)
-    except ConfigError as exc:
-        print(f"plot error: {exc}", file=sys.stderr)
-        return 2
     series: dict[tuple, RateSeries] = {}
     skipped = 0
-    for row in rows:
-        if row["mean_rate"] == "":
+    for row in _parse_csv(args.report):
+        if row["mean_rate"] is None:
             skipped += 1
             continue
         key = (row["model"], row["model_params"])
@@ -447,15 +441,14 @@ def cmd_plot(args) -> int:
                 asymptote=[],
             ),
         )
-        s.n_values.append(float(row["N"]))
-        s.mean.append(float(row["mean_rate"]))
-        s.std.append(float(row["std_rate"]) if row["std_rate"] else 0.0)
-        s.asymptote.append(float(row["asymptote"]) if row["asymptote"] else float("nan"))
+        s.n_values.append(row["N"])
+        s.mean.append(row["mean_rate"])
+        s.std.append(0.0 if row["std_rate"] is None else row["std_rate"])
+        s.asymptote.append(row["asymptote"])
     if skipped:
         print(f"skipped {skipped} failed rows", file=sys.stderr)
     if not series:
-        print("plot error: no plottable rows", file=sys.stderr)
-        return 2
+        raise ConfigError("no plottable rows")
     svg = render_rate_chart(list(series.values()), title=args.title)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(svg)
@@ -470,7 +463,7 @@ def cmd_reuse_opt(args) -> int:
         )
     except (ValueError, ArithmeticError) as exc:
         flags = ("--alpha", "--n-branches", "--rho-p", "--rho-c")
-        return _out_of_range("reuse-opt", args, flags, exc)
+        raise ConfigError(f"cannot evaluate at {_given(args, flags)}: {exc}") from exc
     print(f"optimal reuse kappa* {kappa_star:.9g}")
     nearest = max(1, round(kappa_star))
     print(f"nearest integer      {nearest}")
@@ -547,13 +540,11 @@ def _build_parser() -> argparse.ArgumentParser:
     asym.add_argument("--c", type=_real_above(0.0), required=True, help="ratio n/N")
     asym.add_argument("--n-branches", type=_int_at_least(1), default=None, dest="n_branches")
     asym.add_argument("--r-t", type=_real_above(0.0), default=None, dest="r_t")
-    asym.add_argument("--rho-c", type=_real_above(0.0), default=None, dest="rho_c")
     asym.set_defaults(func=cmd_asymptote)
 
     dens = sub.add_parser("density", help="predicted vs simulated active density")
     dens.add_argument("--model", required=True, choices=MODEL_NAMES)
     dens.add_argument("--rho-p", type=_real_above(0.0), required=True, dest="rho_p")
-    dens.add_argument("--alpha", type=_real_above(2.0), default=4.0)
     dens.add_argument("--c", type=_real_above(0.0), required=True)
     dens.add_argument("--n-branches", type=_int_at_least(1), required=True, dest="n_branches")
     dens.add_argument("--h", type=float, default=None)
@@ -582,7 +573,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -168,8 +168,6 @@ class StatSummary:
     mean: float
     std: float | None  # None when count == 1
     count: int
-    min: float
-    max: float
 
     @property
     def sem(self) -> float | None:
@@ -179,7 +177,7 @@ class StatSummary:
 
 
 def summarize(values) -> StatSummary:
-    """Mean, unbiased (n-1) standard deviation, count, min, max."""
+    """Mean, unbiased (n-1) standard deviation and count."""
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty sample")
@@ -188,8 +186,6 @@ def summarize(values) -> StatSummary:
         mean=float(arr.mean()),
         std=std,
         count=int(arr.size),
-        min=float(arr.min()),
-        max=float(arr.max()),
     )
 
 

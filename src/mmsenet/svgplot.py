@@ -19,18 +19,17 @@ _ML, _MR, _MT, _MB = 64, 16, 28, 48  # margins
 
 @dataclass
 class RateSeries:
-    """One curve: simulated means vs N, optional std-dev and asymptote overlays."""
+    """One curve: simulated means vs N, optional std-dev and asymptote overlays
+    (an asymptote of None leaves its point out of the overlay)."""
 
     label: str
     n_values: list[float]
     mean: list[float]
     std: list[float] | None = None
-    asymptote: list[float] | None = None
+    asymptote: list[float | None] | None = None
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -52,11 +51,12 @@ def render_rate_chart(series: list[RateSeries], title: str = "") -> str:
     if not series or not any(s.n_values for s in series):
         raise ValueError("nothing to plot")
 
+    overlays = [
+        [(x, a) for x, a in zip(s.n_values, s.asymptote or ()) if a is not None] for s in series
+    ]
     xs = [x for s in series for x in s.n_values]
-    ys = [y for s in series for y in s.mean]
+    ys = [y for s in series for y in s.mean] + [a for ov in overlays for _, a in ov]
     for s in series:
-        if s.asymptote:
-            ys.extend(s.asymptote)
         if s.std:
             ys.extend(s.std)
     x_lo, x_hi = min(xs), max(xs)
@@ -131,8 +131,8 @@ def render_rate_chart(series: list[RateSeries], title: str = "") -> str:
 
     for k, s in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
-        if s.asymptote:
-            polyline(list(zip(s.n_values, s.asymptote)), color, 1.0)
+        if overlays[k]:
+            polyline(overlays[k], color, 1.0)
         polyline(list(zip(s.n_values, s.mean)), color, 1.8)
         for x, y in zip(s.n_values, s.mean):
             out.append(

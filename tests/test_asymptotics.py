@@ -231,6 +231,35 @@ class TestFixedPoint:
         ((lo, hi),) = brackets
         assert (calls.count(lo), calls.count(hi)) == (1, 1)
 
+    @pytest.mark.parametrize("c,expansions,rel", [(1.01, 1, 1e-9), (1.001, 2, 1e-8)])
+    def test_bracket_expands_near_unit_c(self, monkeypatch, c, expansions, rel):
+        # the root is 83x (c = 1.01) and 823x (c = 1.001) the large-c value b,
+        # outside the first bracket [b/10, 10 b]
+        brackets = []
+        brentq = asymptotics.optimize.brentq
+
+        def spy(f, a, b, **kwargs):
+            brackets.append((a, b))
+            return brentq(f, a, b, **kwargs)
+
+        monkeypatch.setattr(asymptotics.optimize, "brentq", spy)
+        p = params(alpha=4.0, nu=1.0, c=c)
+        assert solve_beta_fixed_point(p).beta == pytest.approx(fixed_point_oracle(p), rel=rel)
+        width = 10.0 ** (expansions + 1)
+        center = beta_large_c(p.rho, p.alpha)
+        for lo, hi in brackets:
+            assert (lo, hi) == pytest.approx((center / width, center * width), rel=1e-12)
+        assert len(brackets) == 2
+
+    def test_oracle_frozen_next_to_unit_c(self):
+        # c = 1 + 1e-8 (the nearest double), where the 2F1 fixed point is 9e-2
+        # off (see solve_beta_fixed_point); mpmath 60 digits, from the alpha = 4
+        # closed form pi rho sqrt(g) atan(c / (pi rho_p sqrt(g))) = 1 of the
+        # activity integral
+        assert fixed_point_oracle(params(alpha=4.0, nu=1.0, c=1.0 + 1e-8)) == pytest.approx(
+            33773728491.3228438, rel=1e-8
+        )
+
     def test_no_thinning_equals_unit_nu(self):
         p1 = params(alpha=4.0, nu=1.0, c=50.0)
         assert fixed_point_oracle(p1) == pytest.approx(
@@ -335,6 +364,41 @@ class TestRateFormulas:
         k_full = optimal_reuse(3.0, 4, 1.0, 1e-4)
         k_part = optimal_reuse(3.0, 4, lam, 1.0)
         assert k_part / k_full / occupancy == pytest.approx(1.0, rel=1e-9)
+
+
+class TestInputGuards:
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("rho_p", 0.0, "rho_p must be positive"),
+            ("c", -1.0, "c must be positive"),
+            ("alpha", 2.0, "alpha must exceed 2"),
+            ("alpha", math.nan, "alpha must exceed 2"),
+            ("nu", 0.0, "nu must lie in"),
+            ("nu", 1.5, "nu must lie in"),
+        ],
+    )
+    def test_params_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            AsymptoticParams(**{"rho_p": 0.01, "c": 50.0, "alpha": 4.0, field: value})
+
+    @pytest.mark.parametrize(
+        "formula,args,message",
+        [
+            (beta_large_c, (0.0, 4.0), "rho must be positive"),
+            (beta_large_c, (0.01, 2.0), "alpha must exceed 2"),
+            (rate_approx, (4, 0.01, 4.0, 0.0), "must be positive"),
+            (rate_approx, (4, 0.01, 1.5, 5.0), "alpha must exceed 2"),
+            (cell_edge_rate, (4, 0, 4.0, 0.01, 0.001), "must be positive"),
+            (cell_edge_rate, (4, 3, 2.0, 0.01, 0.001), "alpha must exceed 2"),
+            (optimal_reuse, (4.0, 4, 0.01, 0.0), "must be positive"),
+            (optimal_reuse, (2.0, 4, 0.01, 0.001), "alpha must exceed 2"),
+        ],
+        ids=lambda v: v.__name__ if callable(v) else None,
+    )
+    def test_formula_inputs_rejected(self, formula, args, message):
+        with pytest.raises(ValueError, match=message):
+            formula(*args)
 
 
 class TestLimitingEdf:

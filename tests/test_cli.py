@@ -3,12 +3,14 @@ plotting round trip, exit codes."""
 
 import json
 import math
+import pathlib
+import shlex
 import warnings
 
 import pytest
 
 from mmsenet.asymptotics import AsymptoticParams, rate_approx, solve_beta_fixed_point
-from mmsenet.cli import CSV_COLUMNS, ConfigError, load_config, main
+from mmsenet.cli import CSV_COLUMNS, ConfigError, _build_parser, load_config, main
 
 RHO_P = 0.01
 R_T = math.sqrt(1.0 / (math.pi * RHO_P))
@@ -366,15 +368,6 @@ class TestAsymptoteCmd:
         lo, hi = min(vals), max(vals)
         assert (hi - lo) / lo < 5e-3
 
-    def test_reuse_echo(self, capsys):
-        assert main([
-            "asymptote", "--alpha", "2.5", "--rho-p", "1.0", "--c", "50",
-            "--n-branches", "4", "--rho-c", "0.0001",
-        ]) == 0
-        out = capsys.readouterr().out
-        kappa_line = [l for l in out.split("\n") if "kappa*" in l][0]
-        assert float(kappa_line.split()[-1]) == pytest.approx(1.005, abs=0.01)
-
     def test_rate_line(self, capsys):
         assert main([
             "asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "100",
@@ -487,6 +480,26 @@ class TestPlotCmd:
         main(["simulate", "--config", str(cfg), "--out", str(out)])
         return out
 
+    ROW = {
+        "model": "hc1", "N": "2", "c": "50", "alpha": "4", "rho_p": "0.01",
+        "model_params": "h=2.82", "mean_rate": "3.5", "std_rate": "1.2", "sem": "0.69",
+        "asymptote": "3.9", "rel_gap": "0.1", "empirical_density": "0.0063",
+        "predicted_density": "0.0063", "seed": "11",
+    }
+
+    def write_report(self, tmp_path, *rows):
+        """A report with one line per row, each a dict of fields that differ from ROW."""
+        lines = [CSV_COLUMNS]
+        for row in rows:
+            fields = {**self.ROW, **row}
+            lines.append(",".join(fields[col] for col in CSV_COLUMNS.split(",")))
+        path = tmp_path / "report.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def plot(self, report, svg, *flags):
+        return main(["plot", "--report", str(report), "--out", str(svg), *flags])
+
     def test_round_trip_and_determinism(self, tmp_path):
         report = self.make_report(tmp_path)
         svg1 = tmp_path / "a.svg"
@@ -509,6 +522,54 @@ class TestPlotCmd:
         empty.write_text(CSV_COLUMNS + "\n")
         assert main(["plot", "--report", str(empty), "--out", str(tmp_path / "y.svg")]) == 2
         assert not (tmp_path / "y.svg").exists()
+
+    @pytest.mark.parametrize(
+        "column,text",
+        [("mean_rate", "abc"), ("mean_rate", "inf"), ("std_rate", "nan"), ("N", ""),
+         ("asymptote", "1e999")],
+    )
+    def test_field_not_a_finite_number_exit_2(self, tmp_path, capsys, column, text):
+        report = self.write_report(tmp_path, {}, {"N": "4", column: text})
+        assert self.plot(report, tmp_path / "x.svg") == 2
+        assert capsys.readouterr().err == (
+            f"plot: line 3, column {column}: expected a finite number, got {text!r}\n"
+        )
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_overlay_skips_points_without_asymptote(self, tmp_path):
+        report = self.write_report(
+            tmp_path, {"N": "2"}, {"N": "4", "asymptote": ""}, {"N": "8", "asymptote": "4.5"}
+        )
+        svg = tmp_path / "x.svg"
+        assert self.plot(report, svg) == 0
+        text = svg.read_text()
+        assert "nan" not in text
+        overlay = [line for line in text.splitlines()
+                   if line.startswith("<polyline") and 'stroke-width="1.0"' in line]
+        assert len(overlay) == 1 and overlay[0].split('"')[1].count(",") == 2
+
+    def test_failed_rows_skipped(self, tmp_path, capsys):
+        failed = {"mean_rate": "", "std_rate": "", "sem": "", "rel_gap": ""}
+        report = self.write_report(tmp_path, {"N": "2"}, {"N": "4", **failed},
+                                   {"N": "8", **failed})
+        assert self.plot(report, tmp_path / "x.svg") == 0
+        assert "skipped 2 failed rows" in capsys.readouterr().err
+
+    def test_every_row_failed_exit_2(self, tmp_path, capsys):
+        report = self.write_report(tmp_path, {"mean_rate": "", "std_rate": ""})
+        assert self.plot(report, tmp_path / "x.svg") == 2
+        assert capsys.readouterr().err.endswith("plot: no plottable rows\n")
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_single_n_renders(self, tmp_path):
+        svg = tmp_path / "x.svg"
+        assert self.plot(self.write_report(tmp_path, {}), svg) == 0
+        assert svg.read_text().count("<circle") == 1
+
+    def test_title_escaped(self, tmp_path):
+        svg = tmp_path / "x.svg"
+        assert self.plot(self.write_report(tmp_path, {}), svg, "--title", "a<b & c") == 0
+        assert ">a&lt;b &amp; c</text>" in svg.read_text()
 
 
 class TestReuseOptCmd:
@@ -612,11 +673,6 @@ class TestArgumentErrors:
                 id="asymptote-r_t-inf",
             ),
             pytest.param(
-                ["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "100",
-                 "--n-branches", "4", "--rho-c", "0"], "--rho-c",
-                id="asymptote-rho_c-zero",
-            ),
-            pytest.param(
                 ["reuse-opt", "--alpha", "4", "--n-branches", "0", "--rho-p", "1",
                  "--rho-c", "0.001"], "--n-branches",
                 id="reuse-n_branches-zero",
@@ -715,13 +771,27 @@ class TestArgumentErrors:
         assert captured.out == ""
         assert "limiting active density" in captured.err and given in captured.err
 
-    @pytest.mark.parametrize("flag,value", [("--r-t", "5.64"), ("--rho-c", "0.001")])
+    @pytest.mark.parametrize("flag,value", [("--r-t", "5.64")])
     def test_asymptote_flag_needs_branches(self, capsys, flag, value):
         code = main(["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "100", flag, value])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert f"{flag} needs --n-branches" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["asymptote", "--alpha", "2.5", "--rho-p", "1", "--c", "50",
+                          "--n-branches", "4", "--rho-c", "0.001"], id="asymptote-rho_c"),
+            pytest.param(["density", "--model", "independent", "--rho-p", "0.01", "--c", "10",
+                          "--n-branches", "2", "--alpha", "3"], id="density-alpha"),
+        ],
+    )
+    def test_removed_flags_rejected(self, capsys, argv):
+        code, err = self.exit_code_and_stderr(argv, capsys)
+        assert code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
 
     def test_density_replications_zero(self, capsys):
         code, err = self.exit_code_and_stderr(
@@ -731,3 +801,54 @@ class TestArgumentErrors:
         )
         assert code == 2
         assert "--replications" in err
+
+
+class TestInvalidInputExit:
+    """main alone turns invalid input into exit 2, prefixing the command."""
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            pytest.param(["simulate", "--config", "{config}"],
+                         "simulate: config: missing required key 'schema_version'\n",
+                         id="simulate"),
+            pytest.param(["density", "--model", "hc1", "--rho-p", "0.01", "--c", "10",
+                          "--n-branches", "2"],
+                         "density: model 'hc1' needs h >= 0, got h=None\n", id="density"),
+            pytest.param(["plot", "--report", "{config}", "--out", "{config}.svg"],
+                         "plot: malformed report: expected header " + repr(CSV_COLUMNS) + "\n",
+                         id="plot"),
+            pytest.param(["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "100",
+                          "--r-t", "5.64"], "asymptote: --r-t needs --n-branches\n",
+                         id="asymptote"),
+        ],
+    )
+    def test_message_names_the_command(self, tmp_path, capsys, argv, err):
+        config = tmp_path / "c.json"
+        config.write_text("{}")
+        assert main([arg.format(config=config) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err
+
+    def test_other_errors_keep_their_traceback(self, tmp_path, monkeypatch):
+        from mmsenet import montecarlo
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("a bug, not invalid input")
+
+        monkeypatch.setattr(montecarlo, "run_experiment", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["simulate", "--config", str(write_config(tmp_path / "c.json"))])
+
+
+def test_readme_command_lines_parse():
+    """Every command line of the README's "Command line" block parses (nothing runs)."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("mmsenet")]
+    assert {argv[0] for argv in commands} == {
+        "simulate", "plot", "asymptote", "density", "reuse-opt"
+    }
+    for argv in commands:
+        _build_parser().parse_args(argv)

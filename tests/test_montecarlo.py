@@ -91,6 +91,10 @@ class TestRunRealization:
         b = run_realization(cfg, derive_seed(7, 1, 2))
         assert a == b
 
+    def test_integer_seed(self):
+        cfg = config(ModelSpec("hc2", h=0.5 * R_T))
+        assert run_realization(cfg, 5) == run_realization(cfg, np.random.SeedSequence(5))
+
     def test_distinct_replications_differ(self):
         cfg = config(ModelSpec("hc2", h=0.5 * R_T))
         a = run_realization(cfg, derive_seed(7, 1, 2))
@@ -479,6 +483,12 @@ class TestBlocks:
         point1 = [run_realization(rep.points[1].config, derive_seed(self.SEED, 1, r))
                   for r in range(30)]
         assert rep.points[1].rate == summarize(s.rate for s in point1)
+
+    def test_realization_fails_when_no_redraw_is_left(self, monkeypatch):
+        cfg = self.config("boolean_redraw")
+        monkeypatch.setattr(montecarlo, "MAX_REDRAWS", 0)
+        with pytest.raises(RealizationFailed, match="for N=16, model='boolean'"):
+            run_realization(cfg, derive_seed(self.SEED, 0, 13))
 
     def test_worker_count_does_not_change_results(self):
         cfg = self.config("hc2")
