@@ -315,7 +315,7 @@ def _asymptote_lines(args) -> list[str]:
         f"rel diff fp vs large-c   {rel(sol.beta, large_c):.3g}",
         f"rel diff oracle/large-c  {rel(oracle, large_c):.3g}",
     ]
-    if args.n_branches is not None and args.r_t is not None:
+    if args.n_branches is not None:
         rate_fp = sol.rate(args.n_branches, args.r_t)
         rate_lc = asymptotics.rate_approx(args.n_branches, params.rho, params.alpha, args.r_t)
         lines.append(f"rate at N={args.n_branches}, r_T={args.r_t:.9g}: "
@@ -326,6 +326,8 @@ def _asymptote_lines(args) -> list[str]:
 def cmd_asymptote(args) -> int:
     if args.n_branches is None and args.r_t is not None:
         raise ConfigError("--r-t needs --n-branches")
+    if args.r_t is None and args.n_branches is not None:
+        raise ConfigError("--n-branches needs --r-t")
     try:
         lines = _asymptote_lines(args)
     except NoBracket as exc:
@@ -387,13 +389,25 @@ def cmd_density(args) -> int:
     return 0 if inside else 1
 
 
-def _csv_number(text: str, where: str) -> float:
+# what a report's plotted columns can hold: N counts branches, and a rate
+# log2(1 + SIR) of a finite SIR lies in [0, 1024] bits/symbol
+_PLOT_RANGES = {
+    "N": (1.0, math.inf),
+    "mean_rate": (0.0, 1024.0),
+    "std_rate": (0.0, 1024.0),
+    "asymptote": (0.0, 1024.0),
+}
+
+
+def _csv_number(text: str, where: str, lo: float, hi: float) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise ConfigError(f"{where}: expected a finite number, got {text!r}")
+    if not lo <= value <= hi:
+        raise ConfigError(f"{where}: expected a number in [{lo:g}, {hi:g}], got {text!r}")
     return value
 
 
@@ -414,9 +428,9 @@ def _parse_csv(path: str) -> list[dict]:
         if len(parts) != len(cols):
             raise ConfigError(f"line {lineno}: expected {len(cols)} fields, got {len(parts)}")
         row = dict(zip(cols, parts))
-        for col in ("N", "mean_rate", "std_rate", "asymptote"):
+        for col, (lo, hi) in _PLOT_RANGES.items():
             where = f"line {lineno}, column {col}"
-            row[col] = _csv_number(row[col], where) if row[col] or col == "N" else None
+            row[col] = _csv_number(row[col], where, lo, hi) if row[col] or col == "N" else None
         rows.append(row)
     if not rows:
         raise ConfigError("report has no data rows")

@@ -57,34 +57,18 @@ def derive_seed(
     )
 
 
-def _member(config: NetworkConfig, rng: np.random.Generator):
-    """Positions -> activation -> fading -> covariance of one attempt.
-
-    Returns (g_t, covariance, active count); the N x k interferer fading
-    matrix is dropped on return.
-    """
-    alpha = config.alpha
-    real = pointproc.realize(config, rng)
-    act = real.active
-    pos = real.positions[act]
-    radii = np.hypot(pos[:, 0], pos[:, 1])
-    weights = real.power_weight[act] * radii ** -alpha
-    count = int(act.sum())
-    fading = mmse.draw_fading(config.n_branches, count, rng)
-    return fading.g_t, mmse.interference_covariance(fading.interferers, weights), count
-
-
 def _run_block(config: NetworkConfig, entropy, keys) -> list[SirSample | None]:
     """Realizations of one configuration, solved as a stack.
 
     keys[i] is the spawn key of member i; attempt a of that member draws from
     Philox(SeedSequence(entropy, spawn_key=keys[i] + (a,))).  Each round
-    builds every pending member's covariance and solves the stack with one
-    batched kernel; only the singular members are redrawn, at the next
-    attempt, up to MAX_REDRAWS times.  A member that never gets a usable
-    covariance is None.  No diagonal loading is applied anywhere: that would
-    quietly turn the SIR into an SINR and bias comparisons against the
-    noise-free theory.
+    realizes every pending member's geometry in stacked passes
+    (pointproc.interference_weights), then draws its fading and builds its
+    covariance, and solves the stack with one batched kernel; only the
+    singular members are redrawn, at the next attempt, up to MAX_REDRAWS
+    times.  A member that never gets a usable covariance is None.  No
+    diagonal loading is applied anywhere: that would quietly turn the SIR
+    into an SINR and bias comparisons against the noise-free theory.
     """
     n = config.n_branches
     signal_weight = config.r_t ** config.alpha if config.model.power_control else 1.0
@@ -93,15 +77,23 @@ def _run_block(config: NetworkConfig, entropy, keys) -> list[SirSample | None]:
     for attempt in range(MAX_REDRAWS + 1):
         if not pending:
             break
+        rngs = [
+            pointproc.as_generator(
+                np.random.SeedSequence(entropy=entropy, spawn_key=(*keys[i], attempt))
+            )
+            for i in pending
+        ]
+        weights = pointproc.interference_weights(config, rngs)
         g_t = np.empty((len(pending), n), dtype=complex)
         cov = np.empty((len(pending), n, n), dtype=complex)
-        counts = []
-        for j, i in enumerate(pending):
-            ss = np.random.SeedSequence(entropy=entropy, spawn_key=(*keys[i], attempt))
-            g_t[j], cov[j], count = _member(config, pointproc.as_generator(ss))
-            counts.append(count)
+        for j, (rng, w) in enumerate(zip(rngs, weights)):
+            # the fading follows the member's geometry draws in its stream;
+            # the N x k interferer matrix is dropped once its covariance is built
+            fading = mmse.draw_fading(n, w.size, rng)
+            g_t[j] = fading.g_t
+            cov[j] = mmse.interference_covariance(fading.interferers, w)
         solved = mmse.sir_samples(
-            g_t, cov, config.r_t, config.alpha, counts, n_branches=n,
+            g_t, cov, config.r_t, config.alpha, [w.size for w in weights], n_branches=n,
             signal_weight=signal_weight,
         )
         for i, sample in zip(pending, solved):

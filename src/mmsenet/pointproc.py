@@ -22,7 +22,9 @@ Geometry conventions: the receiver sits at the origin, the representative
 transmitter at (r_T, 0), and R is derived from (N, c, rho_p) so that
 n = round(pi rho_p R^2) = round(c N).  All randomness flows through an
 explicit seed or numpy Generator, making every realization reproducible
-byte for byte.
+byte for byte.  Many realizations of one configuration are sampled as one
+stack, each from its own generator, and every realization equals the one
+realize draws alone from that generator.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "schedule_cellular",
     "activate_boolean",
     "realize",
+    "interference_weights",
     "realization_to_csv",
 ]
 
@@ -79,6 +82,12 @@ _PARAM_RULES = {
 }
 
 _CSV_HEADER = "x,y,mark,active,power_weight,serving_distance"
+
+# most nodes (cluster centers counted) in one stacked geometry pass, about
+# 5 MB of pass arrays: a whole block of 800-node networks fits in one pass,
+# while blocks of 12800-node cellular or 16000-node Boolean networks go two
+# members at a time instead of adding tens of MB to the peak footprint
+_NODE_BUDGET = 2 ** 15
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -269,25 +278,57 @@ class Realization:
 def sample_potential_interferers(config: NetworkConfig, seed) -> np.ndarray:
     """n points uniform on the network disk, deterministic given the seed."""
     rng = as_generator(seed)
-    return _uniform_disk(rng, config.n_nodes, config.radius)
+    n = config.n_nodes
+    u = rng.random(2 * n)
+    return _to_disk(config.radius, u[:n], u[n:])
 
 
-def _uniform_disk(rng: np.random.Generator, count: int, radius: float) -> np.ndarray:
-    r = radius * np.sqrt(rng.random(count))
-    theta = 2.0 * math.pi * rng.random(count)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+def _to_disk(radius: float, u_r: np.ndarray, u_theta: np.ndarray) -> np.ndarray:
+    """Uniform [0, 1) radius and angle draws -> points uniform on the disk, (..., 2)."""
+    r = radius * np.sqrt(u_r)
+    theta = 2.0 * math.pi * u_theta
+    points = np.empty(r.shape + (2,))
+    points[..., 0] = r * np.cos(theta)
+    points[..., 1] = r * np.sin(theta)
+    return points
 
 
-def _close_pairs(positions: np.ndarray, h: float) -> np.ndarray:
-    """Index pairs at mutual distance strictly below h."""
-    pairs = cKDTree(positions).query_pairs(h, output_type="ndarray")
-    if pairs.size == 0:
-        return pairs.reshape(0, 2)
-    d = np.linalg.norm(positions[pairs[:, 0]] - positions[pairs[:, 1]], axis=1)
-    return pairs[d < h]
+def _within(dx: np.ndarray, dy: np.ndarray, h: float) -> np.ndarray:
+    # equal bit for bit to np.linalg.norm(np.column_stack((dx, dy)), axis=1) < h
+    return np.sqrt(dx * dx + dy * dy) < h
 
-def _near_point(positions: np.ndarray, point: np.ndarray, h: float) -> np.ndarray:
-    return np.linalg.norm(positions - point, axis=1) < h
+
+def _hard_core(
+    positions: np.ndarray, marks: np.ndarray | None, x_t: np.ndarray, h: float
+) -> np.ndarray:
+    """hc1 (marks None) or hc2 activation of a stack of members.
+
+    positions is (B, n, 2) and marks (B, n); returns the (B, n) activation.
+    Each member's close pairs come from its own KD-tree; the distance recheck
+    and the guard around x_t run once over the stack.
+    """
+    b, n = positions.shape[:2]
+    active = np.ones(b * n, dtype=bool)
+    if h <= 0:
+        return active.reshape(b, n)
+    x, y = positions[..., 0].ravel(), positions[..., 1].ravel()
+    # query_pairs yields i < j; shifted to indices into the flattened stack
+    pairs = np.concatenate([
+        cKDTree(member).query_pairs(h, output_type="ndarray").reshape(-1, 2) + k * n
+        for k, member in enumerate(positions)
+    ])
+    i, j = pairs[:, 0], pairs[:, 1]
+    close = _within(x[i] - x[j], y[i] - y[j], h)
+    i, j = i[close], j[close]
+    if marks is None:
+        active[i] = False
+        active[j] = False
+    else:
+        # the lower mark survives; equal marks dominate the larger index
+        flat_marks = marks.ravel()
+        active[np.where(flat_marks[i] <= flat_marks[j], j, i)] = False
+    active[_within(x - x_t[0], y - x_t[1], h)] = False
+    return active.reshape(b, n)
 
 
 def thin_hc1(positions: np.ndarray, x_t: np.ndarray, h: float) -> np.ndarray:
@@ -295,14 +336,7 @@ def thin_hc1(positions: np.ndarray, x_t: np.ndarray, h: float) -> np.ndarray:
 
     Distances exactly equal to h do not deactivate; comparisons are strict.
     """
-    n = positions.shape[0]
-    active = np.ones(n, dtype=bool)
-    if h <= 0:
-        return active
-    pairs = _close_pairs(positions, h)
-    active[pairs.ravel()] = False
-    active[_near_point(positions, x_t, h)] = False
-    return active
+    return _hard_core(positions[None], None, x_t, h)[0]
 
 
 def thin_hc2(
@@ -314,19 +348,24 @@ def thin_hc2(
     lower node index for determinism.  Nodes within h of the representative
     transmitter are muted regardless of mark.
     """
-    n = positions.shape[0]
-    active = np.ones(n, dtype=bool)
-    if h <= 0:
-        return active
-    pairs = _close_pairs(positions, h)
-    if pairs.size:
-        i, j = pairs[:, 0], pairs[:, 1]
-        # query_pairs yields i < j, so equal marks dominate the larger index
-        i_wins = marks[i] <= marks[j]
-        losers = np.where(i_wins, j, i)
-        active[losers] = False
-    active[_near_point(positions, x_t, h)] = False
-    return active
+    return _hard_core(positions[None], marks[None], x_t, h)[0]
+
+
+def _boolean(positions: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
+    """Boolean activation of a stack: positions (B, n, 2), centers (B, m, 2).
+
+    One KD-tree per member over its centers; the strict test runs over the
+    stack.
+    """
+    b, n = positions.shape[:2]
+    if h <= 0 or centers.shape[1] == 0:
+        return np.zeros((b, n), dtype=bool)
+    nearest = np.empty((b, n))
+    for k in range(b):
+        nearest[k], _ = cKDTree(centers[k], balanced_tree=False).query(
+            positions[k], k=1, distance_upper_bound=h
+        )
+    return nearest < h
 
 
 def activate_boolean(
@@ -336,14 +375,9 @@ def activate_boolean(
 
     The tree query stops at h: a node with no center within h gets an
     infinite distance, and a center exactly at h gives h or infinity, so the
-    strict test below decides the same as an unbounded nearest-center query.
+    strict test decides the same as an unbounded nearest-center query.
     """
-    n = positions.shape[0]
-    if h <= 0 or centers.shape[0] == 0:
-        return np.zeros(n, dtype=bool)
-    tree = cKDTree(centers, balanced_tree=False)
-    nearest, _ = tree.query(positions, k=1, distance_upper_bound=h)
-    return nearest < h
+    return _boolean(positions[None], centers[None], h)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +419,20 @@ def _band0_mask(p: np.ndarray, q: np.ndarray, kappa: int) -> np.ndarray:
     Band-0 sites are integer combinations of the anchor vector (i, j) and its
     60-degree rotation (-j, i+j); solving for the combination coefficients
     and clearing the determinant kappa = i^2 + ij + j^2 gives two integrality
-    conditions.
+    conditions.  For the primes kappa = 3 and 7, q i - p j takes every
+    residue mod kappa, so its zeros form a subgroup of index kappa that
+    contains the sublattice (also of index kappa): they are the sublattice,
+    and that one condition decides.  For kappa = 4 (anchor (2, 0)) it takes
+    only even residues, so both conditions stay; for kappa = 1 every site
+    is in band 0.
     """
+    if kappa == 1:
+        return np.ones(np.shape(p), dtype=bool)
     i, j = _KAPPA_ANCHOR[kappa]
-    return ((p * (i + j) + q * j) % kappa == 0) & ((q * i - p * j) % kappa == 0)
+    mask = (q * i - p * j) % kappa == 0
+    if kappa == 4:
+        mask &= (p * (i + j) + q * j) % kappa == 0
+    return mask
 
 
 def hex_lattice_band0(rho_c: float, kappa: int, extent: float) -> BaseStationLattice:
@@ -436,9 +480,10 @@ def _nearest_site(
     the one with the largest rounding error is re-derived from the other two
     so the three again sum to zero.  This is exact, not a heuristic: the set
     of points that round to a site is that site's hexagonal Voronoi cell.
-    Returns (p, q, distances).
+    points may carry leading axes (..., 2); returns (p, q, distances) of
+    the leading shape.
     """
-    x, y = points[:, 0], points[:, 1]
+    x, y = points[..., 0], points[..., 1]
     f2 = y / (spacing * math.sqrt(3.0) / 2.0)
     f1 = x / spacing - 0.5 * f2
     f3 = -f1 - f2
@@ -452,6 +497,32 @@ def _nearest_site(
     sy = spacing * (math.sqrt(3.0) / 2.0) * q
     d2 = (x - sx) ** 2 + (y - sy) ** 2
     return p, q, np.sqrt(d2)
+
+
+def _schedule(
+    positions: np.ndarray, marks: np.ndarray, spacing: float, kappa: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cellular activation of a stack: positions (B, n, 2), marks (B, n).
+
+    Returns the (B, n) activation and serving distances; each member's band-0
+    cells get one winner apiece.
+    """
+    b, n = positions.shape[:2]
+    p, q, serving = _nearest_site(positions, spacing)
+    active = np.zeros(b * n, dtype=bool)
+    eligible = np.flatnonzero(_band0_mask(p, q, kappa) & ((p != 0) | (q != 0)))
+    if eligible.size:
+        # one int64 key per cell (|q| < 2**31); a stable sort by (member,
+        # cell, mark) puts each cell's winner first: minimal mark, ties to
+        # the lower index
+        member = eligible // n
+        cell = (p.ravel()[eligible] << 32) + q.ravel()[eligible]
+        order = np.lexsort((marks.ravel()[eligible], cell, member))
+        member, cell = member[order], cell[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (cell[1:] != cell[:-1]) | (member[1:] != member[:-1])
+        active[eligible[order[first]]] = True
+    return active.reshape(b, n), serving
 
 
 def schedule_cellular(
@@ -470,19 +541,8 @@ def schedule_cellular(
     representative transmitter, so its occupants stay silent.  Returns the
     activation mask and each mobile's distance to its serving station.
     """
-    p, q, serving = _nearest_site(positions, spacing)
-    active = np.zeros(positions.shape[0], dtype=bool)
-    eligible = np.flatnonzero(_band0_mask(p, q, kappa) & ((p != 0) | (q != 0)))
-    if eligible.size:
-        # one int64 key per cell (|q| < 2**31); a stable sort by (cell, mark)
-        # puts each cell's winner first: minimal mark, ties to the lower index
-        cell = (p[eligible] << 32) + q[eligible]
-        order = np.lexsort((marks[eligible], cell))
-        cell_sorted = cell[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = cell_sorted[1:] != cell_sorted[:-1]
-        active[eligible[order[first]]] = True
-    return active, serving
+    active, serving = _schedule(positions[None], marks[None], spacing, kappa)
+    return active[0], serving[0]
 
 
 # ---------------------------------------------------------------------------
@@ -502,45 +562,79 @@ def lattice_for(config: NetworkConfig) -> BaseStationLattice:
     return hex_lattice_band0(spec.rho_c, spec.kappa, config.radius + 3.0 * d)
 
 
+def _realize_stack(config: NetworkConfig, rngs) -> tuple:
+    """One stacked geometry pass: a realization per generator in rngs.
+
+    Each member draws its uniforms from its own generator in a fixed order
+    (node radii, node angles, then marks for hc2 and cellular, or cluster
+    radii and angles for boolean), so a member's draws do not depend on the
+    stack.  The disk transform, activation and power weights then run once
+    over the stack, with one KD-tree per member.  Returns the Realization
+    fields (positions, marks, active, power_weight, serving_distance), each
+    with a leading member axis, or None where the model has no such field.
+    """
+    spec, n, m = config.model, config.n_nodes, config.n_clusters
+    extra = {"hc2": n, "cellular": n, "boolean": 2 * m}.get(spec.name, 0)
+    u = np.empty((len(rngs), 2 * n + extra))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    positions = _to_disk(config.radius, u[:, :n], u[:, n:2 * n])
+    marks = serving = None
+
+    if spec.name == "independent":
+        active = np.ones((len(rngs), n), dtype=bool)
+    elif spec.name == "hc1":
+        active = _hard_core(positions, None, config.x_t, spec.h)
+    elif spec.name == "hc2":
+        marks = u[:, 2 * n:]
+        active = _hard_core(positions, marks, config.x_t, spec.h)
+    elif spec.name == "cellular":
+        marks = u[:, 2 * n:]
+        active, serving = _schedule(positions, marks, hex_spacing(spec.rho_c), spec.kappa)
+    else:  # boolean
+        centers = _to_disk(config.radius, u[:, 2 * n:2 * n + m], u[:, 2 * n + m:])
+        active = _boolean(positions, centers, spec.h)
+
+    if spec.power_control:
+        power_weight = np.where(active, serving ** config.alpha, 0.0)
+    else:
+        power_weight = np.where(active, 1.0, 0.0)
+    return positions, marks, active, power_weight, serving
+
+
 def realize(config: NetworkConfig, seed) -> Realization:
     """Sample one complete network realization for the configured model.
 
-    Draw order is fixed (positions, then marks or cluster centers), so a
-    given (config, seed) pair reproduces the identical realization on any
-    worker.
+    A stacked geometry pass of one member.  Draw order is fixed (positions,
+    then marks or cluster centers), so a given (config, seed) pair
+    reproduces the identical realization on any worker and in any stack.
     """
-    rng = as_generator(seed)
-    spec = config.model
-    positions = _uniform_disk(rng, config.n_nodes, config.radius)
-    marks = None
-    serving = None
+    fields = _realize_stack(config, [as_generator(seed)])
+    return Realization(*(None if f is None else f[0] for f in fields))
 
-    if spec.name == "independent":
-        active = np.ones(config.n_nodes, dtype=bool)
-    elif spec.name == "hc1":
-        active = thin_hc1(positions, config.x_t, spec.h)
-    elif spec.name == "hc2":
-        marks = rng.random(config.n_nodes)
-        active = thin_hc2(positions, marks, config.x_t, spec.h)
-    elif spec.name == "cellular":
-        marks = rng.random(config.n_nodes)
-        active, serving = schedule_cellular(
-            positions, marks, hex_spacing(spec.rho_c), spec.kappa
-        )
-    else:  # boolean
-        centers = _uniform_disk(rng, config.n_clusters, config.radius)
-        active = activate_boolean(positions, centers, spec.h)
 
-    power_weight = np.where(active, 1.0, 0.0)
-    if spec.power_control:
-        power_weight = np.where(active, serving ** config.alpha, 0.0)
-    return Realization(
-        positions=positions,
-        marks=marks,
-        active=active,
-        power_weight=power_weight,
-        serving_distance=serving,
-    )
+def interference_weights(config: NetworkConfig, rngs) -> list[np.ndarray]:
+    """Received power weights w_i r_i^-alpha of each member's active interferers.
+
+    Member k's realization is realize(config, rngs[k]), and its geometry
+    draws leave rngs[k] where realize leaves it.  Members go through stacked
+    geometry passes of at most _NODE_BUDGET nodes (cluster centers counted,
+    at least one member per pass), which bounds a pass's memory whatever the
+    number of members.
+    """
+    per_pass = max(1, _NODE_BUDGET // max(1, config.n_nodes + config.n_clusters))
+    weights = []
+    for k in range(0, len(rngs), per_pass):
+        positions, _, active, power_weight, _ = _realize_stack(config, rngs[k:k + per_pass])
+        act = active.ravel()
+        pos = positions.reshape(-1, 2)[act]
+        radii = np.hypot(pos[:, 0], pos[:, 1])
+        w = power_weight.ravel()[act] * radii ** -config.alpha
+        stop = 0
+        for count in active.sum(axis=1).tolist():
+            weights.append(w[stop:stop + count])
+            stop += count
+    return weights
 
 
 def realization_to_csv(realization: Realization, fileobj=None) -> str:

@@ -36,13 +36,11 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         step = mult * mag
         if raw <= step:
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * step:
-        ticks.append(round(t, 10))
-        t += step
-    return ticks
+    # count ticks by index: where step is below the spacing of doubles near
+    # lo, adding it to a tick would leave the tick unchanged
+    first = math.ceil(lo / step)
+    last = math.floor(hi / step + 1e-9)
+    return [round(k * step, 10) for k in range(first, last + 1)]
 
 
 def render_rate_chart(series: list[RateSeries], title: str = "") -> str:
@@ -62,7 +60,9 @@ def render_rate_chart(series: list[RateSeries], title: str = "") -> str:
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(0.0, min(ys)), max(ys)
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        # a single N: the axis also spans 0 to 1, a width that no magnitude
+        # of N rounds away or overflows
+        x_lo, x_hi = min(0.0, x_lo), max(1.0, x_hi)
     pad = 0.05 * (y_hi - y_lo) or 1.0
     y_hi += pad
 

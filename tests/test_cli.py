@@ -536,6 +536,30 @@ class TestPlotCmd:
         )
         assert not (tmp_path / "x.svg").exists()
 
+    @pytest.mark.parametrize(
+        "column,text,lo,hi",
+        [("mean_rate", "1e308", 0, 1024), ("mean_rate", "-1e308", 0, 1024),
+         ("std_rate", "-0.5", 0, 1024), ("asymptote", "2000", 0, 1024), ("N", "0", 1, "inf")],
+    )
+    def test_field_out_of_range_exit_2(self, tmp_path, capsys, column, text, lo, hi):
+        # mean rates of 1e308 and -1e308 overflowed the chart's rate span
+        report = self.write_report(tmp_path, {}, {"N": "4", column: text})
+        assert self.plot(report, tmp_path / "x.svg") == 2
+        assert capsys.readouterr().err == (
+            f"plot: line 3, column {column}: expected a number in [{lo}, {hi}], got {text!r}\n"
+        )
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("n_values", [("1e17",), ("1e17", "100000000000000016")])
+    def test_huge_n_renders(self, tmp_path, n_values):
+        # N = 1e17 alone gave a zero-width axis (1e17 + 1 == 1e17), and a
+        # tick step below the spacing of doubles there never advanced
+        svg = tmp_path / "x.svg"
+        report = self.write_report(tmp_path, *({"N": n} for n in n_values))
+        assert self.plot(report, svg) == 0
+        text = svg.read_text()
+        assert text.count("<circle") == len(n_values) and "nan" not in text
+
     def test_overlay_skips_points_without_asymptote(self, tmp_path):
         report = self.write_report(
             tmp_path, {"N": "2"}, {"N": "4", "asymptote": ""}, {"N": "8", "asymptote": "4.5"}
@@ -778,6 +802,15 @@ class TestArgumentErrors:
         assert code == 2
         assert captured.out == ""
         assert f"{flag} needs --n-branches" in captured.err
+
+    def test_asymptote_branches_need_link_length(self, capsys):
+        # without --r-t there is no rate line to print for --n-branches
+        code = main(["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "50",
+                     "--n-branches", "4"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "asymptote: --n-branches needs --r-t\n"
 
     @pytest.mark.parametrize(
         "argv",

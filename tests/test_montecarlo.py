@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from mmsenet import mmse, montecarlo
+from mmsenet import mmse, montecarlo, pointproc
 from mmsenet.montecarlo import (
     BLOCK_SIZE,
     ExperimentSpec,
@@ -460,6 +460,20 @@ class TestBlocks:
             assert p.rate == summarize(s.rate for s in singles[:count])
             assert p.sir == summarize(s.sir for s in singles[:count])
             assert p.redraw_total == sum(s.redraw_count for s in singles[:count])
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_geometry_passes_do_not_change_block(self, model, monkeypatch):
+        # one member per stacked geometry pass, and the whole block in one
+        cfg = self.config(model)
+        keys = [(0, r) for r in range(BLOCK_SIZE)]
+        blocks = []
+        for budget in (1, BLOCK_SIZE * (cfg.n_nodes + cfg.n_clusters)):
+            monkeypatch.setattr(pointproc, "_NODE_BUDGET", budget)
+            blocks.append(montecarlo._run_block(cfg, self.SEED, keys))
+        assert blocks[0] == blocks[1]
+        assert None not in blocks[0]
+        if model == "boolean_redraw":
+            assert sum(s.redraw_count for s in blocks[0]) > 0
 
     def test_failed_member_fails_only_its_point(self, monkeypatch):
         # with no redraws allowed, the members that needed one fail; the rest

@@ -13,14 +13,19 @@ import numpy as np
 import pytest
 
 from mmsenet.pointproc import (
+    _KAPPA_ANCHOR,
     MODEL_NAMES,
     MODEL_PARAMS,
     BaseStationLattice,
     ModelSpec,
     NetworkConfig,
     Realization,
+    _band0_mask,
     _nearest_site,
+    _realize_stack,
+    _schedule,
     activate_boolean,
+    as_generator,
     hex_lattice_band0,
     hex_spacing,
     lattice_for,
@@ -330,6 +335,13 @@ class TestLattice:
         with pytest.raises(ValueError, match="supported"):
             hex_lattice_band0(0.001, 5, 100.0)
 
+    @pytest.mark.parametrize("kappa", sorted(_KAPPA_ANCHOR))
+    def test_band0_mask_equals_both_integrality_conditions(self, kappa):
+        i, j = _KAPPA_ANCHOR[kappa]
+        p, q = np.meshgrid(np.arange(-40, 41), np.arange(-40, 41))
+        both = ((p * (i + j) + q * j) % kappa == 0) & ((q * i - p * j) % kappa == 0)
+        assert np.array_equal(_band0_mask(p, q, kappa), both)
+
     def test_cell_edge_density_identity(self):
         # a cell-circumradius link length r_T implies rho_c = 2/(3 sqrt(3) r_T^2)
         rho_c = 0.001
@@ -432,6 +444,16 @@ class TestCellularScheduling:
         active, _ = schedule_cellular(pos, marks, lat.spacing, lat.kappa)
         assert list(active) == [False, True, False]
 
+    def test_stacked_members_do_not_share_cells(self):
+        # the same band-0 cell in two members of one stacked pass, one
+        # occupant each: both transmit
+        cfg = self.cfg()
+        lat = lattice_for(cfg)
+        band0_idx = np.flatnonzero(lat.band0 & np.any(lat.ij != 0, axis=1))
+        pos = np.stack([lat.sites[band0_idx[:1]] + 0.05 * lat.spacing] * 2)
+        active, _ = _schedule(pos, np.array([[0.5], [0.2]]), lat.spacing, lat.kappa)
+        assert active.all()
+
     def test_activation_fraction_limit(self):
         # (rho_c / rho_p)(1 - exp(-rho_p / rho_c)) / kappa.  Unsaturated cell
         # occupancy (rho_c = 2 rho_p) keeps the boundary-cell bias far below
@@ -511,6 +533,37 @@ class TestLimitingDensity:
 # ---------------------------------------------------------------------------
 
 class TestRealization:
+    STACK_MODELS = {
+        "independent": ModelSpec("independent"),
+        "hc1": ModelSpec("hc1", h=0.5 * R_T),
+        "hc2": ModelSpec("hc2", h=0.5 * R_T),
+        "cellular_k7": ModelSpec("cellular", rho_c=0.001, kappa=7),
+        "cellular_pc": ModelSpec("cellular", rho_c=0.001, kappa=3, power_control=True),
+        "boolean": ModelSpec("boolean", h=R_T, rho_b=RHO_P),
+    }
+
+    @pytest.mark.parametrize("model", sorted(STACK_MODELS))
+    def test_stacked_member_equals_realize(self, model):
+        # every member's slice of one stacked pass is realize on its own
+        # generator, bit for bit, and leaves that generator where realize does
+        cfg = config(self.STACK_MODELS[model], n_branches=4, c=200.0)
+        seeds = [np.random.SeedSequence(3, spawn_key=(k,)) for k in range(5)]
+        rngs = [as_generator(seed) for seed in seeds]
+        stack = _realize_stack(cfg, rngs)
+        names = ("positions", "marks", "active", "power_weight", "serving_distance")
+        for k, seed in enumerate(seeds):
+            rng = as_generator(seed)
+            single = realize(cfg, rng)
+            for name, field in zip(names, stack):
+                want = getattr(single, name)
+                if want is None:
+                    assert field is None, name
+                else:
+                    got = field[k]
+                    assert got.dtype == want.dtype and got.shape == want.shape, name
+                    assert got.tobytes() == want.tobytes(), name
+            assert rngs[k].random() == rng.random()
+
     def test_unit_power_weights(self):
         cfg = config(ModelSpec("hc1", h=0.5 * R_T))
         r = realize(cfg, 2)
