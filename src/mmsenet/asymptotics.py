@@ -18,17 +18,22 @@ co-channel interferers have limiting density ``rho``, the normalized SIR
 
 scipy evaluates the special functions: ``gauss_2f1`` and ``lambert_w0``
 are validating wrappers over ``scipy.special.hyp2f1`` and
-``scipy.special.lambertw``.  All functions are pure; none hold state.
+``scipy.special.lambertw``.  scipy is imported on first use, by the four
+functions that call it (``gauss_2f1``, ``lambert_w0``, ``_solve_root`` and
+``_activity_integral``), so importing this module, and every simulation
+path that uses only the closed-form rate predictions, needs numpy alone.
+All functions are pure; none hold state but that import.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from ._warn import warn_caller
 
@@ -67,6 +72,18 @@ class NoBracket(RuntimeError):
 # special functions
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _scipy(name: str):
+    """The module scipy.<name>, imported on first use.
+
+    Cached, because an import statement in a function pays a package
+    lookup on every call (about 0.7 us on CPython 3.11) even when the
+    module is loaded, and the fixed-point solvers call gauss_2f1 dozens of
+    times per solve.
+    """
+    return importlib.import_module(f"scipy.{name}")
+
+
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) for real arguments.
 
@@ -83,7 +100,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
         raise ValueError(
             f"2F1(a={a}, b={b}; c={c}; 1) diverges: c - a - b = {c - a - b} <= 0"
         )
-    return float(special.hyp2f1(a, b, c, z))
+    return float(_scipy("special").hyp2f1(a, b, c, z))
 
 
 def lambert_w0(z: float) -> float:
@@ -100,7 +117,7 @@ def lambert_w0(z: float) -> float:
         if z > _BRANCH_POINT * (1.0 + 1e-12):
             return -1.0  # the branch point, or rounding right below it
         raise ValueError(f"lambert_w0 domain is z >= -1/e; got z={z}")
-    return float(special.lambertw(z).real)
+    return float(_scipy("special").lambertw(z).real)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +263,7 @@ def _solve_root(func, params: AsymptoticParams) -> float:
     for _ in range(_MAX_EXPAND):
         ends = {lo: func(lo), hi: func(hi)}
         if ends[lo] * ends[hi] <= 0.0:  # brentq reuses the two known end values
-            return optimize.brentq(
+            return _scipy("optimize").brentq(
                 lambda x: ends[x] if x in ends else func(x), lo, hi, xtol=sys.float_info.min
             )
         lo /= 10.0
@@ -305,11 +322,12 @@ def _activity_integral(gamma: float, params: AsymptoticParams) -> float:
     edges = [0.0, cut]
     while edges[-1] < u0:
         edges.append(min(edges[-1] * 10.0, u0))
+    quad = _scipy("integrate").quad
     total = 0.0
     for a, b in zip(edges, edges[1:]):
         if b <= a:
             continue
-        val, err = integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
+        val, err = quad(integrand, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
         if not math.isfinite(val) or val < 0.0 or err > 1e-8 * max(abs(val), 1e-300):
             raise RuntimeError(
                 f"quadrature did not converge on [{a:.3g}, {b:.3g}] "

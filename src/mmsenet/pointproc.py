@@ -35,7 +35,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._warn import warn_caller
 
@@ -298,35 +297,122 @@ def _within(dx: np.ndarray, dy: np.ndarray, h: float) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy) < h
 
 
+# Banded cell-list neighbour search (the cell lists of molecular dynamics).
+# _within(dx, dy, h) implies |dx| < reach and |dy| < reach for
+# reach = max(h, 2^-511): in binary64 sqrt(d * d) == |d| unless d * d
+# underflows, which happens only for |d| < 2^-511.
+_REACH_FLOOR = 2.0 ** -511
+# Bands are a relative 2^-20 taller than the reach and columns a quarter of
+# a band wide.  The margin outweighs the rounding of the cell coordinates
+# (under 2^-31 cells while an axis has at most _MAX_CELLS cells), so a pair
+# closer than the reach lies in the same or adjacent bands and at most
+# _SPLIT columns apart.  Taller cells are always correct, so an axis that
+# would need more cells gets wider ones instead.
+_CELL_MARGIN = 2.0 ** -20
+_MAX_CELLS = 2 ** 20
+_SPLIT = 4
+# most candidate pairs one window expansion holds at a time
+_PAIR_BUDGET = 2 ** 16
+
+
+def _cell_keys(stacks: tuple, h: float) -> tuple[list, int]:
+    """Integer cell keys of point stacks on one banded grid for the search at h.
+
+    Each stack is (B, n, 2) with the member on the leading axis.  A point's
+    key is (member * rows + band) * cols + column, exact in int64: the next
+    band's key is one row, cols, higher; every member ends in an empty band
+    and every band is padded by _SPLIT empty columns on both sides, so no
+    window of +-_SPLIT columns in bands b-1, b or b+1 reaches another member.
+    Returns the flattened keys of each stack and cols.
+    """
+    reach = max(h, _REACH_FLOOR)
+    x_lo = min(float(s[..., 0].min()) for s in stacks)
+    y_lo = min(float(s[..., 1].min()) for s in stacks)
+    x_span = max(float(s[..., 0].max()) for s in stacks) - x_lo
+    y_span = max(float(s[..., 1].max()) for s in stacks) - y_lo
+    height = max(reach * (1.0 + _CELL_MARGIN), y_span / _MAX_CELLS)
+    width = max(height / _SPLIT, x_span / _MAX_CELLS)
+    bands = [np.floor((s[..., 1] - y_lo) / height).astype(np.int64) for s in stacks]
+    columns = [np.floor((s[..., 0] - x_lo) / width).astype(np.int64) for s in stacks]
+    rows = max(int(band.max()) for band in bands) + 2
+    cols = max(int(column.max()) for column in columns) + 1 + 2 * _SPLIT
+    keys = []
+    for band, column in zip(bands, columns):
+        member = np.arange(band.shape[0])[:, None]
+        keys.append(((member * rows + band) * cols + column + _SPLIT).ravel())
+    return keys, cols
+
+
+def _window_pairs(lo: np.ndarray, hi: np.ndarray):
+    """(query, position) index pairs of the ranges [lo[q], hi[q]).
+
+    Yields them in chunks of whole queries, each of at most _PAIR_BUDGET
+    pairs unless one query alone has more, so memory stays bounded however
+    many pairs the windows hold.
+    """
+    count = hi - lo
+    end = np.cumsum(count)
+    first = 0
+    while first < lo.size:
+        base = end[first] - count[first]
+        stop = max(first + 1, int(np.searchsorted(end, base + _PAIR_BUDGET, "right")))
+        counts = count[first:stop]
+        query = np.repeat(np.arange(first, stop), counts)
+        shift = lo[first:stop] - (end[first:stop] - counts - base)
+        yield query, np.arange(end[stop - 1] - base) + np.repeat(shift, counts)
+        first = stop
+
+
+def _close_pairs(positions: np.ndarray, h: float):
+    """Pairs of a stack's members closer than h, as chunks (i, j) with i < j.
+
+    positions is (B, n, 2); i and j index the flattened stack, and each pair
+    comes once.  One banded cell-list search covers the whole stack: the
+    points are sorted once by cell key (_cell_keys), and each point's
+    candidates are the later points of its own band up to _SPLIT columns
+    right and the points of the next band up to _SPLIT columns either side.
+    The exact strict test _within decides each candidate, so the cell sizes
+    only cost time, and the order of equal keys changes nothing.
+    """
+    size = positions.shape[0] * positions.shape[1]
+    if not h > 0 or size == 0:
+        return
+    x, y = positions[..., 0].ravel(), positions[..., 1].ravel()
+    (key,), cols = _cell_keys((positions,), h)
+    order = np.argsort(key)
+    key = key[order]
+    lo = np.concatenate((np.arange(1, size + 1), np.searchsorted(key, key + cols - _SPLIT)))
+    hi = np.concatenate((
+        np.searchsorted(key, key + _SPLIT, "right"),
+        np.searchsorted(key, key + cols + _SPLIT, "right"),
+    ))
+    for query, other in _window_pairs(lo, hi):
+        i, j = order[query % size], order[other]
+        close = _within(x[i] - x[j], y[i] - y[j], h)
+        i, j = i[close], j[close]
+        yield np.minimum(i, j), np.maximum(i, j)
+
+
 def _hard_core(
     positions: np.ndarray, marks: np.ndarray | None, x_t: np.ndarray, h: float
 ) -> np.ndarray:
     """hc1 (marks None) or hc2 activation of a stack of members.
 
     positions is (B, n, 2) and marks (B, n); returns the (B, n) activation.
-    Each member's close pairs come from its own KD-tree; the distance recheck
-    and the guard around x_t run once over the stack.
+    The close pairs of every member come from one banded search over the
+    stack (_close_pairs); the guard around x_t runs once over the stack.
     """
     b, n = positions.shape[:2]
     active = np.ones(b * n, dtype=bool)
-    if h <= 0:
-        return active.reshape(b, n)
+    flat_marks = None if marks is None else marks.ravel()
+    for i, j in _close_pairs(positions, h):
+        if flat_marks is None:
+            active[i] = False
+            active[j] = False
+        else:
+            # the lower mark survives; equal marks dominate the larger index
+            active[np.where(flat_marks[i] <= flat_marks[j], j, i)] = False
     x, y = positions[..., 0].ravel(), positions[..., 1].ravel()
-    # query_pairs yields i < j; shifted to indices into the flattened stack
-    pairs = np.concatenate([
-        cKDTree(member).query_pairs(h, output_type="ndarray").reshape(-1, 2) + k * n
-        for k, member in enumerate(positions)
-    ])
-    i, j = pairs[:, 0], pairs[:, 1]
-    close = _within(x[i] - x[j], y[i] - y[j], h)
-    i, j = i[close], j[close]
-    if marks is None:
-        active[i] = False
-        active[j] = False
-    else:
-        # the lower mark survives; equal marks dominate the larger index
-        flat_marks = marks.ravel()
-        active[np.where(flat_marks[i] <= flat_marks[j], j, i)] = False
     active[_within(x - x_t[0], y - x_t[1], h)] = False
     return active.reshape(b, n)
 
@@ -354,18 +440,38 @@ def thin_hc2(
 def _boolean(positions: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
     """Boolean activation of a stack: positions (B, n, 2), centers (B, m, 2).
 
-    One KD-tree per member over its centers; the strict test runs over the
-    stack.
+    The banded cell-list search of _hard_core with the centers alone sorted
+    by cell key: each node's candidates are the centers of bands b-1, b and
+    b+1 up to _SPLIT columns either side (the nodes are sorted too, only so
+    that the window searches run in key order).  A candidate covers the node
+    when sqrt(d2) < h and d2 < h*h for the squared distance d2.  The first
+    is _within; the second can only differ from it when h*h underflows
+    (h < 2^-511), where it keeps the answer of the squared distance bound a
+    KD-tree query applies: a node exactly on a center stays inactive.
     """
     b, n = positions.shape[:2]
-    if h <= 0 or centers.shape[1] == 0:
-        return np.zeros((b, n), dtype=bool)
-    nearest = np.empty((b, n))
-    for k in range(b):
-        nearest[k], _ = cKDTree(centers[k], balanced_tree=False).query(
-            positions[k], k=1, distance_upper_bound=h
-        )
-    return nearest < h
+    active = np.zeros(b * n, dtype=bool)
+    if not h > 0 or centers.shape[1] == 0 or n == 0:
+        return active.reshape(b, n)
+    (node_key, center_key), cols = _cell_keys((positions, centers), h)
+    nodes = np.argsort(node_key)
+    by_center = np.argsort(center_key)
+    node_key, center_key = node_key[nodes], center_key[by_center]
+    lo = np.concatenate([
+        np.searchsorted(center_key, node_key + band * cols - _SPLIT) for band in (-1, 0, 1)
+    ])
+    hi = np.concatenate([
+        np.searchsorted(center_key, node_key + band * cols + _SPLIT, "right")
+        for band in (-1, 0, 1)
+    ])
+    x, y = positions[..., 0].ravel(), positions[..., 1].ravel()
+    cx, cy = centers[..., 0].ravel(), centers[..., 1].ravel()
+    for query, other in _window_pairs(lo, hi):
+        i, j = nodes[query % nodes.size], by_center[other]
+        dx, dy = x[i] - cx[j], y[i] - cy[j]
+        d2 = dx * dx + dy * dy
+        active[i[(np.sqrt(d2) < h) & (d2 < h * h)]] = True
+    return active.reshape(b, n)
 
 
 def activate_boolean(
@@ -373,9 +479,9 @@ def activate_boolean(
 ) -> np.ndarray:
     """Node transmits iff some cluster center lies strictly within h of it.
 
-    The tree query stops at h: a node with no center within h gets an
-    infinite distance, and a center exactly at h gives h or infinity, so the
-    strict test decides the same as an unbounded nearest-center query.
+    A center at distance exactly h does not cover the node.  Searches the
+    banded cell list of _boolean, so only centers in the node's own and
+    adjacent bands are ever measured.
     """
     return _boolean(positions[None], centers[None], h)[0]
 
@@ -512,15 +618,18 @@ def _schedule(
     active = np.zeros(b * n, dtype=bool)
     eligible = np.flatnonzero(_band0_mask(p, q, kappa) & ((p != 0) | (q != 0)))
     if eligible.size:
-        # one int64 key per cell (|q| < 2**31); a stable sort by (member,
-        # cell, mark) puts each cell's winner first: minimal mark, ties to
-        # the lower index
-        member = eligible // n
-        cell = (p.ravel()[eligible] << 32) + q.ravel()[eligible]
-        order = np.lexsort((marks.ravel()[eligible], cell, member))
-        member, cell = member[order], cell[order]
+        # one int64 key per (member, cell), ordered as (member, p, q), with
+        # offsets and widths from this pass's own p and q ranges; a stable
+        # sort by (key, mark) puts each cell's winner first: minimal mark,
+        # ties to the lower index
+        p, q = p.ravel()[eligible], q.ravel()[eligible]
+        p_lo, q_lo = int(p.min()), int(q.min())
+        p_span, q_span = int(p.max()) - p_lo + 1, int(q.max()) - q_lo + 1
+        cell = ((eligible // n) * p_span + (p - p_lo)) * q_span + (q - q_lo)
+        order = np.lexsort((marks.ravel()[eligible], cell))
+        cell = cell[order]
         first = np.ones(order.size, dtype=bool)
-        first[1:] = (cell[1:] != cell[:-1]) | (member[1:] != member[:-1])
+        first[1:] = cell[1:] != cell[:-1]
         active[eligible[order[first]]] = True
     return active.reshape(b, n), serving
 
@@ -569,9 +678,11 @@ def _realize_stack(config: NetworkConfig, rngs) -> tuple:
     (node radii, node angles, then marks for hc2 and cellular, or cluster
     radii and angles for boolean), so a member's draws do not depend on the
     stack.  The disk transform, activation and power weights then run once
-    over the stack, with one KD-tree per member.  Returns the Realization
-    fields (positions, marks, active, power_weight, serving_distance), each
-    with a leading member axis, or None where the model has no such field.
+    over the stack; hard-core and Boolean activation search the whole pass
+    with one banded cell list (_close_pairs, _boolean).  Returns the
+    Realization fields (positions, marks, active, power_weight,
+    serving_distance), each with a leading member axis, or None where the
+    model has no such field.
     """
     spec, n, m = config.model, config.n_nodes, config.n_clusters
     extra = {"hc2": n, "cellular": n, "boolean": 2 * m}.get(spec.name, 0)

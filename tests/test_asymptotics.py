@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from mmsenet import asymptotics
 from mmsenet.asymptotics import (
@@ -219,14 +220,14 @@ class TestFixedPoint:
             return inner(x, p)
 
         brackets = []
-        brentq = asymptotics.optimize.brentq
+        brentq = optimize.brentq
 
         def spy(f, a, b, **kwargs):
             brackets.append((a, b))
             return brentq(f, a, b, **kwargs)
 
         monkeypatch.setattr(asymptotics, defect, counted)
-        monkeypatch.setattr(asymptotics.optimize, "brentq", spy)
+        monkeypatch.setattr(optimize, "brentq", spy)
         solve(params(alpha=4.0, nu=0.6, c=50.0))
         ((lo, hi),) = brackets
         assert (calls.count(lo), calls.count(hi)) == (1, 1)
@@ -236,13 +237,13 @@ class TestFixedPoint:
         # the root is 83x (c = 1.01) and 823x (c = 1.001) the large-c value b,
         # outside the first bracket [b/10, 10 b]
         brackets = []
-        brentq = asymptotics.optimize.brentq
+        brentq = optimize.brentq
 
         def spy(f, a, b, **kwargs):
             brackets.append((a, b))
             return brentq(f, a, b, **kwargs)
 
-        monkeypatch.setattr(asymptotics.optimize, "brentq", spy)
+        monkeypatch.setattr(optimize, "brentq", spy)
         p = params(alpha=4.0, nu=1.0, c=c)
         assert solve_beta_fixed_point(p).beta == pytest.approx(fixed_point_oracle(p), rel=rel)
         width = 10.0 ** (expansions + 1)

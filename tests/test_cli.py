@@ -3,8 +3,11 @@ plotting round trip, exit codes."""
 
 import json
 import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -872,6 +875,45 @@ class TestInvalidInputExit:
         monkeypatch.setattr(montecarlo, "run_experiment", broken)
         with pytest.raises(RuntimeError, match="a bug"):
             main(["simulate", "--config", str(write_config(tmp_path / "c.json"))])
+
+
+# runs mmsenet.cli's main on argv in an interpreter where importing scipy
+# fails, and fails itself if any scipy module got loaded
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from mmsenet import cli
+code = cli.main(sys.argv[1:])
+loaded = [name for name, mod in sys.modules.items() if name.startswith("scipy") and mod]
+sys.exit(code or bool(loaded))
+"""
+
+
+@pytest.mark.parametrize(
+    "model",
+    [{"name": "hc1", "h": 0.5 * R_T}, {"name": "boolean", "h": R_T, "rho_b": RHO_P}],
+    ids=["hc1", "boolean"],
+)
+def test_simulate_density_and_plot_need_no_scipy(tmp_path, model):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    cfg = write_config(tmp_path / "c.json", model=model, sweep={"N": [2]}, replications=2)
+    report, chart = tmp_path / "r.csv", tmp_path / "r.svg"
+    density = ["density", "--model", model["name"], "--rho-p", "0.01", "--c", "50",
+               "--n-branches", "2", "--replications", "2"]
+    density += [f"--{key.replace('_', '-')}={value}" for key, value in model.items()
+                if key != "name"]
+    for argv in (
+        ["simulate", "--config", str(cfg), "--out", str(report)],
+        density,
+        ["plot", "--report", str(report), "--out", str(chart)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY, *argv], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+    assert report.read_text().count("\n") == 2 and chart.stat().st_size > 0
 
 
 def test_readme_command_lines_parse():

@@ -1,8 +1,9 @@
 """Tests for network sampling and the activation models.
 
-Brute-force O(n^2) re-implementations of every thinning rule act as oracles
-for the tree-based production code; limiting activation fractions are
-checked against their closed forms with binomial-style tolerances.
+Brute-force O(n^2) re-implementations of every thinning rule, and scipy's
+KD-trees for the neighbour searches, act as oracles for the banded cell-list
+production code; limiting activation fractions are checked against their
+closed forms with binomial-style tolerances.
 """
 
 import io
@@ -11,7 +12,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from mmsenet import pointproc
 from mmsenet.pointproc import (
     _KAPPA_ANCHOR,
     MODEL_NAMES,
@@ -21,9 +24,13 @@ from mmsenet.pointproc import (
     NetworkConfig,
     Realization,
     _band0_mask,
+    _boolean,
+    _close_pairs,
+    _hard_core,
     _nearest_site,
     _realize_stack,
     _schedule,
+    _within,
     activate_boolean,
     as_generator,
     hex_lattice_band0,
@@ -289,6 +296,122 @@ class TestBoolean:
         sem = float(np.std(fractions, ddof=1)) / math.sqrt(len(fractions))
         target = 1.0 - math.exp(-1.0)
         assert abs(mean - target) < 4 * sem + 0.01 * target
+
+
+# ---------------------------------------------------------------------------
+# banded cell-list search
+# ---------------------------------------------------------------------------
+
+def stacked_layout(kind, seed):
+    """A (B, n, 2) stack of nodes and a (B, m, 2) stack of cluster centers."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(-5.0, 5.0, (3, 150, 2)), rng.uniform(-5.5, 5.5, (3, 120, 2))
+    if kind == "lattice":
+        # spacing 0.1 (not a double), so lattice distances sit at h = 0.1
+        # give or take an ulp, and band edges fall on lattice rows
+        grid = 0.1 * np.stack(np.meshgrid(np.arange(-6, 7), np.arange(-6, 7)), -1).reshape(-1, 2)
+        nodes = np.stack((grid, grid + 0.05, grid[::-1] * 3.0))
+        return nodes, nodes[:, ::2] + [0.1, 0.0]
+    if kind == "duplicates":
+        nodes = rng.uniform(-2.0, 2.0, (2, 120, 2))
+        nodes[:, 60:] = nodes[:, :60]
+        return nodes, nodes[:, ::3].copy()
+    if kind == "tiny":
+        # the squares of the 1e-163 offsets underflow to 0, so _within passes
+        # these pairs at any h > 0, however far beyond a tiny h they are
+        nodes = rng.uniform(-1.0, 1.0, (2, 80, 2)) * 1e-160
+        nodes[:, 40:] = nodes[:, :40] + rng.uniform(-1.0, 1.0, (2, 40, 2)) * 1e-163
+        return nodes, nodes[:, ::2].copy()
+    if kind == "band_edge":
+        # 0.1 apart less an ulp, yet at offsets from the lowest point that
+        # floor((y - y_lo) / 0.1) puts two bands apart: bands exactly h tall
+        # lose the pair; member 1 is member 0 with x and y swapped
+        column = np.array([[0.0, -27.406856754145686], [0.0, 1.4931432458543146],
+                           [0.0, 1.5931432458543129]])
+        nodes = np.stack((column, column[:, ::-1]))
+        return nodes, nodes[:, [0, 2]].copy()
+    if kind == "single":
+        return rng.uniform(-1.0, 1.0, (4, 1, 2)), rng.uniform(-1.0, 1.0, (4, 1, 2))
+    assert kind == "no_centers"
+    return rng.uniform(-1.0, 1.0, (2, 40, 2)), np.empty((2, 0, 2))
+
+
+LAYOUTS = ["uniform", "lattice", "duplicates", "tiny", "band_edge", "single", "no_centers"]
+SEARCH_H = [1e-300, 1e-160, 1e-155, 1e-12, 0.05, 0.1, 0.7, 3.0, 1e300, 1e308, math.inf]
+
+
+def kd_close_pairs(positions, h):
+    """query_pairs of one KD-tree per member, kept where _within holds."""
+    n = positions.shape[1]
+    pairs = set()
+    for k, member in enumerate(positions):
+        found = cKDTree(member).query_pairs(h, output_type="ndarray").reshape(-1, 2)
+        i, j = found[:, 0], found[:, 1]
+        close = _within(member[i, 0] - member[j, 0], member[i, 1] - member[j, 1], h)
+        pairs.update(zip((i[close] + k * n).tolist(), (j[close] + k * n).tolist()))
+    return pairs
+
+
+def kd_boolean(positions, centers, h):
+    """Nearest-center query of one KD-tree per member, bounded at h."""
+    if centers.shape[1] == 0:
+        return np.zeros(positions.shape[:2], dtype=bool)
+    return np.stack([
+        cKDTree(c).query(p, k=1, distance_upper_bound=h)[0] < h
+        for p, c in zip(positions, centers)
+    ])
+
+
+class TestBandedSearch:
+    @pytest.mark.parametrize("h", SEARCH_H)
+    @pytest.mark.parametrize("kind", LAYOUTS)
+    def test_close_pairs_equal_kd_tree(self, kind, h):
+        positions, _ = stacked_layout(kind, 1)
+        i, j = (np.concatenate(part) for part in zip(*_close_pairs(positions, h)))
+        assert np.all(i < j)
+        got = set(zip(i.tolist(), j.tolist()))
+        assert len(got) == i.size  # each pair once
+        assert got == kd_close_pairs(positions, h)
+
+    @pytest.mark.parametrize("h", SEARCH_H)
+    @pytest.mark.parametrize("kind", LAYOUTS)
+    def test_boolean_equals_kd_tree(self, kind, h):
+        positions, centers = stacked_layout(kind, 2)
+        got = _boolean(positions, centers, h)
+        assert np.array_equal(got, kd_boolean(positions, centers, h))
+
+    @pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates"])
+    def test_chunked_windows_change_nothing(self, kind, monkeypatch):
+        positions, centers = stacked_layout(kind, 3)
+        marks = np.random.default_rng(4).random(positions.shape[:2])
+        x_t = np.array([0.3, 0.0])
+
+        def activations():
+            return [
+                _hard_core(positions, None, x_t, 0.3),
+                _hard_core(positions, marks, x_t, 0.3),
+                _boolean(positions, centers, 0.3),
+            ]
+
+        whole = activations()
+        monkeypatch.setattr(pointproc, "_PAIR_BUDGET", 7)
+        for want, got in zip(whole, activations()):
+            assert np.array_equal(want, got)
+
+    @pytest.mark.parametrize("h", [1e-12, 1e300, math.inf])
+    @pytest.mark.parametrize("name", ["hc1", "hc2", "boolean"])
+    def test_extreme_h_activation(self, name, h):
+        # a guard far below the node spacing mutes no one and a cluster disk
+        # that small covers no one; one larger than the disk does the reverse
+        spec = ModelSpec(name, h=h, rho_b=RHO_P if name == "boolean" else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # c * nu <= 1 where nothing transmits
+            cfg = config(spec, n_branches=4, c=50.0)
+        all_active = (h > 1.0) == (name == "boolean")
+        for seed in range(3):
+            active = realize(cfg, seed).active
+            assert active.all() if all_active else not active.any()
 
 
 # ---------------------------------------------------------------------------
