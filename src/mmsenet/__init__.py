@@ -52,7 +52,6 @@ from .pointproc import (
     hex_lattice_band0,
     realization_to_csv,
     realize,
-    sample_potential_interferers,
 )
 
 __all__ = [
@@ -95,5 +94,4 @@ __all__ = [
     "hex_lattice_band0",
     "realization_to_csv",
     "realize",
-    "sample_potential_interferers",
 ]

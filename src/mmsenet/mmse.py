@@ -274,7 +274,7 @@ def scaled_received_powers(
 
     Muted nodes (weight 0) contribute exact zeros; for unit-power models the
     weights are the 0/1 activity indicators, so this is the quantity whose
-    empirical distribution converges to the limit law.
+    empirical distribution converges to the limit law (per member of a stack).
     """
-    r = np.hypot(positions[:, 0], positions[:, 1])
+    r = np.hypot(positions[..., 0], positions[..., 1])
     return float(n_branches) ** (alpha / 2.0) * power_weight * r ** -alpha

@@ -1,12 +1,12 @@
 """Seeded, parallel replication of network realizations and their statistics.
 
 An experiment is a sweep over diversity orders (and optionally model
-variants) of a base network configuration.  Every realization's random
-stream is derived from (master_seed, point_index, replication_index,
-attempt) through numpy SeedSequence spawn keys on a counter-based bit
-generator, so results are bitwise identical for any worker count and any
-execution order.  Replications run in fixed-size blocks of one point whose
-SIRs are solved as one stack.
+variants) of a base network configuration.  Every random stream is keyed
+by the master seed and a SeedSequence spawn key (_stream): (point,
+replication, attempt) in a sweep, (0, replication) in the position-only
+estimators, so results are bitwise identical for any worker count and any
+execution order.  Sweeps and estimators realize replications in pointproc's
+stacked passes; a sweep solves each fixed-size block of one point as a stack.
 """
 
 from __future__ import annotations
@@ -48,27 +48,30 @@ class RealizationFailed(Exception):
     """Every redraw produced a singular covariance (c * nu too close to 1)."""
 
 
+def _stream(entropy: int, key: tuple) -> np.random.SeedSequence:
+    """The seed of the stream keyed by (entropy, key); every stream comes from here."""
+    return np.random.SeedSequence(entropy=entropy, spawn_key=key)
+
+
 def derive_seed(
     master_seed: int, point_index: int, replication_index: int
 ) -> np.random.SeedSequence:
-    """Collision-free per-realization seed within an experiment."""
-    return np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(point_index, replication_index)
-    )
+    """Seed of one replication: the estimators draw from it, run_realization from its attempts."""
+    return _stream(master_seed, (point_index, replication_index))
 
 
 def _run_block(config: NetworkConfig, entropy, keys) -> list[SirSample | None]:
     """Realizations of one configuration, solved as a stack.
 
     keys[i] is the spawn key of member i; attempt a of that member draws from
-    Philox(SeedSequence(entropy, spawn_key=keys[i] + (a,))).  Each round
-    realizes every pending member's geometry in stacked passes
-    (pointproc.interference_weights), then draws its fading and builds its
-    covariance, and solves the stack with one batched kernel; only the
-    singular members are redrawn, at the next attempt, up to MAX_REDRAWS
-    times.  A member that never gets a usable covariance is None.  No
-    diagonal loading is applied anywhere: that would quietly turn the SIR
-    into an SINR and bias comparisons against the noise-free theory.
+    _stream(entropy, keys[i] + (a,)).  Each round realizes every pending
+    member's geometry in stacked passes (pointproc.interference_weights),
+    then draws its fading and builds its covariance, and solves the stack
+    with one batched kernel; only the singular members are redrawn, at the
+    next attempt, up to MAX_REDRAWS times.  A member that never gets a
+    usable covariance is None.  No diagonal loading is applied anywhere:
+    that would quietly turn the SIR into an SINR and bias comparisons
+    against the noise-free theory.
     """
     n = config.n_branches
     signal_weight = config.r_t ** config.alpha if config.model.power_control else 1.0
@@ -77,12 +80,7 @@ def _run_block(config: NetworkConfig, entropy, keys) -> list[SirSample | None]:
     for attempt in range(MAX_REDRAWS + 1):
         if not pending:
             break
-        rngs = [
-            pointproc.as_generator(
-                np.random.SeedSequence(entropy=entropy, spawn_key=(*keys[i], attempt))
-            )
-            for i in pending
-        ]
+        rngs = [pointproc.as_generator(_stream(entropy, (*keys[i], attempt))) for i in pending]
         weights = pointproc.interference_weights(config, rngs)
         g_t = np.empty((len(pending), n), dtype=complex)
         cov = np.empty((len(pending), n, n), dtype=complex)
@@ -111,9 +109,11 @@ def run_realization(config: NetworkConfig, seed) -> SirSample:
     to MAX_REDRAWS times, and the number of redraws is recorded on the
     sample.
     """
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(entropy=int(seed))
-    (sample,) = _run_block(config, seed.entropy, [tuple(seed.spawn_key)])
+    if isinstance(seed, np.random.SeedSequence):
+        entropy, key = seed.entropy, tuple(seed.spawn_key)
+    else:
+        entropy, key = int(seed), ()
+    (sample,) = _run_block(config, entropy, [key])
     if sample is None:
         raise RealizationFailed(
             f"{MAX_REDRAWS} consecutive singular redraws for N={config.n_branches}, "
@@ -310,13 +310,16 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def density_estimate(config: NetworkConfig, replications: int, master_seed: int) -> float:
-    """Mean active count over replications divided by the network area."""
+    """Mean active count over replications divided by the network area.
+
+    Replication r is realize(config, derive_seed(master_seed, 0, r)), never redrawn.
+    """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    counts = [
-        pointproc.realize(config, derive_seed(master_seed, 0, ri)).active_count
-        for ri in range(replications)
-    ]
+    counts = []
+    seeds = (derive_seed(master_seed, 0, r) for r in range(replications))
+    for _, _, active, _, _ in pointproc.realize_passes(config, seeds):
+        counts.extend(active.sum(axis=1))
     return float(np.mean(counts)) / (math.pi * config.radius ** 2)
 
 
@@ -335,11 +338,13 @@ def aip_statistic(
 
     The double sum (1/n^2) sum_ij [P(p_i <= x, p_j <= x) - P(p_i <= x) P(p_j <= x)]
     equals the variance of the empirical distribution evaluated at x, so it
-    is estimated as the across-seed sample variance of H_n(x).  It must
-    shrink as the network grows for the SIR limit to apply.
+    is estimated as the across-seed sample variance of H_n(x), seed s drawn
+    as in density_estimate.  It must shrink as the network grows for the SIR
+    limit to apply.
     """
-    vals = np.empty(n_seeds)
-    for s in range(n_seeds):
-        p = realize_scaled_powers(config, derive_seed(master_seed, 0, s))
-        vals[s] = np.count_nonzero(p <= x) / p.size
+    vals = []
+    seeds = (derive_seed(master_seed, 0, s) for s in range(n_seeds))
+    for positions, _, _, weight, _ in pointproc.realize_passes(config, seeds):
+        p = mmse.scaled_received_powers(positions, weight, config.n_branches, config.alpha)
+        vals.extend(np.count_nonzero(p <= x, axis=1) / config.n_nodes)
     return float(np.var(vals, ddof=1))

@@ -30,8 +30,10 @@ realize draws alone from that generator.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +46,13 @@ __all__ = [
     "Realization",
     "BaseStationLattice",
     "as_generator",
-    "sample_potential_interferers",
     "thin_hc1",
     "thin_hc2",
     "hex_lattice_band0",
     "schedule_cellular",
     "activate_boolean",
     "realize",
+    "realize_passes",
     "interference_weights",
     "realization_to_csv",
 ]
@@ -92,14 +94,12 @@ _NODE_BUDGET = 2 ** 15
 def as_generator(seed) -> np.random.Generator:
     """Normalize an int / SeedSequence / Generator into a Generator.
 
-    Counter-based bit generator so that independent replication workers can
-    derive disjoint streams from spawn keys.
+    An int s or SeedSequence(s) keys the same counter-based Philox stream,
+    so that replication workers can derive disjoint streams from spawn keys.
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +273,6 @@ class Realization:
 # ---------------------------------------------------------------------------
 # sampling and activation rules
 # ---------------------------------------------------------------------------
-
-def sample_potential_interferers(config: NetworkConfig, seed) -> np.ndarray:
-    """n points uniform on the network disk, deterministic given the seed."""
-    rng = as_generator(seed)
-    n = config.n_nodes
-    u = rng.random(2 * n)
-    return _to_disk(config.radius, u[:n], u[n:])
-
 
 def _to_disk(radius: float, u_r: np.ndarray, u_theta: np.ndarray) -> np.ndarray:
     """Uniform [0, 1) radius and angle draws -> points uniform on the disk, (..., 2)."""
@@ -724,19 +716,23 @@ def realize(config: NetworkConfig, seed) -> Realization:
     return Realization(*(None if f is None else f[0] for f in fields))
 
 
-def interference_weights(config: NetworkConfig, rngs) -> list[np.ndarray]:
-    """Received power weights w_i r_i^-alpha of each member's active interferers.
+def realize_passes(config: NetworkConfig, seeds) -> Iterator[tuple]:
+    """_realize_stack's fields for consecutive members of the iterable seeds.
 
-    Member k's realization is realize(config, rngs[k]), and its geometry
-    draws leave rngs[k] where realize leaves it.  Members go through stacked
-    geometry passes of at most _NODE_BUDGET nodes (cluster centers counted,
-    at least one member per pass), which bounds a pass's memory whatever the
-    number of members.
+    Member k's slice is realize(config, seeds[k]), and a Generator seed is
+    left where realize leaves it.  A pass takes at most _NODE_BUDGET nodes
+    (cluster centers counted, at least one member), which bounds its memory.
     """
     per_pass = max(1, _NODE_BUDGET // max(1, config.n_nodes + config.n_clusters))
+    seeds = iter(seeds)
+    while stack := [as_generator(seed) for seed in itertools.islice(seeds, per_pass)]:
+        yield _realize_stack(config, stack)
+
+
+def interference_weights(config: NetworkConfig, rngs) -> list[np.ndarray]:
+    """Received power weights w_i r_i^-alpha of each realize_passes member's active interferers."""
     weights = []
-    for k in range(0, len(rngs), per_pass):
-        positions, _, active, power_weight, _ = _realize_stack(config, rngs[k:k + per_pass])
+    for positions, _, active, power_weight, _ in realize_passes(config, rngs):
         act = active.ravel()
         pos = positions.reshape(-1, 2)[act]
         radii = np.hypot(pos[:, 0], pos[:, 1])

@@ -41,7 +41,7 @@ from mmsenet.montecarlo import (
     realize_scaled_powers,
     run_experiment,
 )
-from mmsenet.pointproc import ModelSpec, NetworkConfig, realize
+from mmsenet.pointproc import ModelSpec, NetworkConfig, as_generator, interference_weights
 
 MASTER_SEED = 20250808
 RHO_P = 0.01
@@ -434,13 +434,12 @@ def test_criterion_10b_min_eigenvalue_bound():
     )
     seeds = 500
     hits = 0
-    for s in range(seeds):
-        ss = derive_seed(MASTER_SEED, 1, s)
-        rng = np.random.Generator(np.random.Philox(ss))
-        real = realize(cfg, rng)
-        act = real.active
-        psi = n_branches ** (alpha / 2.0) * real.radii()[act] ** -alpha
-        fading = draw_fading(n_branches, int(act.sum()), rng)
+    rngs = [as_generator(derive_seed(MASTER_SEED, 1, s)) for s in range(seeds)]
+    for rng, weights in zip(rngs, interference_weights(cfg, rngs)):
+        # unit power: the weights are r_i^-alpha; the fading follows the
+        # geometry draws in each seed's stream
+        psi = n_branches ** (alpha / 2.0) * weights
+        fading = draw_fading(n_branches, weights.size, rng)
         mat = (fading.interferers * psi) @ fading.interferers.conj().T / n_branches
         mat = 0.5 * (mat + mat.conj().T)
         if min_eigenvalue(mat) > bound:

@@ -263,6 +263,50 @@ class TestAipStatistic:
         assert p.size == cfg.n_nodes
 
 
+class TestEstimatorPasses:
+    """density_estimate and aip_statistic equal a per-seed realize loop bit
+    for bit, however their replications are split into stacked passes."""
+
+    MODELS = {
+        "independent": ModelSpec("independent"),
+        "hc1": ModelSpec("hc1", h=0.5 * R_T),
+        "hc2": ModelSpec("hc2", h=R_T),
+        "cellular": ModelSpec("cellular", rho_c=0.001, kappa=3),
+        "cellular_pc": ModelSpec("cellular", rho_c=0.001, kappa=3, power_control=True),
+        "boolean": ModelSpec("boolean", h=R_T, rho_b=RHO_P),
+    }
+    REPS = 23
+    SEED = 8
+
+    def prepare(self, model, members, monkeypatch):
+        # a node budget of `members` members per pass (0: one member, below
+        # the size of any network)
+        cfg = config(self.MODELS[model], n_branches=4, c=200.0)
+        monkeypatch.setattr(pointproc, "_NODE_BUDGET", members * (cfg.n_nodes + cfg.n_clusters))
+        singles = [pointproc.realize(cfg, derive_seed(self.SEED, 0, r)) for r in range(self.REPS)]
+        return cfg, singles
+
+    @pytest.mark.parametrize("members", [0, 7, REPS])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_density_estimate(self, model, members, monkeypatch):
+        cfg, singles = self.prepare(model, members, monkeypatch)
+        want = float(np.mean([r.active_count for r in singles])) / (math.pi * cfg.radius ** 2)
+        assert density_estimate(cfg, self.REPS, self.SEED) == want
+
+    @pytest.mark.parametrize("members", [0, 7, REPS])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_aip_statistic(self, model, members, monkeypatch):
+        cfg, singles = self.prepare(model, members, monkeypatch)
+        powers = [
+            mmse.scaled_received_powers(r.positions, r.power_weight, cfg.n_branches, cfg.alpha)
+            for r in singles
+        ]
+        x = float(np.median(powers[0][powers[0] > 0]))
+        want = float(np.var([np.count_nonzero(p <= x) / p.size for p in powers], ddof=1))
+        assert want > 0
+        assert aip_statistic(cfg, x, self.REPS, self.SEED) == want
+
+
 class TestGoldenSamplePath:
     """Pinned (sir, redraw_count, active_count) per seed and model.
 

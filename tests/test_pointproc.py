@@ -38,7 +38,6 @@ from mmsenet.pointproc import (
     lattice_for,
     realization_to_csv,
     realize,
-    sample_potential_interferers,
     schedule_cellular,
     thin_hc1,
     thin_hc2,
@@ -93,14 +92,21 @@ class TestSampling:
         cfg = config(ModelSpec("independent"), n_branches=8, c=50.0)
         assert cfg.n_nodes == 400
         assert cfg.radius == pytest.approx(112.83791670955126, rel=1e-12)
-        pts = sample_potential_interferers(cfg, 1)
+        pts = realize(cfg, 1).positions
         assert pts.shape == (400, 2)
         assert np.all(np.hypot(pts[:, 0], pts[:, 1]) <= cfg.radius)
 
     def test_smallest_case(self):
         cfg = config(ModelSpec("independent"), n_branches=1, c=2.0)
         assert cfg.n_nodes == 2
-        assert sample_potential_interferers(cfg, 0).shape == (2, 2)
+        assert realize(cfg, 0).positions.shape == (2, 2)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**70])
+    def test_integer_seed_stream(self, seed):
+        # an int seed s keys Philox through SeedSequence(s); no golden pins
+        # an int-seeded stream
+        want = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        assert as_generator(seed).random(8).tobytes() == want.random(8).tobytes()
 
     def test_determinism(self):
         cfg = config(ModelSpec("hc2", h=0.5 * R_T))
@@ -121,7 +127,7 @@ class TestSampling:
         seeds = 300
         total = 0
         for s in range(seeds):
-            pts = sample_potential_interferers(cfg, s)
+            pts = realize(cfg, s).positions
             total += int(np.sum(np.hypot(pts[:, 0], pts[:, 1]) <= sub_r))
         n_total = seeds * cfg.n_nodes
         sigma = math.sqrt(n_total * p * (1 - p))
@@ -167,7 +173,7 @@ class TestHardCore:
     @pytest.mark.parametrize("seed", range(8))
     def test_hc1_matches_brute_force(self, seed):
         cfg = config(ModelSpec("hc1", h=0.5 * R_T), n_branches=4)
-        pos = sample_potential_interferers(cfg, seed)
+        pos = realize(cfg, seed).positions
         got = thin_hc1(pos, cfg.x_t, cfg.model.h)
         want = hc1_brute(pos, cfg.x_t, cfg.model.h)
         assert np.array_equal(got, want)
@@ -176,7 +182,7 @@ class TestHardCore:
     def test_hc2_matches_brute_force(self, seed):
         cfg = config(ModelSpec("hc2", h=1.0 * R_T), n_branches=4)
         rng = np.random.default_rng(seed + 100)
-        pos = sample_potential_interferers(cfg, seed)
+        pos = realize(cfg, seed).positions
         marks = rng.random(len(pos))
         got = thin_hc2(pos, marks, cfg.x_t, cfg.model.h)
         want = hc2_brute(pos, marks, cfg.x_t, cfg.model.h)
@@ -510,7 +516,7 @@ class TestCellularScheduling:
         lat = lattice_for(cfg)
         rng = np.random.default_rng(kappa)
         if kind == "random":
-            pts = sample_potential_interferers(cfg, 7)
+            pts = realize(cfg, 7).positions
         elif kind == "far":
             r = cfg.radius - lat.spacing * rng.random(400)
             theta = 2.0 * math.pi * rng.random(400)
