@@ -323,12 +323,17 @@ def density_estimate(config: NetworkConfig, replications: int, master_seed: int)
     return float(np.mean(counts)) / (math.pi * config.radius ** 2)
 
 
-def realize_scaled_powers(config: NetworkConfig, seed) -> np.ndarray:
-    """Scaled received powers N^{alpha/2} P_i r_i^-alpha of one realization."""
-    real = pointproc.realize(config, seed)
-    return mmse.scaled_received_powers(
-        real.positions, real.power_weight, config.n_branches, config.alpha
-    )
+def realize_scaled_powers(config: NetworkConfig, seeds) -> np.ndarray:
+    """Scaled received powers N^{alpha/2} P_i r_i^-alpha, one row per seed.
+
+    Row k belongs to realize(config, seeds[k]); the seeds are realized in
+    pointproc.realize_passes, and no seeds give a (0, n_nodes) array.
+    """
+    rows = [
+        mmse.scaled_received_powers(positions, weight, config.n_branches, config.alpha)
+        for positions, _, _, weight, _ in pointproc.realize_passes(config, seeds)
+    ]
+    return np.concatenate(rows) if rows else np.empty((0, config.n_nodes))
 
 
 def aip_statistic(
@@ -342,9 +347,7 @@ def aip_statistic(
     as in density_estimate.  It must shrink as the network grows for the SIR
     limit to apply.
     """
-    vals = []
-    seeds = (derive_seed(master_seed, 0, s) for s in range(n_seeds))
-    for positions, _, _, weight, _ in pointproc.realize_passes(config, seeds):
-        p = mmse.scaled_received_powers(positions, weight, config.n_branches, config.alpha)
-        vals.extend(np.count_nonzero(p <= x, axis=1) / config.n_nodes)
-    return float(np.var(vals, ddof=1))
+    if n_seeds < 2:
+        raise ValueError(f"n_seeds must be >= 2 for a sample variance, got {n_seeds}")
+    p = realize_scaled_powers(config, (derive_seed(master_seed, 0, s) for s in range(n_seeds)))
+    return float(np.var(np.count_nonzero(p <= x, axis=1) / config.n_nodes, ddof=1))

@@ -18,6 +18,10 @@ origin receiver.  Supported rules:
 * ``boolean`` -- a node transmits exactly when it falls strictly inside
   distance h of one of m uniformly placed cluster centers.
 
+Every "within h" above is the one strict test sqrt(dx*dx + dy*dy) < h
+(_within), so a distance of exactly h never counts.  Each rule runs as one
+kernel over a stack of realizations (_hard_core, _schedule, _boolean).
+
 Geometry conventions: the receiver sits at the origin, the representative
 transmitter at (r_T, 0), and R is derived from (N, c, rho_p) so that
 n = round(pi rho_p R^2) = round(c N).  All randomness flows through an
@@ -46,11 +50,7 @@ __all__ = [
     "Realization",
     "BaseStationLattice",
     "as_generator",
-    "thin_hc1",
-    "thin_hc2",
     "hex_lattice_band0",
-    "schedule_cellular",
-    "activate_boolean",
     "realize",
     "realize_passes",
     "interference_weights",
@@ -391,6 +391,11 @@ def _hard_core(
     """hc1 (marks None) or hc2 activation of a stack of members.
 
     positions is (B, n, 2) and marks (B, n); returns the (B, n) activation.
+    hc1 mutes every node with a neighbour within h; hc2 keeps a node unless
+    a neighbour within h carries a strictly lower mark, and an exact mark
+    tie (probability zero) goes to the lower node index.  Either way a node
+    within h of the representative x_t is muted regardless of its mark.
+    Comparisons are strict: a distance of exactly h deactivates nothing.
     The close pairs of every member come from one banded search over the
     stack (_close_pairs); the guard around x_t runs once over the stack.
     """
@@ -409,37 +414,15 @@ def _hard_core(
     return active.reshape(b, n)
 
 
-def thin_hc1(positions: np.ndarray, x_t: np.ndarray, h: float) -> np.ndarray:
-    """Mute every node with any neighbor (or the representative) within h.
-
-    Distances exactly equal to h do not deactivate; comparisons are strict.
-    """
-    return _hard_core(positions[None], None, x_t, h)[0]
-
-
-def thin_hc2(
-    positions: np.ndarray, marks: np.ndarray, x_t: np.ndarray, h: float
-) -> np.ndarray:
-    """Keep a node unless a strictly-lower-marked neighbor sits within h.
-
-    Marks are i.i.d. uniform [0, 1); exact ties (probability zero) go to the
-    lower node index for determinism.  Nodes within h of the representative
-    transmitter are muted regardless of mark.
-    """
-    return _hard_core(positions[None], marks[None], x_t, h)[0]
-
-
 def _boolean(positions: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
     """Boolean activation of a stack: positions (B, n, 2), centers (B, m, 2).
 
-    The banded cell-list search of _hard_core with the centers alone sorted
-    by cell key: each node's candidates are the centers of bands b-1, b and
-    b+1 up to _SPLIT columns either side (the nodes are sorted too, only so
-    that the window searches run in key order).  A candidate covers the node
-    when sqrt(d2) < h and d2 < h*h for the squared distance d2.  The first
-    is _within; the second can only differ from it when h*h underflows
-    (h < 2^-511), where it keeps the answer of the squared distance bound a
-    KD-tree query applies: a node exactly on a center stays inactive.
+    A node transmits iff some cluster center of its member lies strictly
+    within h of it (_within); a center at distance exactly h does not cover
+    it.  The banded cell-list search of _hard_core with the centers alone
+    sorted by cell key: each node's candidates are the centers of bands b-1,
+    b and b+1 up to _SPLIT columns either side (the nodes are sorted too,
+    only so that the window searches run in key order).
     """
     b, n = positions.shape[:2]
     active = np.zeros(b * n, dtype=bool)
@@ -460,22 +443,8 @@ def _boolean(positions: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray
     cx, cy = centers[..., 0].ravel(), centers[..., 1].ravel()
     for query, other in _window_pairs(lo, hi):
         i, j = nodes[query % nodes.size], by_center[other]
-        dx, dy = x[i] - cx[j], y[i] - cy[j]
-        d2 = dx * dx + dy * dy
-        active[i[(np.sqrt(d2) < h) & (d2 < h * h)]] = True
+        active[i[_within(x[i] - cx[j], y[i] - cy[j], h)]] = True
     return active.reshape(b, n)
-
-
-def activate_boolean(
-    positions: np.ndarray, centers: np.ndarray, h: float
-) -> np.ndarray:
-    """Node transmits iff some cluster center lies strictly within h of it.
-
-    A center at distance exactly h does not cover the node.  Searches the
-    banded cell list of _boolean, so only centers in the node's own and
-    adjacent bands are ever measured.
-    """
-    return _boolean(positions[None], centers[None], h)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +569,16 @@ def _nearest_site(
 def _schedule(
     positions: np.ndarray, marks: np.ndarray, spacing: float, kappa: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cellular activation of a stack: positions (B, n, 2), marks (B, n).
+    """Uplink TDMA slots of a stack: positions (B, n, 2), marks (B, n).
 
-    Returns the (B, n) activation and serving distances; each member's band-0
-    cells get one winner apiece.
+    Every mobile attaches to its nearest base station of the hexagonal
+    lattice with nearest-neighbor distance spacing (the lattice Voronoi
+    cells, found in one pass by _nearest_site).  In each band-0 cell of the
+    reuse-kappa coloring other than the origin cell, the occupant with the
+    minimal mark transmits; the origin cell's slot belongs to the
+    representative transmitter, so its occupants stay silent.  Each member's
+    cells are its own.  Returns the (B, n) activation and each mobile's
+    distance to its serving station.
     """
     b, n = positions.shape[:2]
     p, q, serving = _nearest_site(positions, spacing)
@@ -624,26 +599,6 @@ def _schedule(
         first[1:] = cell[1:] != cell[:-1]
         active[eligible[order[first]]] = True
     return active.reshape(b, n), serving
-
-
-def schedule_cellular(
-    positions: np.ndarray,
-    marks: np.ndarray,
-    spacing: float,
-    kappa: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uplink TDMA slot assignment on the band-0 cells.
-
-    Every mobile attaches to its nearest base station of the hexagonal
-    lattice with nearest-neighbor distance spacing (the cells are the lattice
-    Voronoi tessellation, found in one pass by hex rounding).  In each band-0
-    cell of the reuse-kappa coloring other than the origin cell, the occupant
-    with the minimal mark transmits; the origin cell's slot belongs to the
-    representative transmitter, so its occupants stay silent.  Returns the
-    activation mask and each mobile's distance to its serving station.
-    """
-    active, serving = _schedule(positions[None], marks[None], spacing, kappa)
-    return active[0], serving[0]
 
 
 # ---------------------------------------------------------------------------

@@ -403,10 +403,8 @@ def test_criterion_10a_edf_convergence_trend():
         x0 = params.support_point
         grid = np.geomspace(x0 / 10.0, 1e3 * x0, 512)
         ref = lambda x: limiting_edf(x, params)
-        ks = [
-            ks_distance(edf(realize_scaled_powers(cfg, derive_seed(MASTER_SEED, 0, s))), ref, grid)
-            for s in range(30)
-        ]
+        powers = realize_scaled_powers(cfg, (derive_seed(MASTER_SEED, 0, s) for s in range(30)))
+        ks = [ks_distance(edf(p), ref, grid) for p in powers]
         ks_by_scale.append(float(np.mean(ks)))
     decreasing = ks_by_scale[0] > ks_by_scale[1] > ks_by_scale[2]
     check(
@@ -463,9 +461,7 @@ def test_criterion_10c_aip_statistic_shrinks():
         rho_p=RHO_P, alpha=4.0, n_branches=64, c=50.0, r_t=R_T,
         model=ModelSpec("hc1", h=h),
     )
-    pooled = np.concatenate(
-        [realize_scaled_powers(cfg_small, derive_seed(MASTER_SEED, 2, s)) for s in range(20)]
-    )
+    pooled = realize_scaled_powers(cfg_small, (derive_seed(MASTER_SEED, 2, s) for s in range(20)))
     x = float(np.median(pooled))
     v_small = aip_statistic(cfg_small, x, 100, MASTER_SEED + 1)
     v_big = aip_statistic(cfg_big, x, 100, MASTER_SEED + 1)

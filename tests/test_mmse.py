@@ -369,11 +369,7 @@ class TestEdf:
                 rho_p=0.01, alpha=4.0, n_branches=n_branches, c=50.0,
                 r_t=math.sqrt(1.0 / (math.pi * 0.01)), model=ModelSpec("independent"),
             )
-            vals = [
-                ks_distance(
-                    edf(realize_scaled_powers(cfg, derive_seed(2, 0, s))), ref, grid
-                )
-                for s in range(20)
-            ]
+            powers = realize_scaled_powers(cfg, (derive_seed(2, 0, s) for s in range(20)))
+            vals = [ks_distance(edf(p), ref, grid) for p in powers]
             ks.append(float(np.mean(vals)))
         assert ks[0] > ks[1] > ks[2]

@@ -248,7 +248,7 @@ class TestAipStatistic:
     def test_dependence_shrinks_with_network_size(self):
         h = 0.5 * R_T
         base = config(ModelSpec("hc1", h=h), n_branches=4, c=50.0)
-        p0 = realize_scaled_powers(base, derive_seed(0, 0, 0))
+        (p0,) = realize_scaled_powers(base, [derive_seed(0, 0, 0)])
         x = float(np.median(p0[p0 > 0]))
         small = aip_statistic(base, x, 80, 17)
         big = aip_statistic(config(ModelSpec("hc1", h=h), n_branches=16, c=50.0), x, 80, 17)
@@ -256,16 +256,29 @@ class TestAipStatistic:
 
     def test_scaled_powers_support(self):
         cfg = config(ModelSpec("hc1", h=0.5 * R_T), n_branches=8)
-        p = realize_scaled_powers(cfg, derive_seed(1, 0, 0))
+        (p,) = realize_scaled_powers(cfg, [derive_seed(1, 0, 0)])
         x0 = (math.pi * RHO_P / 50.0) ** 2.0
         active = p[p > 0]
         assert active.min() >= x0 * (1 - 1e-9)
         assert p.size == cfg.n_nodes
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_seeds", [0, 1])
+    def test_fewer_than_two_seeds_rejected(self, n_seeds):
+        cfg = config(ModelSpec("hc1", h=0.5 * R_T))
+        with pytest.raises(ValueError, match="n_seeds"):
+            aip_statistic(cfg, 1.0, n_seeds, 17)
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_seeds_no_rows(self):
+        cfg = config(ModelSpec("hc1", h=0.5 * R_T))
+        assert realize_scaled_powers(cfg, iter(())).shape == (0, cfg.n_nodes)
+
 
 class TestEstimatorPasses:
-    """density_estimate and aip_statistic equal a per-seed realize loop bit
-    for bit, however their replications are split into stacked passes."""
+    """density_estimate, realize_scaled_powers and aip_statistic equal a
+    per-seed realize loop bit for bit, however their replications are split
+    into stacked passes."""
 
     MODELS = {
         "independent": ModelSpec("independent"),
@@ -292,6 +305,18 @@ class TestEstimatorPasses:
         cfg, singles = self.prepare(model, members, monkeypatch)
         want = float(np.mean([r.active_count for r in singles])) / (math.pi * cfg.radius ** 2)
         assert density_estimate(cfg, self.REPS, self.SEED) == want
+
+    @pytest.mark.parametrize("members", [0, 7, REPS])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_realize_scaled_powers(self, model, members, monkeypatch):
+        cfg, singles = self.prepare(model, members, monkeypatch)
+        got = realize_scaled_powers(cfg, (derive_seed(self.SEED, 0, r) for r in range(self.REPS)))
+        assert got.shape == (self.REPS, cfg.n_nodes)
+        for row, r in zip(got, singles):
+            want = mmse.scaled_received_powers(
+                r.positions, r.power_weight, cfg.n_branches, cfg.alpha
+            )
+            assert np.array_equal(row, want)
 
     @pytest.mark.parametrize("members", [0, 7, REPS])
     @pytest.mark.parametrize("model", sorted(MODELS))

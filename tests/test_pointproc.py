@@ -31,16 +31,12 @@ from mmsenet.pointproc import (
     _realize_stack,
     _schedule,
     _within,
-    activate_boolean,
     as_generator,
     hex_lattice_band0,
     hex_spacing,
     lattice_for,
     realization_to_csv,
     realize,
-    schedule_cellular,
-    thin_hc1,
-    thin_hc2,
 )
 
 RHO_P = 0.01
@@ -142,39 +138,39 @@ class TestHardCore:
     def test_pair_within_h_both_muted(self):
         pos = np.array([[0.0, 0.0], [0.5, 0.0]])
         x_t = np.array([100.0, 100.0])
-        assert not thin_hc1(pos, x_t, 1.0).any()
+        assert not _hard_core(pos[None], None, x_t, 1.0).any()
 
     def test_h_zero_all_active(self):
         rng = np.random.default_rng(3)
         pos = rng.random((50, 2)) * 10
         x_t = np.array([1.0, 1.0])
-        assert thin_hc1(pos, x_t, 0.0).all()
-        assert thin_hc2(pos, rng.random(50), x_t, 0.0).all()
+        assert _hard_core(pos[None], None, x_t, 0.0).all()
+        assert _hard_core(pos[None], rng.random((1, 50)), x_t, 0.0).all()
 
     def test_exactly_h_does_not_deactivate(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
         x_t = np.array([0.0, 1.0])  # node 0 at distance exactly h from x_t
-        assert thin_hc1(pos, x_t, 1.0).all()
+        assert _hard_core(pos[None], None, x_t, 1.0).all()
 
     def test_hc2_pair_lower_mark_wins(self):
         pos = np.array([[0.0, 0.0], [0.5, 0.0]])
         marks = np.array([0.7, 0.2])
         x_t = np.array([100.0, 100.0])
-        active = thin_hc2(pos, marks, x_t, 1.0)
+        active = _hard_core(pos[None], marks[None], x_t, 1.0)[0]
         assert list(active) == [False, True]
 
     def test_hc2_tie_breaks_to_lower_index(self):
         pos = np.array([[0.0, 0.0], [0.5, 0.0]])
         marks = np.array([0.4, 0.4])
         x_t = np.array([100.0, 100.0])
-        active = thin_hc2(pos, marks, x_t, 1.0)
+        active = _hard_core(pos[None], marks[None], x_t, 1.0)[0]
         assert list(active) == [True, False]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_hc1_matches_brute_force(self, seed):
         cfg = config(ModelSpec("hc1", h=0.5 * R_T), n_branches=4)
         pos = realize(cfg, seed).positions
-        got = thin_hc1(pos, cfg.x_t, cfg.model.h)
+        got = _hard_core(pos[None], None, cfg.x_t, cfg.model.h)[0]
         want = hc1_brute(pos, cfg.x_t, cfg.model.h)
         assert np.array_equal(got, want)
 
@@ -184,7 +180,7 @@ class TestHardCore:
         rng = np.random.default_rng(seed + 100)
         pos = realize(cfg, seed).positions
         marks = rng.random(len(pos))
-        got = thin_hc2(pos, marks, cfg.x_t, cfg.model.h)
+        got = _hard_core(pos[None], marks[None], cfg.x_t, cfg.model.h)[0]
         want = hc2_brute(pos, marks, cfg.x_t, cfg.model.h)
         assert np.array_equal(got, want)
 
@@ -236,16 +232,18 @@ class TestBoolean:
     def test_h_zero_none_active(self):
         pos = np.random.default_rng(0).random((20, 2))
         centers = pos.copy()
-        assert not activate_boolean(pos, centers, 0.0).any()
+        assert not _boolean(pos[None], centers[None], 0.0).any()
 
     def test_center_on_node_activates(self):
         pos = np.array([[1.0, 2.0], [5.0, 5.0]])
         centers = np.array([[1.0, 2.0]])
-        assert list(activate_boolean(pos, centers, 0.5)) == [True, False]
+        assert list(_boolean(pos[None], centers[None], 0.5)[0]) == [True, False]
+        # distance 0 < h however small h is, even where h * h underflows to 0
+        assert list(_boolean(pos[None], centers[None], 1e-300)[0]) == [True, False]
 
     def test_no_centers(self):
         pos = np.array([[1.0, 2.0]])
-        assert not activate_boolean(pos, np.empty((0, 2)), 1.0).any()
+        assert not _boolean(pos[None], np.empty((1, 0, 2)), 1.0).any()
 
     @staticmethod
     def brute_force(positions, centers, h):
@@ -263,7 +261,7 @@ class TestBoolean:
         rng = np.random.default_rng(seed)
         pos = rng.uniform(-5.0, 5.0, (n, 2))
         centers = rng.uniform(-5.5, 5.5, (m, 2))
-        got = activate_boolean(pos, centers, h)
+        got = _boolean(pos[None], centers[None], h)[0]
         assert got.dtype == bool
         assert np.array_equal(got, self.brute_force(pos, centers, h))
 
@@ -279,7 +277,7 @@ class TestBoolean:
             ([[0.0, -inside]], True),
         ):
             centers = np.vstack([far, ring])
-            got = activate_boolean(origin, centers, h)
+            got = _boolean(origin[None], centers[None], h)[0]
             assert got.tolist() == [want]
             assert np.array_equal(got, self.brute_force(origin, centers, h))
 
@@ -289,7 +287,7 @@ class TestBoolean:
     )
     def test_degenerate_inputs_none_active(self, centers, h):
         pos = np.zeros((4, 2))
-        got = activate_boolean(pos, centers, h)
+        got = _boolean(pos[None], centers[None], h)[0]
         assert got.shape == (4,) and not got.any()
         assert np.array_equal(got, self.brute_force(pos, centers, h))
 
@@ -360,13 +358,24 @@ def kd_close_pairs(positions, h):
 
 
 def kd_boolean(positions, centers, h):
-    """Nearest-center query of one KD-tree per member, bounded at h."""
+    """Nearest-center query of one KD-tree per member, bounded at h.
+
+    The tree bounds squared distances by h * h, so it only agrees with
+    _within while h * h > 0; brute_boolean is the oracle below that.
+    """
     if centers.shape[1] == 0:
         return np.zeros(positions.shape[:2], dtype=bool)
     return np.stack([
         cKDTree(c).query(p, k=1, distance_upper_bound=h)[0] < h
         for p, c in zip(positions, centers)
     ])
+
+
+def brute_boolean(positions, centers, h):
+    """_within of every node against every center of its member."""
+    dx = positions[:, :, None, 0] - centers[:, None, :, 0]
+    dy = positions[:, :, None, 1] - centers[:, None, :, 1]
+    return _within(dx, dy, h).any(axis=2)
 
 
 class TestBandedSearch:
@@ -385,7 +394,8 @@ class TestBandedSearch:
     def test_boolean_equals_kd_tree(self, kind, h):
         positions, centers = stacked_layout(kind, 2)
         got = _boolean(positions, centers, h)
-        assert np.array_equal(got, kd_boolean(positions, centers, h))
+        oracle = kd_boolean if h * h > 0 else brute_boolean
+        assert np.array_equal(got, oracle(positions, centers, h))
 
     @pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates"])
     def test_chunked_windows_change_nothing(self, kind, monkeypatch):
@@ -527,7 +537,7 @@ class TestCellularScheduling:
         d_all = np.linalg.norm(pts[:, None, :] - lat.sites[None, :, :], axis=-1)
         np.testing.assert_array_equal(np.column_stack((p, q)), lat.ij[d_all.argmin(axis=1)])
         assert np.allclose(dist, d_all.min(axis=1), rtol=1e-12, atol=1e-9)
-        _, serving = schedule_cellular(pts, np.zeros(len(pts)), lat.spacing, lat.kappa)
+        _, (serving,) = _schedule(pts[None], np.zeros((1, len(pts))), lat.spacing, lat.kappa)
         np.testing.assert_array_equal(serving, dist)
 
     def test_at_most_one_active_per_band0_cell_and_none_in_origin(self):
@@ -551,7 +561,7 @@ class TestCellularScheduling:
         band0_idx = np.flatnonzero(lat.band0 & np.any(lat.ij != 0, axis=1))
         site = lat.sites[band0_idx[0]]
         pos = site[None, :] + 0.05 * lat.spacing
-        active, serving = schedule_cellular(pos, np.array([0.5]), lat.spacing, lat.kappa)
+        (active,), (serving,) = _schedule(pos[None], np.array([[0.5]]), lat.spacing, lat.kappa)
         assert active.all()
         assert serving[0] == pytest.approx(np.linalg.norm(pos[0] - site), rel=1e-12)
 
@@ -560,7 +570,7 @@ class TestCellularScheduling:
         lat = lattice_for(cfg)
         other_idx = np.flatnonzero(~lat.band0)
         pos = lat.sites[other_idx[0]][None, :] + 0.05 * lat.spacing
-        active, _ = schedule_cellular(pos, np.array([0.5]), lat.spacing, lat.kappa)
+        (active,), _ = _schedule(pos[None], np.array([[0.5]]), lat.spacing, lat.kappa)
         assert not active.any()
 
     def test_min_mark_wins_within_cell(self):
@@ -570,7 +580,7 @@ class TestCellularScheduling:
         site = lat.sites[band0_idx[0]]
         pos = np.vstack([site + [0.1, 0.0], site + [0.0, 0.1], site + [0.1, 0.1]])
         marks = np.array([0.9, 0.05, 0.5])
-        active, _ = schedule_cellular(pos, marks, lat.spacing, lat.kappa)
+        (active,), _ = _schedule(pos[None], marks[None], lat.spacing, lat.kappa)
         assert list(active) == [False, True, False]
 
     def test_stacked_members_do_not_share_cells(self):
