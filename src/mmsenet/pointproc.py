@@ -275,12 +275,18 @@ class Realization:
 # ---------------------------------------------------------------------------
 
 def _to_disk(radius: float, u_r: np.ndarray, u_theta: np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) radius and angle draws -> points uniform on the disk, (..., 2)."""
-    r = radius * np.sqrt(u_r)
+    """Uniform [0, 1) radius and angle draws -> points uniform on the disk, (..., 2).
+
+    The points are r cos(theta) and r sin(theta) with r = radius sqrt(u_r)
+    and theta = 2 pi u_theta; sqrt, cos and sin share one contiguous buffer
+    and the products go straight into the coordinate columns.
+    """
+    buf = np.sqrt(u_r)
+    r = radius * buf
     theta = 2.0 * math.pi * u_theta
     points = np.empty(r.shape + (2,))
-    points[..., 0] = r * np.cos(theta)
-    points[..., 1] = r * np.sin(theta)
+    np.multiply(r, np.cos(theta, out=buf), out=points[..., 0])
+    np.multiply(r, np.sin(theta, out=buf), out=points[..., 1])
     return points
 
 
@@ -496,9 +502,13 @@ def _band0_mask(p: np.ndarray, q: np.ndarray, kappa: int) -> np.ndarray:
     if kappa == 1:
         return np.ones(np.shape(p), dtype=bool)
     i, j = _KAPPA_ANCHOR[kappa]
-    mask = (q * i - p * j) % kappa == 0
+    # v % kappa == 0 as v // kappa * kappa == v: numpy's int64 floor
+    # division by a scalar is some ten times faster than its remainder
+    v = q * i - p * j
+    mask = v // kappa * kappa == v
     if kappa == 4:
-        mask &= (p * (i + j) + q * j) % kappa == 0
+        v = p * (i + j) + q * j
+        mask &= v // kappa * kappa == v
     return mask
 
 
@@ -549,21 +559,39 @@ def _nearest_site(
     of points that round to a site is that site's hexagonal Voronoi cell.
     points may carry leading axes (..., 2); returns (p, q, distances) of
     the leading shape.
+
+    The temporaries are written back in place: the rounding errors |r - f|
+    overwrite f1, f2 and f3, and the site offsets and distances reuse those
+    buffers, so a stacked pass allocates six float arrays besides (p, q).
+    A pass is too large to stay in cache, and each fresh array costs page
+    faults as well as memory traffic.
     """
     x, y = points[..., 0], points[..., 1]
     f2 = y / (spacing * math.sqrt(3.0) / 2.0)
-    f1 = x / spacing - 0.5 * f2
-    f3 = -f1 - f2
+    f1 = x / spacing
+    f1 -= 0.5 * f2
+    f3 = np.negative(f1)
+    f3 -= f2
     r1, r2, r3 = np.rint(f1), np.rint(f2), np.rint(f3)
-    e1, e2, e3 = np.abs(r1 - f1), np.abs(r2 - f2), np.abs(r3 - f3)
-    fix1 = (e1 > e2) & (e1 > e3)
-    fix2 = ~fix1 & (e2 > e3)
-    p = np.where(fix1, -r2 - r3, r1).astype(np.int64)
-    q = np.where(fix2, -r1 - r3, r2).astype(np.int64)
-    sx = spacing * (p + 0.5 * q)
-    sy = spacing * (math.sqrt(3.0) / 2.0) * q
-    d2 = (x - sx) ** 2 + (y - sy) ** 2
-    return p, q, np.sqrt(d2)
+    e1 = np.abs(np.subtract(r1, f1, out=f1), out=f1)
+    e2 = np.abs(np.subtract(r2, f2, out=f2), out=f2)
+    e3 = np.abs(np.subtract(r3, f3, out=f3), out=f3)
+    fix1 = e1 > e2
+    fix1 &= e1 > e3
+    fix2 = e2 > e3
+    fix2 &= ~fix1
+    # fix1 and fix2 are disjoint, so r1 is still the rounded f1 where fix2
+    # re-derives q from it
+    np.copyto(r1, np.subtract(np.negative(r2, out=e1), r3, out=e1), where=fix1)
+    np.copyto(r2, np.subtract(np.negative(r1, out=e1), r3, out=e1), where=fix2)
+    p, q = r1.astype(np.int64), r2.astype(np.int64)
+    sx = np.multiply(0.5, q, out=e1)
+    sx += p
+    sx *= spacing
+    sx = np.square(np.subtract(x, sx, out=sx), out=sx)
+    sy = np.multiply(spacing * (math.sqrt(3.0) / 2.0), q, out=e2)
+    sx += np.square(np.subtract(y, sy, out=sy), out=sy)
+    return p, q, np.sqrt(sx, out=sx)
 
 
 def _schedule(
@@ -575,29 +603,34 @@ def _schedule(
     lattice with nearest-neighbor distance spacing (the lattice Voronoi
     cells, found in one pass by _nearest_site).  In each band-0 cell of the
     reuse-kappa coloring other than the origin cell, the occupant with the
-    minimal mark transmits; the origin cell's slot belongs to the
-    representative transmitter, so its occupants stay silent.  Each member's
-    cells are its own.  Returns the (B, n) activation and each mobile's
-    distance to its serving station.
+    minimal mark transmits, and an exact tie goes to the lower flattened
+    index; the origin cell's slot belongs to the representative
+    transmitter, so its occupants stay silent.  Each member's cells are its
+    own.  One unstable sort of an int64 (member, cell) key groups the
+    eligible mobiles into runs of one cell; a segment minimum per run gives
+    its lowest mark, and a second one the lowest index among the occupants
+    that hold it, so the order within a run never matters.  Returns the
+    (B, n) activation and each mobile's distance to its serving station.
     """
     b, n = positions.shape[:2]
     p, q, serving = _nearest_site(positions, spacing)
     active = np.zeros(b * n, dtype=bool)
     eligible = np.flatnonzero(_band0_mask(p, q, kappa) & ((p != 0) | (q != 0)))
     if eligible.size:
-        # one int64 key per (member, cell), ordered as (member, p, q), with
-        # offsets and widths from this pass's own p and q ranges; a stable
-        # sort by (key, mark) puts each cell's winner first: minimal mark,
-        # ties to the lower index
+        # one non-negative int64 key per (member, cell), with offsets and
+        # widths from this pass's own p and q ranges
         p, q = p.ravel()[eligible], q.ravel()[eligible]
         p_lo, q_lo = int(p.min()), int(q.min())
         p_span, q_span = int(p.max()) - p_lo + 1, int(q.max()) - q_lo + 1
         cell = ((eligible // n) * p_span + (p - p_lo)) * q_span + (q - q_lo)
-        order = np.lexsort((marks.ravel()[eligible], cell))
-        cell = cell[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = cell[1:] != cell[:-1]
-        active[eligible[order[first]]] = True
+        order = np.argsort(cell)
+        start = np.flatnonzero(np.diff(cell[order], prepend=-1))
+        index = eligible[order]
+        mark = marks.ravel()[index]
+        low = np.minimum.reduceat(mark, start)
+        # occupants above their cell's lowest mark drop out of the index minimum
+        index[mark != np.repeat(low, np.diff(start, append=mark.size))] = b * n
+        active[np.minimum.reduceat(index, start)] = True
     return active.reshape(b, n), serving
 
 

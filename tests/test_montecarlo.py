@@ -347,7 +347,9 @@ class TestGoldenSamplePath:
         "hc1": (ModelSpec("hc1", h=0.5 * R_T), 4, 50.0),
         "hc2": (ModelSpec("hc2", h=0.5 * R_T), 4, 50.0),
         "boolean": (ModelSpec("boolean", h=R_T, rho_b=RHO_P), 4, 50.0),
+        "cellular_k1": (ModelSpec("cellular", rho_c=0.001, kappa=1), 4, 200.0),
         "cellular_k3": (ModelSpec("cellular", rho_c=0.001, kappa=3), 4, 200.0),
+        "cellular_k4": (ModelSpec("cellular", rho_c=0.001, kappa=4), 4, 200.0),
         "cellular_k7": (ModelSpec("cellular", rho_c=0.001, kappa=7), 4, 200.0),
         "cellular_pc": (
             ModelSpec("cellular", rho_c=0.001, kappa=3, power_control=True), 4, 200.0
@@ -369,9 +371,15 @@ class TestGoldenSamplePath:
         ("boolean", 2013, 0): (4.430504622665751, 0, 129),
         ("boolean", 2013, 1): (33.07919380525798, 0, 130),
         ("boolean", 2013, 2): (58.716003150449566, 0, 125),
+        ("cellular_k1", 2013, 0): (1026.559265157806, 0, 88),
+        ("cellular_k1", 2013, 1): (1291.3366025970197, 0, 89),
+        ("cellular_k1", 2013, 2): (2285.5998517453786, 0, 90),
         ("cellular_k3", 2013, 0): (8750.931351843486, 0, 30),
         ("cellular_k3", 2013, 1): (10221.621377238724, 0, 31),
         ("cellular_k3", 2013, 2): (8996.71243062599, 0, 30),
+        ("cellular_k4", 2013, 0): (8587.223494533504, 0, 18),
+        ("cellular_k4", 2013, 1): (25141.671343709724, 0, 18),
+        ("cellular_k4", 2013, 2): (15679.214290181966, 0, 18),
         ("cellular_k7", 2013, 0): (84086.43700795245, 0, 12),
         ("cellular_k7", 2013, 1): (102241.16507122872, 0, 12),
         ("cellular_k7", 2013, 2): (84987.96236506873, 0, 12),

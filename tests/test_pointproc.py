@@ -30,6 +30,7 @@ from mmsenet.pointproc import (
     _nearest_site,
     _realize_stack,
     _schedule,
+    _to_disk,
     _within,
     as_generator,
     hex_lattice_band0,
@@ -114,6 +115,16 @@ class TestSampling:
         assert np.array_equal(a.power_weight, b.power_weight)
         c_ = realize(cfg, 1235)
         assert not np.array_equal(a.positions, c_.positions)
+
+    @pytest.mark.parametrize("b,n", [(1, 1), (3, 257), (10, 3200)])
+    def test_to_disk_equals_out_of_place_expression(self, b, n):
+        # row slices of one draw matrix, as _realize_stack passes them
+        u = np.random.default_rng(n).random((b, 3 * n))
+        u_r, u_theta = u[:, :n], u[:, n:2 * n]
+        r = 7.5 * np.sqrt(u_r)
+        theta = 2.0 * math.pi * u_theta
+        want = np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1)
+        np.testing.assert_array_equal(_to_disk(7.5, u_r, u_theta), want)
 
     def test_uniformity_subdisk_frequency(self):
         # point count in a sub-disk of area A is Binomial(n, A / (pi R^2))
@@ -539,6 +550,68 @@ class TestCellularScheduling:
         assert np.allclose(dist, d_all.min(axis=1), rtol=1e-12, atol=1e-9)
         _, (serving,) = _schedule(pts[None], np.zeros((1, len(pts))), lat.spacing, lat.kappa)
         np.testing.assert_array_equal(serving, dist)
+
+    @staticmethod
+    def schedule_brute(positions, marks, lat):
+        """Slots by exhaustive search: each mobile's nearest lattice site, and
+        per member and band-0 cell other than the origin's the minimal mark,
+        ties to the lowest flattened index."""
+        b, n = marks.shape
+        pts = positions.reshape(-1, 2)
+        owner = np.linalg.norm(pts[:, None, :] - lat.sites[None, :, :], axis=-1).argmin(axis=1)
+        offset = pts - lat.sites[owner]
+        serving = np.sqrt(offset[:, 0] ** 2 + offset[:, 1] ** 2)
+        winner = {}
+        for k, (site, mark) in enumerate(zip(owner, marks.ravel())):
+            if lat.band0[site] and lat.ij[site].any():
+                key = (k // n, site)
+                if key not in winner or mark < marks.flat[winner[key]]:
+                    winner[key] = k
+        active = np.zeros(b * n, dtype=bool)
+        active[list(winner.values())] = True
+        return active.reshape(b, n), serving.reshape(b, n)
+
+    @staticmethod
+    def stack_case(lat, radius, kind, members, rng):
+        """positions (members, n, 2) and marks on 4 levels, so ties are common."""
+        n = 400
+        if kind == "random":
+            r = radius * np.sqrt(rng.random((members, n)))
+            theta = 2.0 * math.pi * rng.random((members, n))
+            positions = np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1)
+        else:
+            band0 = lat.sites[lat.band0 & lat.ij.any(axis=1)]
+            near = band0[np.argsort(np.hypot(band0[:, 0], band0[:, 1]))[:3]]
+            jitter = 0.3 * lat.spacing * (rng.random((members, n, 2)) - 0.5)
+            if kind == "no_eligible":  # every mobile in the origin cell
+                positions = jitter
+            elif kind == "one_cell":  # member 0's mobiles all in one band-0 cell
+                positions = near[rng.integers(0, 3, (members, n))] + jitter
+                positions[0] = near[0] + jitter[0]
+            else:  # shared_cells: every member holds the same mobiles
+                positions = np.broadcast_to(near[rng.integers(0, 3, n)] + jitter[0], (members, n, 2))
+        marks = np.floor(4.0 * rng.random((members, n))) / 4.0
+        return np.ascontiguousarray(positions), marks
+
+    @pytest.mark.parametrize("members", [1, 25])
+    @pytest.mark.parametrize("kind", ["random", "no_eligible", "one_cell", "shared_cells"])
+    @pytest.mark.parametrize("kappa", [1, 3, 4, 7])
+    def test_schedule_matches_brute_force_winners(self, kappa, kind, members):
+        radius = 112.0
+        lat = hex_lattice_band0(0.001, kappa, radius + 3.0 * hex_spacing(0.001))
+        rng = np.random.default_rng([kappa, members])
+        positions, marks = self.stack_case(lat, radius, kind, members, rng)
+        want_active, want_serving = self.schedule_brute(positions, marks, lat)
+        active, serving = _schedule(positions, marks, lat.spacing, kappa)
+        np.testing.assert_array_equal(active, want_active)
+        np.testing.assert_array_equal(serving, want_serving)
+        if kind == "no_eligible":
+            assert not active.any()
+        elif kind == "shared_cells":
+            # members share cell indices but not cells: each picks its own
+            assert (active.sum(axis=1) == active[0].sum()).all() and active[0].any()
+        elif kind == "one_cell":
+            assert active[0].sum() == 1
 
     def test_at_most_one_active_per_band0_cell_and_none_in_origin(self):
         cfg = self.cfg()
