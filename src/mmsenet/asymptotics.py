@@ -79,8 +79,11 @@ def _scipy(name: str):
     Cached, because an import statement in a function pays a package
     lookup on every call (about 0.7 us on CPython 3.11) even when the
     module is loaded, and the fixed-point solvers call gauss_2f1 dozens of
-    times per solve.
+    times per solve.  scipy itself is imported first, so that a missing
+    scipy always raises ModuleNotFoundError with name "scipy", which the
+    command line reports without a traceback.
     """
+    importlib.import_module("scipy")
     return importlib.import_module(f"scipy.{name}")
 
 

@@ -13,6 +13,7 @@ Subcommands:
 
 All commands are non-interactive; data goes to stdout or the requested
 output file, progress and diagnostics to stderr.  Exit codes: 0 success,
+1 a command that needs scipy (``asymptote``, ``reuse-opt``) ran without it,
 2 invalid input (a subcommand raises ConfigError; main prints
 ``<command>: <message>``), 3 fixed-point bracketing failure.
 """
@@ -592,6 +593,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
+    except ModuleNotFoundError as exc:
+        if exc.name != "scipy":
+            raise
+        print(f"{args.command}: needs scipy, which is not installed", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

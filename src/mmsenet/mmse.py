@@ -104,16 +104,34 @@ def interference_covariance(interferers: np.ndarray, weights: np.ndarray) -> np.
 
     weights[i] is the received power of active node i at the reference
     branch: r_i^-alpha for unit transmit power, r_b^alpha r_i^-alpha under
-    cellular power control.
+    cellular power control; a negative or NaN weight raises ValueError.
+
+    R = A A^H with A = G diag(sqrt(w)), built in real arithmetic: one
+    multiply writes the scaled planes Ar = Re(G) sqrt(w) and
+    Ai = Im(G) sqrt(w) as the rows of P = [Ar; Ai], and one BLAS rank-k
+    update (syrk) forms the symmetric Q = P P^T, whose blocks are Ar Ar^T,
+    Ar Ai^T, Ai Ar^T and Ai Ai^T.  Then Re R = Ar Ar^T + Ai Ai^T and
+    Im R = M - M^T with M = Ai Ar^T.  That is 4 N^2 k real flops against
+    8 N^2 k for a complex matrix product, and since syrk fills Q
+    symmetrically, R is exactly Hermitian with an exactly real diagonal.
     """
-    interferers = np.asarray(interferers)
+    interferers = np.asarray(interferers, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     if interferers.ndim != 2:
         raise ValueError("interferer matrix must be (n_branches, count)")
-    if weights.shape != (interferers.shape[1],):
+    n, k = interferers.shape
+    if weights.shape != (k,):
         raise ValueError("one weight per interferer column required")
-    cov = (interferers * weights) @ interferers.conj().T  # one BLAS product
-    return 0.5 * (cov + cov.conj().T)  # clear rounding asymmetry
+    if not weights.min(initial=0.0) >= 0.0:  # false on NaN too
+        i = int(np.flatnonzero(~(weights >= 0.0))[0])
+        raise ValueError(f"weights[{i}] = {float(weights[i])!r}: received powers must be >= 0")
+    planes = np.multiply(interferers[..., None].view(float).transpose(2, 0, 1),
+                         np.sqrt(weights), order="C").reshape(2 * n, k)
+    q = np.dot(planes, planes.T)  # numpy calls syrk for a matrix times its transpose
+    cov = np.empty((n, n), dtype=complex)
+    np.add(q[:n, :n], q[n:, n:], out=cov.real)
+    np.subtract(q[n:, :n], q[:n, n:], out=cov.imag)
+    return cov
 
 
 def quadratic_forms(g_t: np.ndarray, cov: np.ndarray) -> np.ndarray:

@@ -916,6 +916,34 @@ def test_simulate_density_and_plot_need_no_scipy(tmp_path, model):
     assert report.read_text().count("\n") == 2 and chart.stat().st_size > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "50"],
+    ["reuse-opt", "--alpha", "4", "--n-branches", "4", "--rho-p", "0.01", "--rho-c", "0.001"],
+], ids=["asymptote", "reuse-opt"])
+def test_missing_scipy_is_one_line_exit_1(argv):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, *argv], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"{argv[0]}: needs scipy, which is not installed\n"
+    assert proc.stdout == ""
+
+
+def test_other_import_error_keeps_traceback(monkeypatch):
+    from mmsenet import asymptotics
+
+    def broken(*args, **kwargs):
+        raise ModuleNotFoundError("No module named 'scipy.special'", name="scipy.special")
+
+    monkeypatch.setattr(asymptotics, "optimal_reuse", broken)
+    with pytest.raises(ModuleNotFoundError, match="scipy.special"):
+        main(["reuse-opt", "--alpha", "4", "--n-branches", "4", "--rho-p", "0.01",
+              "--rho-c", "0.001"])
+
+
 def test_readme_command_lines_parse():
     """Every command line of the README's "Command line" block parses (nothing runs)."""
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"

@@ -83,17 +83,30 @@ class TestCovariance:
         want = np.sum(w * np.sum(np.abs(f.interferers) ** 2, axis=0))
         assert np.trace(cov).real == pytest.approx(want, rel=1e-12)
 
+    def test_zero_weights_accept_negative_zero(self):
+        f = draw_fading(4, 6, 3)
+        cov = interference_covariance(f.interferers, np.array([0.0, -0.0] * 3))
+        assert np.all(cov == 0.0)
+
+    @pytest.mark.parametrize("bad", [-1e-300, -0.5, -np.inf, np.nan])
+    def test_negative_or_nan_weight_rejected(self, bad):
+        f = draw_fading(4, 6, 3)
+        w = np.ones(6)
+        w[[2, 4]] = bad
+        with pytest.raises(ValueError, match=rf"^weights\[2\] = {bad!r}: "):
+            interference_covariance(f.interferers, w)
+
     def test_hermitian(self):
         f = draw_fading(6, 30, 10)
         cov = interference_covariance(f.interferers, np.ones(30))
         assert np.allclose(cov, cov.conj().T)
 
-    @pytest.mark.parametrize("k", [0, 1, 1500])
+    @pytest.mark.parametrize("k", [0, 1, 1500, 2054])
     @pytest.mark.parametrize("n", [1, 4, 16, 64])
     def test_matches_einsum_oracle(self, n, k):
         f = draw_fading(n, k, 100 * n + k)
-        # received powers r^-4 over a wide range of distances
-        weights = np.random.default_rng(k).uniform(1.0, 30.0, k) ** -4.0
+        # received powers r^-4 over distances 1 to 1000: 12 decades
+        weights = np.random.default_rng(k).uniform(1.0, 1000.0, k) ** -4.0
         cov = interference_covariance(f.interferers, weights)
         ref = np.einsum("ik,k,jk->ij", f.interferers, weights, f.interferers.conj())
         assert cov.shape == (n, n)

@@ -337,8 +337,8 @@ class TestGoldenSamplePath:
 
     Exact float equality: a change that moves any of these moved the sample
     path, and must update the values on purpose and say so in CHANGES.md.
-    The sir values also carry the rounding of the BLAS covariance product and
-    of the batched LAPACK solve.
+    The sir values also carry the rounding of the BLAS rank-k covariance
+    update and of the batched LAPACK solve.
     """
 
     H_SPARSE = math.sqrt(0.14 / (math.pi * RHO_P))  # Boolean coverage ~13%
@@ -359,6 +359,42 @@ class TestGoldenSamplePath:
     }
     # (model, master_seed, replication) -> (sir, redraw_count, active_count)
     GOLDEN = {
+        ("independent", 2013, 0): (8.807924460513572, 0, 200),
+        ("independent", 2013, 1): (3.9428441171279176, 0, 200),
+        ("independent", 2013, 2): (5.734404059608519, 0, 200),
+        ("hc1", 2013, 0): (11.513033085017366, 0, 162),
+        ("hc1", 2013, 1): (7.1024949834799465, 0, 150),
+        ("hc1", 2013, 2): (9.109876390822745, 0, 160),
+        ("hc2", 2013, 0): (36.520817484739126, 0, 180),
+        ("hc2", 2013, 1): (2.261343869710389, 0, 173),
+        ("hc2", 2013, 2): (9.758720443380916, 0, 179),
+        ("boolean", 2013, 0): (4.430504622664146, 0, 129),
+        ("boolean", 2013, 1): (33.07919380525805, 0, 130),
+        ("boolean", 2013, 2): (58.7160031504496, 0, 125),
+        ("cellular_k1", 2013, 0): (1026.5592651578063, 0, 88),
+        ("cellular_k1", 2013, 1): (1291.3366025970197, 0, 89),
+        ("cellular_k1", 2013, 2): (2285.599851745378, 0, 90),
+        ("cellular_k3", 2013, 0): (8750.931351843483, 0, 30),
+        ("cellular_k3", 2013, 1): (10221.621377238722, 0, 31),
+        ("cellular_k3", 2013, 2): (8996.71243062599, 0, 30),
+        ("cellular_k4", 2013, 0): (8587.223494533508, 0, 18),
+        ("cellular_k4", 2013, 1): (25141.671343709728, 0, 18),
+        ("cellular_k4", 2013, 2): (15679.214290181957, 0, 18),
+        ("cellular_k7", 2013, 0): (84086.43700795248, 0, 12),
+        ("cellular_k7", 2013, 1): (102241.1650712287, 0, 12),
+        ("cellular_k7", 2013, 2): (84987.96236506873, 0, 12),
+        ("cellular_pc", 2013, 0): (276.0413919968424, 0, 30),
+        ("cellular_pc", 2013, 1): (335.20283019560856, 0, 31),
+        ("cellular_pc", 2013, 2): (893.0894684938222, 0, 30),
+        ("boolean_redraw", 11, 13): (14297.423760169888, 2, 24),
+        ("boolean_redraw", 11, 16): (168440.53154571744, 1, 17),
+        ("boolean_redraw", 11, 26): (8209.132564697928, 1, 21),
+    }
+
+    # the same cases with the covariance built as one complex BLAS product,
+    # (G * w) @ G^H, then symmetrized, as before the real rank-k update;
+    # only the sir rounding differs
+    GOLDEN_ZGEMM = {
         ("independent", 2013, 0): (8.807924460513464, 0, 200),
         ("independent", 2013, 1): (3.942844117127902, 0, 200),
         ("independent", 2013, 2): (5.734404059608614, 0, 200),
@@ -391,9 +427,9 @@ class TestGoldenSamplePath:
         ("boolean_redraw", 11, 26): (8209.132564697778, 1, 21),
     }
 
-    # the same cases solved one matrix at a time by scipy's cho_factor,
-    # cho_solve and vdot, as before the batched kernel; only the sir rounding
-    # differs
+    # the same cases with the GOLDEN_ZGEMM covariance, solved one matrix at a
+    # time by scipy's cho_factor, cho_solve and vdot, as before the batched
+    # kernel; only the sir rounding differs
     GOLDEN_CHOLESKY = {
         ("independent", 2013, 0): (8.807924460513469, 0, 200),
         ("independent", 2013, 1): (3.942844117127902, 0, 200),
@@ -422,8 +458,8 @@ class TestGoldenSamplePath:
     }
 
     # the same cases with the covariance summed by np.einsum, as it was built
-    # before the BLAS product, and solved as for GOLDEN_CHOLESKY; only the
-    # sir rounding differs
+    # before the complex BLAS product, and solved as for GOLDEN_CHOLESKY;
+    # only the sir rounding differs
     GOLDEN_EINSUM = {
         ("independent", 2013, 0): (8.807924460514956, 0, 200),
         ("independent", 2013, 1): (3.9428441171279056, 0, 200),
@@ -466,6 +502,28 @@ class TestGoldenSamplePath:
         assert self.sample(model, master_seed, rep) == self.GOLDEN[(model, master_seed, rep)]
 
     @staticmethod
+    def zgemm_covariance(interferers, weights):
+        # the complex product and symmetrizing step before the rank-k update
+        cov = (interferers * weights) @ interferers.conj().T
+        return 0.5 * (cov + cov.conj().T)
+
+    @pytest.mark.parametrize("model,master_seed,rep", sorted(GOLDEN_ZGEMM))
+    def test_zgemm_covariance_reproduces_old_pins(self, model, master_seed, rep, monkeypatch):
+        # with the covariance built by the complex product as before, the old
+        # values come back exactly: the rank-k update changed nothing but
+        # that rounding
+        monkeypatch.setattr(mmse, "interference_covariance", self.zgemm_covariance)
+        got = self.sample(model, master_seed, rep)
+        assert got == self.GOLDEN_ZGEMM[(model, master_seed, rep)]
+
+    def test_rank_k_update_moved_pins_by_rounding_only(self):
+        assert self.GOLDEN.keys() == self.GOLDEN_ZGEMM.keys()
+        for key, (sir, redraws, active) in self.GOLDEN.items():
+            old_sir, old_redraws, old_active = self.GOLDEN_ZGEMM[key]
+            assert (redraws, active) == (old_redraws, old_active)
+            assert sir == pytest.approx(old_sir, rel=1e-12, abs=0.0)
+
+    @staticmethod
     def scipy_cholesky_forms(g_t, cov):
         # the per-matrix solve before the batched kernel, same redraw test
         quad = np.full(len(g_t), np.nan)
@@ -478,8 +536,10 @@ class TestGoldenSamplePath:
 
     @pytest.mark.parametrize("model,master_seed,rep", sorted(GOLDEN_CHOLESKY))
     def test_scipy_cholesky_reproduces_old_pins(self, model, master_seed, rep, monkeypatch):
-        # with each matrix solved by scipy as before, the old values come
-        # back exactly: the batched kernel changed nothing but that rounding
+        # with each matrix built by the complex product and solved by scipy
+        # as before, the old values come back exactly: the batched kernel
+        # changed nothing but that rounding
+        monkeypatch.setattr(mmse, "interference_covariance", self.zgemm_covariance)
         monkeypatch.setattr(mmse, "quadratic_forms", self.scipy_cholesky_forms)
         got = self.sample(model, master_seed, rep)
         assert got == self.GOLDEN_CHOLESKY[(model, master_seed, rep)]
@@ -487,8 +547,8 @@ class TestGoldenSamplePath:
     @pytest.mark.parametrize("model,master_seed,rep", sorted(GOLDEN_EINSUM))
     def test_einsum_covariance_reproduces_old_pins(self, model, master_seed, rep, monkeypatch):
         # with the covariance summed in the old order and solved as before,
-        # the older values come back exactly: the BLAS product changed
-        # nothing but that rounding
+        # the older values come back exactly: the complex BLAS product
+        # changed nothing but that rounding
         def einsum_covariance(interferers, weights):
             cov = np.einsum("ik,k,jk->ij", interferers, weights, interferers.conj())
             return 0.5 * (cov + cov.conj().T)
