@@ -73,30 +73,42 @@ class SirSample:
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    # real parts first, then imaginary parts, each scaled in place; equal bit
-    # for bit to (re + 1j * im) / sqrt(2), which numpy also computes as a
-    # product with the reciprocal
-    out = np.empty(shape, dtype=complex)
-    np.multiply(rng.standard_normal(shape), _INV_SQRT2, out=out.real)
-    np.multiply(rng.standard_normal(shape), _INV_SQRT2, out=out.imag)
+def _fading_draw(rng: np.random.Generator, n_branches: int, count: int) -> np.ndarray:
+    """The 2N(1 + count) normals of one fading draw, each scaled by 1/sqrt(2).
+
+    One standard_normal call, in stream order: the real then the imaginary
+    parts of g_t (2N), then the planes P = [Re G; Im G] of the N x count
+    interferer matrix G, row by row, so that the tail reshaped to
+    (2N, count) is P itself.  The representative block comes first, so the
+    stream layout does not depend on the interferer count.
+    """
+    z = rng.standard_normal(2 * n_branches * (1 + count))
+    z *= _INV_SQRT2
+    return z
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
     return out
 
 
 def draw_fading(n_branches: int, count: int, seed) -> FadingSet:
     """Draw the representative channel, then `count` interferer columns.
 
-    Deterministic given the seed; the representative block always comes first
-    so the stream layout is independent of the interferer count.
+    Deterministic given the seed: the complex form of _fading_draw, whose
+    real and imaginary parts each come from the one draw, bit for bit.
     """
     if n_branches < 1:
         raise ValueError(f"n_branches must be >= 1, got {n_branches}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    rng = as_generator(seed)
-    g_t = _complex_normal(rng, n_branches)
-    interferers = _complex_normal(rng, (n_branches, count))
-    return FadingSet(g_t=g_t, interferers=interferers)
+    z = _fading_draw(as_generator(seed), n_branches, count)
+    n = n_branches
+    planes = z[2 * n:].reshape(2 * n, count)
+    return FadingSet(g_t=_complex(z[:n], z[n:2 * n]),
+                     interferers=_complex(planes[:n], planes[n:]))
 
 
 def interference_covariance(interferers: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -105,29 +117,36 @@ def interference_covariance(interferers: np.ndarray, weights: np.ndarray) -> np.
     weights[i] is the received power of active node i at the reference
     branch: r_i^-alpha for unit transmit power, r_b^alpha r_i^-alpha under
     cellular power control; a negative or NaN weight raises ValueError.
-
-    R = A A^H with A = G diag(sqrt(w)), built in real arithmetic: one
-    multiply writes the scaled planes Ar = Re(G) sqrt(w) and
-    Ai = Im(G) sqrt(w) as the rows of P = [Ar; Ai], and one BLAS rank-k
-    update (syrk) forms the symmetric Q = P P^T, whose blocks are Ar Ar^T,
-    Ar Ai^T, Ai Ar^T and Ai Ai^T.  Then Re R = Ar Ar^T + Ai Ai^T and
-    Im R = M - M^T with M = Ai Ar^T.  That is 4 N^2 k real flops against
-    8 N^2 k for a complex matrix product, and since syrk fills Q
-    symmetrically, R is exactly Hermitian with an exactly real diagonal.
+    The planes [Re G; Im G] of the interferer matrix go through
+    _plane_covariance, the one covariance build.
     """
     interferers = np.asarray(interferers, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     if interferers.ndim != 2:
         raise ValueError("interferer matrix must be (n_branches, count)")
-    n, k = interferers.shape
-    if weights.shape != (k,):
+    if weights.shape != interferers.shape[1:]:
         raise ValueError("one weight per interferer column required")
+    return _plane_covariance(np.concatenate((interferers.real, interferers.imag)), weights)
+
+
+def _plane_covariance(planes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """R = sum_i weights[i] g_i g_i^H from the planes P = [Re G; Im G] (2N x k).
+
+    R = A A^H with A = G diag(sqrt(w)), built in real arithmetic: P is
+    scaled in place to the planes Ar = Re(G) sqrt(w) and Ai = Im(G) sqrt(w)
+    of A, and one BLAS rank-k update (syrk) forms the symmetric Q = P P^T,
+    whose blocks are Ar Ar^T, Ar Ai^T, Ai Ar^T and Ai Ai^T.  Then
+    Re R = Ar Ar^T + Ai Ai^T and Im R = M - M^T with M = Ai Ar^T.  That is
+    4 N^2 k real flops against 8 N^2 k for a complex matrix product, and
+    since syrk fills Q symmetrically, R is exactly Hermitian with an exactly
+    real diagonal.  A negative or NaN weight raises ValueError.
+    """
     if not weights.min(initial=0.0) >= 0.0:  # false on NaN too
         i = int(np.flatnonzero(~(weights >= 0.0))[0])
         raise ValueError(f"weights[{i}] = {float(weights[i])!r}: received powers must be >= 0")
-    planes = np.multiply(interferers[..., None].view(float).transpose(2, 0, 1),
-                         np.sqrt(weights), order="C").reshape(2 * n, k)
+    planes *= np.sqrt(weights)
     q = np.dot(planes, planes.T)  # numpy calls syrk for a matrix times its transpose
+    n = len(planes) // 2
     cov = np.empty((n, n), dtype=complex)
     np.add(q[:n, :n], q[n:, n:], out=cov.real)
     np.subtract(q[n:, :n], q[:n, n:], out=cov.imag)

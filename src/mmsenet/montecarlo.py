@@ -65,11 +65,14 @@ def _run_block(config: NetworkConfig, entropy, keys) -> list[SirSample | None]:
 
     keys[i] is the spawn key of member i; attempt a of that member draws from
     _stream(entropy, keys[i] + (a,)).  Each round realizes every pending
-    member's geometry in stacked passes (pointproc.interference_weights),
-    then draws its fading and builds its covariance, and solves the stack
-    with one batched kernel; only the singular members are redrawn, at the
-    next attempt, up to MAX_REDRAWS times.  A member that never gets a
-    usable covariance is None.  No diagonal loading is applied anywhere:
+    member's geometry in stacked passes (pointproc.interference_weights).
+    Each member then makes its one fading draw (mmse._fading_draw), whose
+    tail is already the real plane matrix [Re G; Im G] that
+    mmse._plane_covariance turns into its covariance, so no complex
+    interferer matrix is built.  The stack is solved with one batched
+    kernel, and only the singular members are redrawn, at the next attempt,
+    up to MAX_REDRAWS times.  A member that never gets a usable covariance
+    is None.  No diagonal loading is applied anywhere:
     that would quietly turn the SIR into an SINR and bias comparisons
     against the noise-free theory.
     """
@@ -82,16 +85,17 @@ def _run_block(config: NetworkConfig, entropy, keys) -> list[SirSample | None]:
             break
         rngs = [pointproc.as_generator(_stream(entropy, (*keys[i], attempt))) for i in pending]
         weights = pointproc.interference_weights(config, rngs)
-        g_t = np.empty((len(pending), n), dtype=complex)
+        g_t = np.empty((len(pending), 2 * n))
         cov = np.empty((len(pending), n, n), dtype=complex)
         for j, (rng, w) in enumerate(zip(rngs, weights)):
             # the fading follows the member's geometry draws in its stream;
-            # the N x k interferer matrix is dropped once its covariance is built
-            fading = mmse.draw_fading(n, w.size, rng)
-            g_t[j] = fading.g_t
-            cov[j] = mmse.interference_covariance(fading.interferers, w)
+            # its interferer planes are dropped once their covariance is built
+            z = mmse._fading_draw(rng, n, w.size)
+            g_t[j] = z[:2 * n]
+            cov[j] = mmse._plane_covariance(z[2 * n:].reshape(2 * n, w.size), w)
         solved = mmse.sir_samples(
-            g_t, cov, config.r_t, config.alpha, [w.size for w in weights], n_branches=n,
+            mmse._complex(g_t[:, :n], g_t[:, n:]), cov, config.r_t, config.alpha,
+            [w.size for w in weights], n_branches=n,
             signal_weight=signal_weight,
         )
         for i, sample in zip(pending, solved):

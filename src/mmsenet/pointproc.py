@@ -309,8 +309,12 @@ _REACH_FLOOR = 2.0 ** -511
 _CELL_MARGIN = 2.0 ** -20
 _MAX_CELLS = 2 ** 20
 _SPLIT = 4
-# most candidate pairs one window expansion holds at a time
+# most candidate pairs one chunk of a search holds, unless one rank offset
+# alone adds more (at most one per query)
 _PAIR_BUDGET = 2 ** 16
+# above every cell key: appended after the last rank, it ends every run of
+# _offset_pairs there
+_KEY_END = np.iinfo(np.int64).max
 
 
 def _cell_keys(stacks: tuple, h: float) -> tuple[list, int]:
@@ -319,9 +323,10 @@ def _cell_keys(stacks: tuple, h: float) -> tuple[list, int]:
     Each stack is (B, n, 2) with the member on the leading axis.  A point's
     key is (member * rows + band) * cols + column, exact in int64: the next
     band's key is one row, cols, higher; every member ends in an empty band
-    and every band is padded by _SPLIT empty columns on both sides, so no
-    window of +-_SPLIT columns in bands b-1, b or b+1 reaches another member.
-    Returns the flattened keys of each stack and cols.
+    and every band is padded by _SPLIT empty columns on both sides, so the
+    keys within _SPLIT of a point's key, or of that key +-cols (bands b-1
+    and b+1), belong to its own member.  Returns the flattened keys of each
+    stack and cols.
     """
     reach = max(h, _REACH_FLOOR)
     x_lo = min(float(s[..., 0].min()) for s in stacks)
@@ -341,24 +346,43 @@ def _cell_keys(stacks: tuple, h: float) -> tuple[list, int]:
     return keys, cols
 
 
-def _window_pairs(lo: np.ndarray, hi: np.ndarray):
-    """(query, position) index pairs of the ranges [lo[q], hi[q]).
+def _offset_pairs(key: np.ndarray, runs):
+    """(query, rank) candidate pairs of runs of the sorted keys, in chunks.
 
-    Yields them in chunks of whole queries, each of at most _PAIR_BUDGET
-    pairs unless one query alone has more, so memory stays bounded however
-    many pairs the windows hold.
+    runs yields (start, limit) array pairs with one entry per query: the
+    candidates of query q are the ranks start[q], start[q] + 1, ... for as
+    long as key[rank] <= limit[q].  Every run takes one rank offset per
+    step, and the queries whose run has ended drop out, so a step costs the
+    live runs alone and adds at most one pair per query.  The pairs held are
+    yielded before a step would take them past _PAIR_BUDGET, so a chunk
+    holds at most _PAIR_BUDGET pairs, or one step's when that alone is more:
+    never more than _PAIR_BUDGET plus the number of queries, however dense
+    the keys.
     """
-    count = hi - lo
-    end = np.cumsum(count)
-    first = 0
-    while first < lo.size:
-        base = end[first] - count[first]
-        stop = max(first + 1, int(np.searchsorted(end, base + _PAIR_BUDGET, "right")))
-        counts = count[first:stop]
-        query = np.repeat(np.arange(first, stop), counts)
-        shift = lo[first:stop] - (end[first:stop] - counts - base)
-        yield query, np.arange(end[stop - 1] - base) + np.repeat(shift, counts)
-        first = stop
+    key = np.append(key, _KEY_END)
+    queries, ranks = [], []
+    count = 0
+    for rank, limit in runs:
+        query = None  # the first step's live indices are the queries themselves
+        while True:
+            live = np.flatnonzero(key[rank] <= limit)
+            if not live.size:
+                break
+            if count + live.size > _PAIR_BUDGET and queries:
+                # the pieces go before the chunk is tested, so they do not
+                # double its memory
+                chunk = np.concatenate(queries), np.concatenate(ranks)
+                queries, ranks = [], []
+                count = 0
+                yield chunk
+            query = live if query is None else query[live]
+            rank, limit = rank[live], limit[live]
+            queries.append(query)
+            ranks.append(rank)
+            count += live.size
+            rank = rank + 1
+    if queries:
+        yield np.concatenate(queries), np.concatenate(ranks)
 
 
 def _close_pairs(positions: np.ndarray, h: float):
@@ -367,10 +391,12 @@ def _close_pairs(positions: np.ndarray, h: float):
     positions is (B, n, 2); i and j index the flattened stack, and each pair
     comes once.  One banded cell-list search covers the whole stack: the
     points are sorted once by cell key (_cell_keys), and each point's
-    candidates are the later points of its own band up to _SPLIT columns
-    right and the points of the next band up to _SPLIT columns either side.
-    The exact strict test _within decides each candidate, so the cell sizes
-    only cost time, and the order of equal keys changes nothing.
+    candidates are read off the sorted order by rank offset (_offset_pairs):
+    the later points of its own band up to _SPLIT columns right, and the
+    points of the next band up to _SPLIT columns either side, whose run
+    starts at one searchsorted.  The exact strict test _within decides each
+    chunk of candidates, so the cell sizes only cost time, and the order of
+    equal keys changes nothing.
     """
     size = positions.shape[0] * positions.shape[1]
     if not h > 0 or size == 0:
@@ -379,13 +405,13 @@ def _close_pairs(positions: np.ndarray, h: float):
     (key,), cols = _cell_keys((positions,), h)
     order = np.argsort(key)
     key = key[order]
-    lo = np.concatenate((np.arange(1, size + 1), np.searchsorted(key, key + cols - _SPLIT)))
-    hi = np.concatenate((
-        np.searchsorted(key, key + _SPLIT, "right"),
-        np.searchsorted(key, key + cols + _SPLIT, "right"),
-    ))
-    for query, other in _window_pairs(lo, hi):
-        i, j = order[query % size], order[other]
+
+    def runs():
+        yield np.arange(1, size + 1), key + _SPLIT
+        yield np.searchsorted(key, key + (cols - _SPLIT)), key + (cols + _SPLIT)
+
+    for query, other in _offset_pairs(key, runs()):
+        i, j = order[query], order[other]
         close = _within(x[i] - x[j], y[i] - y[j], h)
         i, j = i[close], j[close]
         yield np.minimum(i, j), np.maximum(i, j)
@@ -425,10 +451,11 @@ def _boolean(positions: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray
 
     A node transmits iff some cluster center of its member lies strictly
     within h of it (_within); a center at distance exactly h does not cover
-    it.  The banded cell-list search of _hard_core with the centers alone
-    sorted by cell key: each node's candidates are the centers of bands b-1,
-    b and b+1 up to _SPLIT columns either side (the nodes are sorted too,
-    only so that the window searches run in key order).
+    it.  The banded cell-list search of _close_pairs with the nodes and the
+    centers each sorted by cell key: a node's candidates are the centers of
+    bands b-1, b and b+1 up to _SPLIT columns either side, one run per band
+    that starts at one searchsorted and steps by rank offset.  The nodes are
+    sorted only so that those searches run in key order.
     """
     b, n = positions.shape[:2]
     active = np.zeros(b * n, dtype=bool)
@@ -438,17 +465,15 @@ def _boolean(positions: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray
     nodes = np.argsort(node_key)
     by_center = np.argsort(center_key)
     node_key, center_key = node_key[nodes], center_key[by_center]
-    lo = np.concatenate([
-        np.searchsorted(center_key, node_key + band * cols - _SPLIT) for band in (-1, 0, 1)
-    ])
-    hi = np.concatenate([
-        np.searchsorted(center_key, node_key + band * cols + _SPLIT, "right")
+    runs = (
+        (np.searchsorted(center_key, node_key + (band * cols - _SPLIT)),
+         node_key + (band * cols + _SPLIT))
         for band in (-1, 0, 1)
-    ])
+    )
     x, y = positions[..., 0].ravel(), positions[..., 1].ravel()
     cx, cy = centers[..., 0].ravel(), centers[..., 1].ravel()
-    for query, other in _window_pairs(lo, hi):
-        i, j = nodes[query % nodes.size], by_center[other]
+    for query, other in _offset_pairs(center_key, runs):
+        i, j = nodes[query], by_center[other]
         active[i[_within(x[i] - cx[j], y[i] - cy[j], h)]] = True
     return active.reshape(b, n)
 

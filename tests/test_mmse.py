@@ -24,6 +24,7 @@ from mmsenet.mmse import (
     scaled_received_powers,
     sir_samples,
 )
+from mmsenet.pointproc import as_generator
 
 
 def filter_oracle_sir(g_t, interferers, weights, r_t, alpha):
@@ -38,7 +39,32 @@ def filter_oracle_sir(g_t, interferers, weights, r_t, alpha):
     return signal / residual
 
 
+def four_call_fading(n_branches, count, rng):
+    """draw_fading as it was: four standard_normal calls into complex arrays."""
+
+    def complex_normal(shape):
+        out = np.empty(shape, dtype=complex)
+        np.multiply(rng.standard_normal(shape), 1.0 / math.sqrt(2.0), out=out.real)
+        np.multiply(rng.standard_normal(shape), 1.0 / math.sqrt(2.0), out=out.imag)
+        return out
+
+    return complex_normal(n_branches), complex_normal((n_branches, count))
+
+
 class TestDrawFading:
+    @pytest.mark.parametrize("k", [0, 1, 700])
+    @pytest.mark.parametrize("n", [1, 2, 16, 64])
+    def test_one_draw_equals_four_calls(self, n, k):
+        # one standard_normal call gives the bits of the old four, and leaves
+        # the stream where they left it
+        rng, old_rng = as_generator(1000 * n + k), as_generator(1000 * n + k)
+        f = draw_fading(n, k, rng)
+        g_t, interferers = four_call_fading(n, k, old_rng)
+        assert f.g_t.tobytes() == g_t.tobytes()
+        assert f.interferers.shape == (n, k)
+        assert f.interferers.tobytes() == interferers.tobytes()
+        assert rng.random() == old_rng.random()
+
     def test_determinism(self):
         a = draw_fading(4, 10, 42)
         b = draw_fading(4, 10, 42)

@@ -502,6 +502,16 @@ class TestGoldenSamplePath:
         assert self.sample(model, master_seed, rep) == self.GOLDEN[(model, master_seed, rep)]
 
     @staticmethod
+    def on_planes(build):
+        # an older covariance build, fed the interferer matrix G whose planes
+        # [Re G; Im G] the block hands to mmse._plane_covariance
+        def plane_covariance(planes, weights):
+            n = len(planes) // 2
+            return build(mmse._complex(planes[:n], planes[n:]), weights)
+
+        return plane_covariance
+
+    @staticmethod
     def zgemm_covariance(interferers, weights):
         # the complex product and symmetrizing step before the rank-k update
         cov = (interferers * weights) @ interferers.conj().T
@@ -512,7 +522,7 @@ class TestGoldenSamplePath:
         # with the covariance built by the complex product as before, the old
         # values come back exactly: the rank-k update changed nothing but
         # that rounding
-        monkeypatch.setattr(mmse, "interference_covariance", self.zgemm_covariance)
+        monkeypatch.setattr(mmse, "_plane_covariance", self.on_planes(self.zgemm_covariance))
         got = self.sample(model, master_seed, rep)
         assert got == self.GOLDEN_ZGEMM[(model, master_seed, rep)]
 
@@ -539,7 +549,7 @@ class TestGoldenSamplePath:
         # with each matrix built by the complex product and solved by scipy
         # as before, the old values come back exactly: the batched kernel
         # changed nothing but that rounding
-        monkeypatch.setattr(mmse, "interference_covariance", self.zgemm_covariance)
+        monkeypatch.setattr(mmse, "_plane_covariance", self.on_planes(self.zgemm_covariance))
         monkeypatch.setattr(mmse, "quadratic_forms", self.scipy_cholesky_forms)
         got = self.sample(model, master_seed, rep)
         assert got == self.GOLDEN_CHOLESKY[(model, master_seed, rep)]
@@ -553,7 +563,7 @@ class TestGoldenSamplePath:
             cov = np.einsum("ik,k,jk->ij", interferers, weights, interferers.conj())
             return 0.5 * (cov + cov.conj().T)
 
-        monkeypatch.setattr(mmse, "interference_covariance", einsum_covariance)
+        monkeypatch.setattr(mmse, "_plane_covariance", self.on_planes(einsum_covariance))
         monkeypatch.setattr(mmse, "quadratic_forms", self.scipy_cholesky_forms)
         got = self.sample(model, master_seed, rep)
         assert got == self.GOLDEN_EINSUM[(model, master_seed, rep)]
@@ -611,6 +621,42 @@ class TestBlocks:
         assert None not in blocks[0]
         if model == "boolean_redraw":
             assert sum(s.redraw_count for s in blocks[0]) > 0
+
+    @pytest.mark.parametrize("model", ["hc2", "boolean", "cellular_pc", "boolean_redraw"])
+    def test_block_fading_equals_public_path(self, model, monkeypatch):
+        # the block draws each member's fading as real planes; its g_t and R
+        # are draw_fading and interference_covariance on the member's
+        # stream, bit for bit
+        cfg = self.config(model)
+        keys = [(0, r) for r in range(BLOCK_SIZE)]
+        stacks = []
+        solve = mmse.quadratic_forms
+
+        def spy(g_t, cov):
+            stacks.append((g_t, cov))
+            return solve(g_t, cov)
+
+        monkeypatch.setattr(mmse, "quadratic_forms", spy)
+        montecarlo._run_block(cfg, self.SEED, keys)
+        g_t, cov = stacks[0]  # the first round holds every member
+        rngs = [pointproc.as_generator(montecarlo._stream(self.SEED, (*key, 0))) for key in keys]
+        for j, (rng, w) in enumerate(zip(rngs, pointproc.interference_weights(cfg, rngs))):
+            fading = mmse.draw_fading(cfg.n_branches, w.size, rng)
+            assert g_t[j].tobytes() == fading.g_t.tobytes()
+            want = mmse.interference_covariance(fading.interferers, w)
+            assert cov[j].tobytes() == want.tobytes()
+
+    def test_block_rejects_negative_or_nan_weights(self, monkeypatch):
+        weights = pointproc.interference_weights
+
+        def poisoned(config, rngs):
+            out = weights(config, rngs)
+            out[-1][1] = np.nan
+            return out
+
+        monkeypatch.setattr(pointproc, "interference_weights", poisoned)
+        with pytest.raises(ValueError, match=r"^weights\[1\] = nan: "):
+            montecarlo._run_block(self.config("hc1"), self.SEED, [(0, r) for r in range(3)])
 
     def test_failed_member_fails_only_its_point(self, monkeypatch):
         # with no redraws allowed, the members that needed one fail; the rest

@@ -8,6 +8,7 @@ closed forms with binomial-style tolerances.
 
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -348,12 +349,74 @@ def stacked_layout(kind, seed):
         return nodes, nodes[:, [0, 2]].copy()
     if kind == "single":
         return rng.uniform(-1.0, 1.0, (4, 1, 2)), rng.uniform(-1.0, 1.0, (4, 1, 2))
+    if kind == "clumped":
+        # clumps of 2 to 40 points within 0.02 of six centres, so whole runs
+        # of sorted keys share a cell and the rank offsets go up to 40 deep;
+        # every member has a clump at its first keys (bottom left) and at its
+        # last (top right), so runs end at the next member's first point and,
+        # in the last member, at the last sorted point
+        sizes = np.array([[40, 2, 25, 8, 13, 30], [5, 30, 40, 13, 2, 28],
+                          [33, 40, 2, 5, 10, 28], [2, 13, 8, 30, 25, 40]])
+        corners = np.array([[-3.0, -3.0], [3.0, 3.0]])
+        members = []
+        for row in sizes:
+            centres = np.concatenate((corners[:1], rng.uniform(-2.5, 2.5, (4, 2)), corners[1:]))
+            members.append(np.repeat(centres, row, axis=0)
+                           + rng.uniform(-0.02, 0.02, (row.sum(), 2)))
+        nodes = np.stack(members)
+        return nodes, nodes[:, ::2] + rng.uniform(-0.01, 0.01, (4, 59, 2))
     assert kind == "no_centers"
     return rng.uniform(-1.0, 1.0, (2, 40, 2)), np.empty((2, 0, 2))
 
 
-LAYOUTS = ["uniform", "lattice", "duplicates", "tiny", "band_edge", "single", "no_centers"]
+LAYOUTS = ["uniform", "lattice", "duplicates", "tiny", "band_edge", "single", "no_centers",
+           "clumped"]
 SEARCH_H = [1e-300, 1e-160, 1e-155, 1e-12, 0.05, 0.1, 0.7, 3.0, 1e300, 1e308, math.inf]
+
+
+def joined_pairs(chunks):
+    """(i, j) of all chunks of _close_pairs, empty when it yields none."""
+    parts = list(chunks)
+    return tuple(np.concatenate([p[k] for p in parts] or [np.empty(0, dtype=np.intp)])
+                 for k in (0, 1))
+
+
+def window_close_pairs(positions, h):
+    """The banded search before rank offsets, kept to compare memory with.
+
+    Each point's candidates were the searchsorted windows [lo, hi) of the
+    sorted keys, expanded into (query, position) pairs in chunks of whole
+    queries under _PAIR_BUDGET pairs.
+    """
+    size = positions.shape[0] * positions.shape[1]
+    if not h > 0 or size == 0:
+        return
+    x, y = positions[..., 0].ravel(), positions[..., 1].ravel()
+    (key,), cols = pointproc._cell_keys((positions,), h)
+    order = np.argsort(key)
+    key = key[order]
+    split = pointproc._SPLIT
+    lo = np.concatenate((np.arange(1, size + 1), np.searchsorted(key, key + cols - split)))
+    hi = np.concatenate((
+        np.searchsorted(key, key + split, "right"),
+        np.searchsorted(key, key + cols + split, "right"),
+    ))
+    count = hi - lo
+    end = np.cumsum(count)
+    first = 0
+    while first < lo.size:
+        base = end[first] - count[first]
+        stop = max(first + 1,
+                   int(np.searchsorted(end, base + pointproc._PAIR_BUDGET, "right")))
+        counts = count[first:stop]
+        query = np.repeat(np.arange(first, stop), counts)
+        shift = lo[first:stop] - (end[first:stop] - counts - base)
+        other = np.arange(end[stop - 1] - base) + np.repeat(shift, counts)
+        i, j = order[query % size], order[other]
+        close = _within(x[i] - x[j], y[i] - y[j], h)
+        i, j = i[close], j[close]
+        yield np.minimum(i, j), np.maximum(i, j)
+        first = stop
 
 
 def kd_close_pairs(positions, h):
@@ -394,7 +457,7 @@ class TestBandedSearch:
     @pytest.mark.parametrize("kind", LAYOUTS)
     def test_close_pairs_equal_kd_tree(self, kind, h):
         positions, _ = stacked_layout(kind, 1)
-        i, j = (np.concatenate(part) for part in zip(*_close_pairs(positions, h)))
+        i, j = joined_pairs(_close_pairs(positions, h))
         assert np.all(i < j)
         got = set(zip(i.tolist(), j.tolist()))
         assert len(got) == i.size  # each pair once
@@ -408,8 +471,71 @@ class TestBandedSearch:
         oracle = kd_boolean if h * h > 0 else brute_boolean
         assert np.array_equal(got, oracle(positions, centers, h))
 
-    @pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates"])
-    def test_chunked_windows_change_nothing(self, kind, monkeypatch):
+    def test_clumped_runs_reach_member_ends(self):
+        # the clumped layout at h = 0.1 has own-band runs 39 offsets deep, a
+        # run in every member that reaches the next member's first rank, and
+        # one in the last member that reaches the last sorted point
+        positions, _ = stacked_layout("clumped", 1)
+        (key,), _ = pointproc._cell_keys((positions,), 0.1)
+        key = np.sort(key)
+        run_end = np.searchsorted(key, key + pointproc._SPLIT, "right")
+        assert (run_end - np.arange(1, key.size + 1)).max() >= 30
+        n = positions.shape[1]
+        for member in range(len(positions)):
+            assert run_end[(member + 1) * n - 2] == (member + 1) * n
+
+    def test_chunks_within_budget_at_infinite_h(self, monkeypatch):
+        # at h = inf each member is one cell, so every pair of a member is a
+        # candidate: 4 * 500 * 499 / 2 = 499,000 node pairs and 600,000
+        # node-centre pairs, each many times _PAIR_BUDGET
+        rng = np.random.default_rng(7)
+        positions = rng.uniform(-1.0, 1.0, (4, 500, 2))
+        centers = rng.uniform(-1.0, 1.0, (4, 300, 2))
+        bound = pointproc._PAIR_BUDGET + 4 * 500  # budget plus one pair per query
+        chunks = []
+        within = pointproc._within
+
+        def spy(dx, dy, h):
+            chunks.append(dx.size)
+            return within(dx, dy, h)
+
+        monkeypatch.setattr(pointproc, "_within", spy)
+        i, _ = joined_pairs(_close_pairs(positions, math.inf))
+        assert i.size == sum(chunks) == 4 * 500 * 499 // 2
+        assert len(chunks) > 1 and max(chunks) <= bound
+        chunks.clear()
+        assert _boolean(positions, centers, math.inf).all()
+        assert sum(chunks) == 4 * 500 * 300
+        assert len(chunks) > 1 and max(chunks) <= bound
+
+    def test_dense_pass_memory_not_above_window_search(self, monkeypatch):
+        # the dense hc2 pass: pi rho_p h^2 = 4, n = 5625, 5 members; the
+        # rank-offset search peaks no higher than the window search it
+        # replaced, measured in this one process
+        rng = np.random.default_rng(6)
+        n = 5625
+        radius = math.sqrt(n / (math.pi * RHO_P))
+        h = math.sqrt(4.0 / (math.pi * RHO_P))
+        positions = _to_disk(radius, rng.random((5, n)), rng.random((5, n)))
+        marks = rng.random((5, n))
+        x_t = np.array([R_T, 0.0])
+
+        def peak(search):
+            monkeypatch.setattr(pointproc, "_close_pairs", search)
+            tracemalloc.start()
+            try:
+                active = _hard_core(positions, marks, x_t, h)
+                return tracemalloc.get_traced_memory()[1], active
+            finally:
+                tracemalloc.stop()
+
+        rank_peak, rank_active = peak(_close_pairs)
+        window_peak, window_active = peak(window_close_pairs)
+        assert np.array_equal(rank_active, window_active)
+        assert rank_peak <= window_peak
+
+    @pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicates", "clumped"])
+    def test_chunking_changes_nothing(self, kind, monkeypatch):
         positions, centers = stacked_layout(kind, 3)
         marks = np.random.default_rng(4).random(positions.shape[:2])
         x_t = np.array([0.3, 0.0])
