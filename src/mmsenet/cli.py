@@ -21,6 +21,7 @@ output file, progress and diagnostics to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -271,22 +272,29 @@ def cmd_simulate(args) -> int:
     if args.replications is not None:
         spec = replace(spec, replications=args.replications)
 
-    report = montecarlo.run_experiment(spec, workers=args.threads)
-    csv_text = report_to_csv(report)
+    # --out opens before the sweep, so an unwritable path costs no run
+    with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
+        report = montecarlo.run_experiment(spec, workers=args.threads)
+        out.write(report_to_csv(report))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
         print(f"wrote {len(report.points)} rows to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(csv_text)
     failed = sum(p.failed for p in report.points)
+    redraws = sum(p.redraw_total for p in report.points)
     print(
         f"{len(report.points)} points x {report.replications} replications "
         f"in {report.wall_time_s:.1f}s (seed {report.master_seed}, "
-        f"version {report.code_version}, {failed} failed points)",
+        f"version {report.code_version}, {failed} failed points, {redraws} redraws)",
         file=sys.stderr,
     )
     return 0
+
+
+def _open_out(path: str):
+    """The --out file, opened for writing; an unwritable path is a ConfigError."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write: {exc}") from exc
 
 
 def _given(args, flags: tuple[str, ...]) -> str:
@@ -464,9 +472,8 @@ def cmd_plot(args) -> int:
         print(f"skipped {skipped} failed rows", file=sys.stderr)
     if not series:
         raise ConfigError("no plottable rows")
-    svg = render_rate_chart(list(series.values()), title=args.title)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(svg)
+    with _open_out(args.out) as fh:
+        fh.write(render_rate_chart(list(series.values()), title=args.title))
     print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

@@ -192,33 +192,23 @@ def _cholesky_forms(g_t: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 
 def sir_samples(
-    g_t: np.ndarray,
-    cov: np.ndarray,
-    r_t: float,
-    alpha: float,
-    active_counts,
-    n_branches: int | None = None,
-    signal_weight: float = 1.0,
-) -> list[SirSample | None]:
-    """Exact MMSE output SIR of every member of a stack, None where singular.
+    g_t: np.ndarray, cov: np.ndarray, r_t: float, alpha: float, signal_weight: float = 1.0
+) -> np.ndarray:
+    """Exact MMSE output SIR of every member of a stack, NaN where singular.
 
-    g_t is (B, N) and cov is (B, N, N); r_t, alpha, n_branches and
-    signal_weight are shared by the stack, active_counts has one entry per
-    member.  See mmse_sir for the formula.
+    g_t is (B, N) and cov is (B, N, N); r_t, alpha and signal_weight are
+    shared by the stack, and each member's SIR is mmse_sir's.
     """
-    quad = quadratic_forms(g_t, cov)
-    if n_branches is None:
-        n_branches = np.shape(g_t)[-1]
+    return signal_weight * r_t ** -alpha * quadratic_forms(g_t, cov)
+
+
+def _sir_sample(sir, r_t: float, alpha: float, n_branches: int,
+                active_count=0, redraw_count=0) -> SirSample:
+    """The SirSample of one SIR: beta_n = N^{-alpha/2} r_T^alpha sir, rate = log2(1 + sir)."""
+    sir = float(sir)
     scale = float(n_branches) ** (-alpha / 2.0) * r_t ** alpha
-    samples = []
-    for q, count in zip(quad.tolist(), active_counts):
-        if math.isnan(q):
-            samples.append(None)
-            continue
-        sir = float(signal_weight * r_t ** -alpha * q)
-        samples.append(SirSample(sir=sir, beta_n=scale * sir, rate=math.log2(1.0 + sir),
-                                 active_count=count))
-    return samples
+    return SirSample(sir=sir, beta_n=scale * sir, rate=math.log2(1.0 + sir),
+                     active_count=int(active_count), redraw_count=int(redraw_count))
 
 
 def mmse_sir(
@@ -230,27 +220,27 @@ def mmse_sir(
     signal_weight: float = 1.0,
     active_count: int = 0,
 ) -> SirSample:
-    """Exact MMSE output SIR for one realization.
+    """Exact MMSE output SIR for one realization, as a SirSample.
 
     sir = signal_weight * r_t^-alpha * g_t^H cov^{-1} g_t, solved through a
-    Hermitian Cholesky factorization (never an explicit inverse) by the
-    stacked kernel on a stack of one.  The default signal_weight of 1 is the
+    Hermitian Cholesky factorization (never an explicit inverse) by
+    sir_samples on a stack of one.  The default signal_weight of 1 is the
     unit-transmit-power case; a power-controlled representative passes
-    r_t^alpha, making the received signal power 1.
+    r_t^alpha, making the received signal power 1; n_branches defaults to len(g_t).
 
-    Raises SingularCovariance when the covariance is not positive definite
-    or its condition number exceeds CONDITION_CAP; the caller is expected to
-    redraw the realization.
+    Raises SingularCovariance where sir_samples gives NaN: when the
+    covariance is not positive definite or its condition number exceeds
+    CONDITION_CAP; the caller is expected to redraw the realization.
     """
-    (sample,) = sir_samples(np.asarray(g_t)[None], np.asarray(cov)[None], r_t, alpha,
-                            [active_count], n_branches=n_branches,
-                            signal_weight=signal_weight)
-    if sample is None:
+    (sir,) = sir_samples(np.asarray(g_t)[None], np.asarray(cov)[None], r_t, alpha,
+                         signal_weight=signal_weight)
+    if math.isnan(sir):
         raise SingularCovariance(
             f"covariance is not positive definite or its condition number "
             f"exceeds {CONDITION_CAP:g}"
         )
-    return sample
+    n = np.shape(g_t)[-1] if n_branches is None else n_branches
+    return _sir_sample(sir, r_t, alpha, n, active_count)
 
 
 def min_eigenvalue(mat: np.ndarray) -> float:

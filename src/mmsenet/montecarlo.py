@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import asymptotics, mmse, pointproc
-from .mmse import SirSample
 from .pointproc import ModelSpec, NetworkConfig
 
 __all__ = [
@@ -60,8 +59,8 @@ def derive_seed(
     return _stream(master_seed, (point_index, replication_index))
 
 
-def _run_block(config: NetworkConfig, entropy, keys) -> list[SirSample | None]:
-    """Realizations of one configuration, solved as a stack.
+def _run_block(config: NetworkConfig, entropy, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Realizations of one configuration, solved as a stack: (sir, active, redraws).
 
     keys[i] is the spawn key of member i; attempt a of that member draws from
     _stream(entropy, keys[i] + (a,)).  Each round realizes every pending
@@ -69,19 +68,22 @@ def _run_block(config: NetworkConfig, entropy, keys) -> list[SirSample | None]:
     Each member then makes its one fading draw (mmse._fading_draw), whose
     tail is already the real plane matrix [Re G; Im G] that
     mmse._plane_covariance turns into its covariance, so no complex
-    interferer matrix is built.  The stack is solved with one batched
-    kernel, and only the singular members are redrawn, at the next attempt,
-    up to MAX_REDRAWS times.  A member that never gets a usable covariance
-    is None.  No diagonal loading is applied anywhere:
-    that would quietly turn the SIR into an SINR and bias comparisons
-    against the noise-free theory.
+    interferer matrix is built.  One batched kernel (mmse.sir_samples)
+    solves the stack, and only the singular members are redrawn, at the
+    next attempt, up to MAX_REDRAWS times.  Per member, sir is NaN when
+    every attempt was singular, active is the last draw's active count and
+    redraws its attempt index (MAX_REDRAWS for a failed member).  No
+    diagonal loading is applied anywhere: that would quietly turn the SIR
+    into an SINR and bias comparisons against the noise-free theory.
     """
     n = config.n_branches
     signal_weight = config.r_t ** config.alpha if config.model.power_control else 1.0
-    samples: list[SirSample | None] = [None] * len(keys)
-    pending = list(range(len(keys)))
+    sir = np.full(len(keys), np.nan)
+    active = np.zeros(len(keys), dtype=np.int64)
+    redraws = np.zeros(len(keys), dtype=np.int64)
+    pending = np.arange(len(keys))
     for attempt in range(MAX_REDRAWS + 1):
-        if not pending:
+        if not pending.size:
             break
         rngs = [pointproc.as_generator(_stream(entropy, (*keys[i], attempt))) for i in pending]
         weights = pointproc.interference_weights(config, rngs)
@@ -93,19 +95,15 @@ def _run_block(config: NetworkConfig, entropy, keys) -> list[SirSample | None]:
             z = mmse._fading_draw(rng, n, w.size)
             g_t[j] = z[:2 * n]
             cov[j] = mmse._plane_covariance(z[2 * n:].reshape(2 * n, w.size), w)
-        solved = mmse.sir_samples(
-            mmse._complex(g_t[:, :n], g_t[:, n:]), cov, config.r_t, config.alpha,
-            [w.size for w in weights], n_branches=n,
-            signal_weight=signal_weight,
-        )
-        for i, sample in zip(pending, solved):
-            if sample is not None:
-                samples[i] = replace(sample, redraw_count=attempt)
-        pending = [i for i, sample in zip(pending, solved) if sample is None]
-    return samples
+        sir[pending] = mmse.sir_samples(mmse._complex(g_t[:, :n], g_t[:, n:]), cov,
+                                        config.r_t, config.alpha, signal_weight=signal_weight)
+        active[pending] = [w.size for w in weights]
+        redraws[pending] = attempt
+        pending = pending[np.isnan(sir[pending])]
+    return sir, active, redraws
 
 
-def run_realization(config: NetworkConfig, seed) -> SirSample:
+def run_realization(config: NetworkConfig, seed) -> mmse.SirSample:
     """One full pipeline pass: positions -> activation -> fading -> SIR.
 
     A block of one.  On a singular interference covariance the entire
@@ -117,13 +115,13 @@ def run_realization(config: NetworkConfig, seed) -> SirSample:
         entropy, key = seed.entropy, tuple(seed.spawn_key)
     else:
         entropy, key = int(seed), ()
-    (sample,) = _run_block(config, entropy, [key])
-    if sample is None:
+    (sir,), (active,), (redraws,) = _run_block(config, entropy, [key])
+    if np.isnan(sir):
         raise RealizationFailed(
             f"{MAX_REDRAWS} consecutive singular redraws for N={config.n_branches}, "
             f"model={config.model.name!r}; c * nu is likely too close to 1"
         )
-    return sample
+    return mmse._sir_sample(sir, config.r_t, config.alpha, config.n_branches, active, redraws)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +238,7 @@ def predicted_rate(config: NetworkConfig) -> float | None:
     return asymptotics.rate_approx(config.n_branches, rho, config.alpha, config.r_t)
 
 
-def _run_point_block(args) -> list[SirSample | None]:
+def _run_point_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     config, master_seed, point_idx, r0, r1 = args
     return _run_block(config, master_seed, [(point_idx, ri) for ri in range(r0, r1)])
 
@@ -249,12 +247,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
     """Execute all points x replications and aggregate deterministically.
 
     The work items are blocks of BLOCK_SIZE consecutive replications of one
-    point; with workers > 1 they run on a process pool.  Aggregation happens
-    in (point, replication) index order, and a replication's numbers do not
-    depend on its block, so the emitted numbers never depend on the worker
-    count or the execution schedule.  A point whose replication fails is
-    flagged and reported with empty statistics; the remaining points still
-    run.
+    point, each returning _run_block's three arrays; with workers > 1 they
+    run on a process pool.  Aggregation happens in (point, replication)
+    index order, and a replication's numbers do not depend on its block, so
+    the emitted numbers never depend on the worker count or the execution
+    schedule.  A point whose replication fails is flagged and reported with
+    empty statistics (its redraw_total still counts MAX_REDRAWS per failed
+    member); the remaining points still run.
     """
     from . import __version__
 
@@ -271,21 +270,20 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
     else:
         blocks = [_run_point_block(t) for t in tasks]
 
-    by_point: list[list[SirSample | None]] = [[] for _ in configs]
-    for (_, _, pi, _, _), block in zip(tasks, blocks):
-        by_point[pi].extend(block)
-
+    per_point = len(tasks) // len(configs)  # tasks, and so blocks, in (point, block) order
     points = []
-    for cfg, ordered in zip(configs, by_point):
-        # replications >= 1, so a point without a failed member has samples
-        failed = any(s is None for s in ordered)
+    for pi, cfg in enumerate(configs):
+        point_blocks = blocks[pi * per_point:(pi + 1) * per_point]
+        sirs, active, redraws = (np.concatenate(parts) for parts in zip(*point_blocks))
+        failed = bool(np.isnan(sirs).any())
         asym = predicted_rate(cfg)
         rate = sir = emp_density = rel_gap = None
         if not failed:
-            rate = summarize(s.rate for s in ordered)
-            sir = summarize(s.sir for s in ordered)
+            # math.log2 as in SirSample.rate: np.log2 can round differently
+            rate = summarize(math.log2(1.0 + s) for s in sirs.tolist())
+            sir = summarize(sirs)
             area = math.pi * cfg.radius ** 2
-            emp_density = float(np.mean([s.active_count for s in ordered])) / area
+            emp_density = float(np.mean(active)) / area
             rel_gap = abs(rate.mean - asym) / asym if asym else None
         points.append(
             PointResult(
@@ -296,7 +294,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
                 predicted_density=cfg.predicted_density(),
                 asymptote_rate=asym,
                 rel_gap=rel_gap,
-                redraw_total=sum(s.redraw_count for s in ordered if s is not None),
+                redraw_total=int(redraws.sum()),
                 failed=failed,
             )
         )

@@ -14,6 +14,7 @@ import pytest
 
 from mmsenet.asymptotics import AsymptoticParams, rate_approx, solve_beta_fixed_point
 from mmsenet.cli import CSV_COLUMNS, ConfigError, _build_parser, load_config, main
+from mmsenet.montecarlo import derive_seed, run_realization
 
 RHO_P = 0.01
 R_T = math.sqrt(1.0 / (math.pi * RHO_P))
@@ -329,6 +330,26 @@ class TestSimulate:
         main(["simulate", "--config", str(cfg), "--out", str(out1), "--threads", "1"])
         main(["simulate", "--config", str(cfg), "--out", str(out4), "--threads", "4"])
         assert out1.read_bytes() == out4.read_bytes()
+
+    def test_summary_counts_redraws(self, tmp_path, capsys):
+        # a sparse Boolean sweep (c * nu barely above 1) whose replications
+        # 13, 16 and 26 redraw; the CSV is unchanged, stderr counts them
+        h = math.sqrt(0.14 / (math.pi * RHO_P))
+        cfg = write_config(
+            tmp_path / "c.json",
+            model={"name": "boolean", "h": h, "rho_b": RHO_P},
+            network={"rho_p": RHO_P, "alpha": 4.0, "c": 10.0, "r_T": R_T},
+            sweep={"N": [16]},
+            replications=30,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            point = load_config(str(cfg)).point_configs()[0]
+            redraws = sum(run_realization(point, derive_seed(11, 0, r)).redraw_count
+                          for r in range(30))
+            assert main(["simulate", "--config", str(cfg)]) == 0
+        assert redraws > 0
+        assert capsys.readouterr().err.endswith(f", 0 failed points, {redraws} redraws)\n")
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         p = tmp_path / "c.json"
@@ -653,6 +674,20 @@ class TestArgumentErrors:
         )
         assert code == 2
         assert "--seed" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "plot"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out(self, tmp_path, capsys, no_run, command, where):
+        out = tmp_path / "missing" / "x.out" if where == "missing-dir" else tmp_path
+        if command == "simulate":
+            argv = ["simulate", "--config", str(write_config(tmp_path / "c.json"))]
+        else:
+            argv = ["plot", "--report", str(TestPlotCmd().write_report(tmp_path, {}))]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{command}: --out: cannot write: ")
+        assert str(out) in captured.err and "Traceback" not in captured.err
 
     def test_nu_above_one(self, capsys):
         code, err = self.exit_code_and_stderr(

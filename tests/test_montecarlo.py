@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -501,6 +502,36 @@ class TestGoldenSamplePath:
     def test_sample_path_pinned(self, model, master_seed, rep):
         assert self.sample(model, master_seed, rep) == self.GOLDEN[(model, master_seed, rep)]
 
+    @pytest.mark.parametrize("model,master_seed,rep", sorted(GOLDEN))
+    def test_public_stages_rebuild_the_sample(self, model, master_seed, rep):
+        # realize, draw_fading, interference_covariance and mmse_sir, one
+        # attempt at a time on the attempt's stream, give run_realization's
+        # sample exactly: the per-stage path a traced replay times
+        spec, n_branches, c = self.MODELS[model]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = NetworkConfig(
+                rho_p=RHO_P, alpha=4.0, n_branches=n_branches, c=c, r_t=R_T, model=spec
+            )
+        seed = derive_seed(master_seed, 0, rep)
+        signal_weight = cfg.r_t ** cfg.alpha if spec.power_control else 1.0
+        for attempt in range(montecarlo.MAX_REDRAWS + 1):
+            rng = pointproc.as_generator(np.random.SeedSequence(
+                entropy=seed.entropy, spawn_key=(*seed.spawn_key, attempt)))
+            real = pointproc.realize(cfg, rng)
+            act = real.active
+            weights = real.power_weight[act] * real.radii()[act] ** -cfg.alpha
+            fading = mmse.draw_fading(n_branches, int(act.sum()), rng)
+            cov = mmse.interference_covariance(fading.interferers, weights)
+            try:
+                sample = mmse.mmse_sir(fading.g_t, cov, cfg.r_t, cfg.alpha,
+                                       n_branches=n_branches, signal_weight=signal_weight,
+                                       active_count=int(act.sum()))
+            except mmse.SingularCovariance:
+                continue
+            break
+        assert replace(sample, redraw_count=attempt) == run_realization(cfg, seed)
+
     @staticmethod
     def on_planes(build):
         # an older covariance build, fed the interferer matrix G whose planes
@@ -590,6 +621,15 @@ class TestBlocks:
     def singles(self, cfg, count):
         return [run_realization(cfg, derive_seed(self.SEED, 0, r)) for r in range(count)]
 
+    @staticmethod
+    def assert_block_equals(block, singles):
+        # _run_block's arrays, field by field against the members' samples
+        sir, active, redraws = block
+        assert (sir.dtype, active.dtype, redraws.dtype) == (float, np.int64, np.int64)
+        assert sir.tolist() == [s.sir for s in singles]
+        assert active.tolist() == [s.active_count for s in singles]
+        assert redraws.tolist() == [s.redraw_count for s in singles]
+
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_block_equals_per_replication(self, model):
         cfg = self.config(model)
@@ -598,7 +638,7 @@ class TestBlocks:
             assert sum(s.redraw_count for s in singles) > 0
         for count in self.COUNTS:
             block = montecarlo._run_block(cfg, self.SEED, [(0, r) for r in range(count)])
-            assert block == singles[:count]
+            self.assert_block_equals(block, singles[:count])
             # run_experiment splits the replications into BLOCK_SIZE blocks
             p = run_experiment(ExperimentSpec(
                 base=cfg, n_values=(cfg.n_branches,), replications=count,
@@ -617,10 +657,11 @@ class TestBlocks:
         for budget in (1, BLOCK_SIZE * (cfg.n_nodes + cfg.n_clusters)):
             monkeypatch.setattr(pointproc, "_NODE_BUDGET", budget)
             blocks.append(montecarlo._run_block(cfg, self.SEED, keys))
-        assert blocks[0] == blocks[1]
-        assert None not in blocks[0]
+        singles = self.singles(cfg, BLOCK_SIZE)
+        for block in blocks:
+            self.assert_block_equals(block, singles)
         if model == "boolean_redraw":
-            assert sum(s.redraw_count for s in blocks[0]) > 0
+            assert blocks[0][2].sum() > 0
 
     @pytest.mark.parametrize("model", ["hc2", "boolean", "cellular_pc", "boolean_redraw"])
     def test_block_fading_equals_public_path(self, model, monkeypatch):
@@ -664,10 +705,18 @@ class TestBlocks:
         sparse, healthy = self.config("boolean_redraw"), self.config("boolean")
         singles = self.singles(sparse, 30)
         monkeypatch.setattr(montecarlo, "MAX_REDRAWS", 0)
-        block = montecarlo._run_block(sparse, self.SEED, [(0, r) for r in range(30)])
-        for got, want in zip(block, singles):
-            assert got == (want if want.redraw_count == 0 else None)
-        assert block.count(None) == 3
+        keys = [(0, r) for r in range(30)]
+        sir, active, redraws = montecarlo._run_block(sparse, self.SEED, keys)
+        ok = [i for i, s in enumerate(singles) if s.redraw_count == 0]
+        self.assert_block_equals((sir[ok], active[ok], redraws[ok]), [singles[i] for i in ok])
+        failed = np.flatnonzero(np.isnan(sir))
+        assert len(failed) == 3 and set(failed).isdisjoint(ok)
+        # a failed member keeps the active count of its last draw
+        rngs = [pointproc.as_generator(montecarlo._stream(self.SEED, (*keys[i], 0)))
+                for i in failed]
+        assert active[failed].tolist() == [w.size for w in
+                                           pointproc.interference_weights(sparse, rngs)]
+        assert not redraws.any()
         spec = ExperimentSpec(
             base=sparse, n_values=(16,), replications=30, master_seed=self.SEED,
             variants=(sparse.model, healthy.model),
@@ -680,6 +729,22 @@ class TestBlocks:
         point1 = [run_realization(rep.points[1].config, derive_seed(self.SEED, 1, r))
                   for r in range(30)]
         assert rep.points[1].rate == summarize(s.rate for s in point1)
+
+    def test_failed_members_count_their_redraws(self, monkeypatch):
+        # with one redraw allowed, replication 13 (which needs two) fails
+        # after its redraw, and 16 and 26 succeed with theirs: the point's
+        # redraw_total counts all three, MAX_REDRAWS for the failed member
+        cfg = self.config("boolean_redraw")
+        singles = self.singles(cfg, 30)
+        monkeypatch.setattr(montecarlo, "MAX_REDRAWS", 1)
+        spec = ExperimentSpec(base=cfg, n_values=(16,), replications=30, master_seed=self.SEED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = run_experiment(spec).points[0]
+        succeeded = [s.redraw_count for s in singles if s.redraw_count <= 1]
+        failed = len(singles) - len(succeeded)
+        assert p.failed and failed == 1 and sum(succeeded) == 2
+        assert p.redraw_total == sum(succeeded) + failed * montecarlo.MAX_REDRAWS
 
     def test_realization_fails_when_no_redraw_is_left(self, monkeypatch):
         cfg = self.config("boolean_redraw")
