@@ -18,10 +18,12 @@ co-channel interferers have limiting density ``rho``, the normalized SIR
 
 scipy evaluates the special functions: ``gauss_2f1`` and ``lambert_w0``
 are validating wrappers over ``scipy.special.hyp2f1`` and
-``scipy.special.lambertw``.  scipy is imported on first use, by the four
-functions that call it (``gauss_2f1``, ``lambert_w0``, ``_solve_root`` and
-``_activity_integral``), so importing this module, and every simulation
-path that uses only the closed-form rate predictions, needs numpy alone.
+``scipy.special.lambertw``, and ``fixed_point_equation`` also calls
+``scipy.special.betaincc``.  scipy is imported on first use, by the five
+functions that call it (``gauss_2f1``, ``lambert_w0``,
+``fixed_point_equation``, ``_solve_root`` and ``_activity_integral``), so
+importing this module, and every simulation path that uses only the
+closed-form rate predictions, needs numpy alone.
 All functions are pure; none hold state but that import.
 """
 
@@ -90,15 +92,14 @@ def _scipy(name: str):
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) for real arguments.
 
-    scipy.special.hyp2f1 evaluates it; this wrapper confines z to (-1, 1],
-    the range the fixed point needs, and rejects the undefined cases:
-    a nonpositive-integer c, z outside (-1, 1], and the divergent z = 1
-    case with c - a - b <= 0.
+    scipy.special.hyp2f1 evaluates it; this wrapper rejects the undefined
+    cases: a nonpositive-integer c, z above 1 or not finite, and the
+    divergent z = 1 case with c - a - b <= 0.
     """
     if c <= 0 and c == int(c):
         raise ValueError(f"2F1 undefined for nonpositive integer c={c}")
-    if z > 1.0 or z <= -1.0:
-        raise ValueError(f"2F1 argument z={z} outside the supported range (-1, 1]")
+    if not -math.inf < z <= 1.0:
+        raise ValueError(f"2F1 argument z={z} outside the supported range (-inf, 1]")
     if z == 1.0 and c - a - b <= 0:
         raise ValueError(
             f"2F1(a={a}, b={b}; c={c}; 1) diverges: c - a - b = {c - a - b} <= 0"
@@ -202,46 +203,28 @@ def beta_large_c(rho: float, alpha: float) -> float:
     )
 
 
-def _fixed_point_sides(beta: float, params: AsymptoticParams) -> tuple[float, float]:
-    """Left and right side of the fixed-point equation at a candidate beta.
-
-    The equation balances the whole-plane interference integral against the
-    finite-network correction:
-
-        (2 pi^2 rho / alpha) csc(2 pi / alpha) beta^(2/alpha)
-            = 1 + [2 pi rho x0^(1-2/alpha) beta
-                   / ((alpha-2) (1 + x0 beta)^(1-2/alpha))]
-                  * 2F1(1-2/alpha, 1-2/alpha; 2-2/alpha; x0 beta / (1 + x0 beta))
-
-    with x0 = (pi rho_p / c)^(alpha/2) the least scaled received power.  The
-    correction term is the hypergeometric form of
-    beta (2 pi rho / alpha) Int_0^{x0} t^(-2/alpha) / (1 + t beta) dt.
-    """
-    alpha = params.alpha
-    rho = params.rho
-    x0 = params.support_point
-    lhs = (
-        2.0 * math.pi ** 2 * rho * beta ** (2.0 / alpha)
-        / (alpha * math.sin(2.0 * math.pi / alpha))
-    )
-    xb = x0 * beta
-    z = xb / (1.0 + xb)
-    corr = (
-        2.0 * math.pi * rho * x0 ** (1.0 - 2.0 / alpha) * beta
-        / ((alpha - 2.0) * (1.0 + xb) ** (1.0 - 2.0 / alpha))
-        * gauss_2f1(1.0 - 2.0 / alpha, 1.0 - 2.0 / alpha, 2.0 - 2.0 / alpha, z)
-    )
-    return lhs, 1.0 + corr
-
-
 def fixed_point_equation(beta: float, params: AsymptoticParams) -> float:
     """Signed defect of the fixed-point equation; zero at the SIR limit.
 
-    Strictly increasing in beta, negative at 0+, with a single positive root
-    whenever c * nu > 1.
+    The defect is c nu 2F1(1, d; 1 + d; -1/(x0 beta)) - 1, with d = 2/alpha
+    and x0 = (pi rho_p / c)^(alpha/2) the least scaled received power: the
+    activity integral beta c Int tau dH(tau) / (1 + tau beta) of
+    fixed_point_oracle, in closed form through v = 1/(tau beta).  The same
+    term is the large-c limit times the in-network share of the whole-plane
+    integral, (beta / beta_large_c)^d Q(1 - d, d; x0 beta / (1 + x0 beta)),
+    with Q the complementary regularized incomplete beta.  That form serves
+    x0 beta < 1 at alpha < 4: there scipy's 2F1 sums two terms that each
+    grow like 1/(1 - d), and at alpha 4 (d = 1/2) scipy's Q rounds
+    1 - x0 beta / (1 + x0 beta) away.  It also serves where 1/(x0 beta)
+    overflows, as Q tends to 1.  Strictly increasing in beta, negative at
+    0+, with a single positive root whenever c * nu > 1.
     """
-    lhs, rhs = _fixed_point_sides(beta, params)
-    return lhs - rhs
+    d = 2.0 / params.alpha
+    xb = params.support_point * beta
+    if xb < 1.0 and (d > 0.5 or xb * sys.float_info.max <= 1.0):
+        share = float(_scipy("special").betaincc(1.0 - d, d, xb / (1.0 + xb)))
+        return (beta / beta_large_c(params.rho, params.alpha)) ** d * share - 1.0
+    return params.c * params.nu * gauss_2f1(1.0, d, 1.0 + d, -1.0 / xb) - 1.0
 
 
 def _solve_root(func, params: AsymptoticParams) -> float:
@@ -282,18 +265,11 @@ def solve_beta_fixed_point(params: AsymptoticParams) -> AsymptoticSolution:
 
     Seeded at the large-c value (the exact c -> infinity limit), bracketed by
     geometric expansion, then solved by Brent's method to machine relative
-    precision.  The reported residual is |lhs - rhs| / rhs of the defining
-    equation; it is required to be below 1e-10.
-
-    Near c * nu = 1 the closed form loses accuracy while the residual stays 0,
-    likely because z = x0 beta / (1 + x0 beta) rounds 1 - z away.  Against a
-    60-digit root at alpha 4, nu 1, rho_p 0.01 the relative error is 5.6e-6 at
-    c - 1 = 1e-6, 2.1e-4 at 1e-7, 8.9e-2 at 1e-8 and 1.2e2 at 1e-9, where
-    fixed_point_oracle stays within 1.2e-7; use the oracle in that regime.
+    precision.  The reported residual is |fixed_point_equation| at the
+    root; it is required to be below 1e-10.
     """
     beta = _solve_root(lambda b: fixed_point_equation(b, params), params)
-    lhs, rhs = _fixed_point_sides(beta, params)
-    residual = abs(lhs - rhs) / abs(rhs)
+    residual = abs(fixed_point_equation(beta, params))
     if residual > 1e-10:
         raise RuntimeError(f"fixed-point solve stalled: residual {residual:.3g}")
     return AsymptoticSolution(beta=beta, residual=residual, params=params)
@@ -320,8 +296,11 @@ def _activity_integral(gamma: float, params: AsymptoticParams) -> float:
         return 1.0 / (u ** p + gamma)
 
     # integrate decade by decade so the adaptive rule never sees a span of
-    # more than one order of magnitude
-    cut = min(1.0, u0)
+    # more than one order of magnitude; the decades start at the knee
+    # u^(alpha/2) = gamma when it lies below 1, and a knee that underflows to
+    # 0 (gamma = 0) would never grow
+    knee = gamma ** (2.0 / alpha)
+    cut = min(1.0, u0, knee) if knee > 0.0 else min(1.0, u0)
     edges = [0.0, cut]
     while edges[-1] < u0:
         edges.append(min(edges[-1] * 10.0, u0))

@@ -217,10 +217,12 @@ def _check_size(config: NetworkConfig, nodes_by: str, clusters_by: str) -> None:
 
 
 def _check_point(config: NetworkConfig, where: str) -> None:
-    """Reject a sweep point the size budget cannot hold or the theory cannot predict."""
+    """Reject a sweep point the size budget cannot hold, whose SIR scale leaves
+    the float range, or that the theory cannot predict."""
     try:
         _check_size(config, f"network.c, {where}", f"model.rho_b, {where}")
         rate = montecarlo.predicted_rate(config)  # None for a zero density
+        montecarlo._sir_scale(config)  # the sweep's own factor; raises OverflowError
         if rate is None or math.isfinite(rate):
             return
         problem = "the asymptotic prediction is not finite"
@@ -372,6 +374,11 @@ def cmd_density(args) -> int:
     except ArithmeticError as exc:
         flags = ("--rho-p", "--c", "--n-branches", "--rho-b")
         raise ConfigError(f"cannot evaluate at {_given(args, flags)}: {exc}") from exc
+    if config.n_nodes == 0:
+        # no node to activate; the simulated density would be 0, or 0 / 0
+        # where the disk area underflows
+        raise ConfigError(f"--c, --n-branches: round(c N) = 0 at N={config.n_branches}, "
+                          f"c={config.c:.9g}: the network holds no potential interferer")
     predicted = config.predicted_density()
     if not predicted > 0.0:
         # a limiting density can underflow to 0 (a huge exclusion radius,

@@ -59,6 +59,17 @@ def derive_seed(
     return _stream(master_seed, (point_index, replication_index))
 
 
+def _sir_scale(config: NetworkConfig) -> float:
+    """The factor of every SIR of a point: signal weight times r_T^-alpha.
+
+    The signal weight is r_T^alpha under power control, else 1.  Raises
+    OverflowError where a power leaves the float range; load_config checks
+    every point with it, so such a point is rejected before the sweep.
+    """
+    signal_weight = config.r_t ** config.alpha if config.model.power_control else 1.0
+    return signal_weight * config.r_t ** -config.alpha
+
+
 def _run_block(config: NetworkConfig, entropy, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Realizations of one configuration, solved as a stack: (sir, active, redraws).
 
@@ -68,16 +79,17 @@ def _run_block(config: NetworkConfig, entropy, keys) -> tuple[np.ndarray, np.nda
     Each member then makes its one fading draw (mmse._fading_draw), whose
     tail is already the real plane matrix [Re G; Im G] that
     mmse._plane_covariance turns into its covariance, so no complex
-    interferer matrix is built.  One batched kernel (mmse.sir_samples)
-    solves the stack, and only the singular members are redrawn, at the
-    next attempt, up to MAX_REDRAWS times.  Per member, sir is NaN when
-    every attempt was singular, active is the last draw's active count and
-    redraws its attempt index (MAX_REDRAWS for a failed member).  No
-    diagonal loading is applied anywhere: that would quietly turn the SIR
-    into an SINR and bias comparisons against the noise-free theory.
+    interferer matrix is built.  One batched kernel (mmse.quadratic_forms)
+    solves the stack, times the point's _sir_scale, and only the singular
+    members are redrawn, at the next attempt, up to MAX_REDRAWS times.  Per
+    member, sir is NaN when every attempt was singular, active is the last
+    draw's active count and redraws its attempt index (MAX_REDRAWS for a
+    failed member).  No diagonal loading is applied anywhere: that would
+    quietly turn the SIR into an SINR and bias comparisons against the
+    noise-free theory.
     """
     n = config.n_branches
-    signal_weight = config.r_t ** config.alpha if config.model.power_control else 1.0
+    scale = _sir_scale(config)
     sir = np.full(len(keys), np.nan)
     active = np.zeros(len(keys), dtype=np.int64)
     redraws = np.zeros(len(keys), dtype=np.int64)
@@ -95,8 +107,7 @@ def _run_block(config: NetworkConfig, entropy, keys) -> tuple[np.ndarray, np.nda
             z = mmse._fading_draw(rng, n, w.size)
             g_t[j] = z[:2 * n]
             cov[j] = mmse._plane_covariance(z[2 * n:].reshape(2 * n, w.size), w)
-        sir[pending] = mmse.sir_samples(mmse._complex(g_t[:, :n], g_t[:, n:]), cov,
-                                        config.r_t, config.alpha, signal_weight=signal_weight)
+        sir[pending] = scale * mmse.quadratic_forms(mmse._complex(g_t[:, :n], g_t[:, n:]), cov)
         active[pending] = [w.size for w in weights]
         redraws[pending] = attempt
         pending = pending[np.isnan(sir[pending])]
@@ -247,13 +258,14 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
     """Execute all points x replications and aggregate deterministically.
 
     The work items are blocks of BLOCK_SIZE consecutive replications of one
-    point, each returning _run_block's three arrays; with workers > 1 they
-    run on a process pool.  Aggregation happens in (point, replication)
-    index order, and a replication's numbers do not depend on its block, so
-    the emitted numbers never depend on the worker count or the execution
-    schedule.  A point whose replication fails is flagged and reported with
-    empty statistics (its redraw_total still counts MAX_REDRAWS per failed
-    member); the remaining points still run.
+    point, each returning _run_block's three arrays; with workers > 1 and
+    more than one block they run on a process pool of at most one worker per
+    block.  Aggregation happens in (point, replication) index order, and a
+    replication's numbers do not depend on its block, so the emitted numbers
+    never depend on the worker count or the execution schedule.  A point
+    whose replication fails is flagged and reported with empty statistics
+    (its redraw_total still counts MAX_REDRAWS per failed member); the
+    remaining points still run.
     """
     from . import __version__
 
@@ -264,6 +276,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
         for pi, cfg in enumerate(configs)
         for r0 in range(0, spec.replications, BLOCK_SIZE)
     ]
+    workers = min(workers, len(tasks))  # the pool forks every worker up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_run_point_block, tasks))

@@ -7,6 +7,7 @@ rather than against scipy itself.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -55,6 +56,60 @@ FROZEN_2F1 = {
 }
 
 
+# 2F1(1, d; 1 + d; z) with d = 2/alpha, the fixed point's term, at each z of
+# FIXED_POINT_2F1_Z, by alpha; mpmath 50 digits at the same double arguments
+FIXED_POINT_2F1_Z = (-0.5, -1.0, -10.0, -1e6, -1e12)
+FIXED_POINT_2F1 = {
+    2.5: [0.830279173894178443, 0.722583037855225894, 0.284000814900694555,
+          6.37674554061776857e-5, 1.07004177687068214e-9],
+    3.0: [0.846115681580537231, 0.747101455782848368, 0.325761165370603943,
+          2.39839915731228855e-4, 2.41819915231229269e-8],
+    4.0: [0.870419751367103197, 0.78539816339744831, 0.399876005055766137,
+          1.56979632712822975e-3, 1.57079532679489662e-6],
+    6.0: [0.901644258527509676, 0.83564884826472106, 0.513144155875955936,
+          1.2091495761761455e-2, 1.20919957115614583e-4],
+}
+
+# roots of c nu 2F1(1, d; 1 + d; -1/(x0 beta)) = 1 at rho_p 0.01, by
+# (alpha, nu, c); mpmath 50 digits at the same double arguments
+FROZEN_ROOTS = {
+    (2.5, 0.3, 5.0): 418.48989824460044301, (2.5, 0.3, 50.0): 98.776437958931540702,
+    (2.5, 0.3, 500.0): 72.782897512541692346, (2.5, 0.6, 5.0): 76.510021174768962285,
+    (2.5, 0.6, 50.0): 36.640952518441634888, (2.5, 0.6, 500.0): 29.105697970284424775,
+    (2.5, 1.0, 5.0): 30.570212133935664931, (2.5, 1.0, 50.0): 18.039820101520396,
+    (2.5, 1.0, 500.0): 14.912487613370868557, (3.0, 0.3, 5.0): 1271.9054407685473793,
+    (3.0, 0.3, 50.0): 369.90818683102056725, (3.0, 0.3, 500.0): 311.09866870048688578,
+    (3.0, 0.6, 5.0): 210.65769170131264328, (3.0, 0.6, 50.0): 120.82466424901994615,
+    (3.0, 0.6, 500.0): 107.74577112027130649, (3.0, 1.0, 5.0): 77.683460210349807721,
+    (3.0, 1.0, 50.0): 53.96506548464915104, (3.0, 1.0, 500.0): 49.528781917212935284,
+    (4.0, 0.3, 5.0): 12029.379063511100179, (4.0, 0.3, 50.0): 4827.0611921299785497,
+    (4.0, 0.3, 500.0): 4587.4821214414545753, (4.0, 0.6, 5.0): 1605.0709237986189272,
+    (4.0, 0.6, 50.0): 1172.5611323495806802, (4.0, 0.6, 500.0): 1143.7570986768051791,
+    (4.0, 1.0, 5.0): 494.0770323789214946, (4.0, 1.0, 50.0): 417.433980404150738,
+    (4.0, 1.0, 500.0): 411.30634523465439934, (6.0, 0.3, 5.0): 1145630.0387173465623,
+    (6.0, 0.3, 50.0): 678164.8638400135701, (6.0, 0.3, 500.0): 675630.17081711125286,
+    (6.0, 0.6, 5.0): 93487.072925696150084, (6.0, 0.6, 50.0): 84530.294536918532734,
+    (6.0, 0.6, 500.0): 84451.382958128439612, (6.0, 1.0, 5.0): 18888.638174874628956,
+    (6.0, 1.0, 50.0): 18247.519883195529171, (6.0, 1.0, 500.0): 18241.38866678677101,
+}
+
+# the same roots next to c nu = 1 (nu 1) and at alpha just above 2, with the
+# tolerance each must meet: rounding c nu - 1 alone leaves about
+# 1e-16 / (c nu - 1)
+FROZEN_EDGE_ROOTS = [
+    (2.2, 1.0 + 1e-6, 21424769.53029152333118, 1e-9),
+    (2.2, 1.0 + 1e-8, 2142475434.740518733665, 1e-7),
+    (2.2, 1.0 + 1e-9, 21424752305.31096382145, 1e-6),
+    (4.0, 1.0 + 1e-6, 337737684.1203174269842, 1e-9),
+    (4.0, 1.0 + 1e-8, 33773728491.32284239181, 1e-7),
+    (4.0, 1.0 + 1e-9, 337737251268.5718553524, 1e-6),
+    (6.0, 1.0 + 1e-6, 8062897431.051930733445, 1e-9),
+    (6.0, 1.0 + 1e-8, 806288379552.2675275018, 1e-7),
+    (6.0, 1.0 + 1e-9, 8062882954996.032105833, 1e-6),
+    (2.0000001, 50.0, 5.637182039619734636345, 1e-7),
+]
+
+
 def params(alpha=4.0, nu=1.0, c=50.0, rho_p=0.01):
     return AsymptoticParams(rho_p=rho_p, c=c, alpha=alpha, nu=nu)
 
@@ -87,7 +142,7 @@ class TestGauss2F1:
         with pytest.raises(ValueError, match="nonpositive integer"):
             gauss_2f1(0.5, 0.5, -1.0, 0.3)
 
-    @pytest.mark.parametrize("z", [1.5, -1.0])
+    @pytest.mark.parametrize("z", [1.5, math.nan, -math.inf])
     def test_z_outside_range_rejected(self, z):
         with pytest.raises(ValueError, match="outside the supported range"):
             gauss_2f1(0.5, 0.5, 1.5, z)
@@ -98,6 +153,13 @@ class TestGauss2F1:
         a = 1.0 - 2.0 / alpha
         ref = FROZEN_2F1[alpha][FROZEN_2F1_Z.index(z)]
         assert gauss_2f1(a, a, a + 1.0, z) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("z", FIXED_POINT_2F1_Z)
+    def test_frozen_on_fixed_point_family(self, alpha, z):
+        d = 2.0 / alpha
+        ref = FIXED_POINT_2F1[alpha][FIXED_POINT_2F1_Z.index(z)]
+        assert gauss_2f1(1.0, d, 1.0 + d, z) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("z", [0.0, 0.1, 0.25, 0.4, 0.45])
@@ -253,13 +315,49 @@ class TestFixedPoint:
         assert len(brackets) == 2
 
     def test_oracle_frozen_next_to_unit_c(self):
-        # c = 1 + 1e-8 (the nearest double), where the 2F1 fixed point is 9e-2
-        # off (see solve_beta_fixed_point); mpmath 60 digits, from the alpha = 4
+        # c = 1 + 1e-8 (the nearest double), next to the c * nu = 1 edge of
+        # the regime (see test_solver_frozen_at_edges); mpmath 60 digits, from the alpha = 4
         # closed form pi rho sqrt(g) atan(c / (pi rho_p sqrt(g))) = 1 of the
         # activity integral
         assert fixed_point_oracle(params(alpha=4.0, nu=1.0, c=1.0 + 1e-8)) == pytest.approx(
             33773728491.3228438, rel=1e-8
         )
+
+    @pytest.mark.parametrize("alpha,nu,c", sorted(FROZEN_ROOTS))
+    def test_solver_frozen_on_grid(self, alpha, nu, c):
+        beta = solve_beta_fixed_point(params(alpha=alpha, nu=nu, c=c)).beta
+        assert beta == pytest.approx(FROZEN_ROOTS[alpha, nu, c], rel=1e-13)
+
+    @pytest.mark.parametrize("alpha,c,root,rel", FROZEN_EDGE_ROOTS)
+    def test_solver_frozen_at_edges(self, alpha, c, root, rel):
+        sol = solve_beta_fixed_point(params(alpha=alpha, nu=1.0, c=c))
+        assert sol.beta == pytest.approx(root, rel=rel)
+        assert sol.residual <= 1e-10
+
+    @pytest.mark.parametrize(
+        "alpha,c,root",
+        [
+            # x0 = (pi rho_p / c)^(alpha/2) underflows to 0 or to a subnormal;
+            # mpmath 50 digits at the same double arguments
+            (4.0, 1e200, 410.63929018737339047),
+            (300.0, 50.0, 2.6470153167442784388e225),
+            (100.0, 5e4, 1.3434353410402833247e75),
+        ],
+    )
+    def test_solver_where_support_point_underflows(self, alpha, c, root):
+        assert params(alpha=alpha, c=c).support_point < sys.float_info.min
+        assert solve_beta_fixed_point(params(alpha=alpha, c=c)).beta == pytest.approx(
+            root, rel=1e-12
+        )
+
+    @pytest.mark.filterwarnings("ignore:The integral is probably divergent")
+    def test_activity_integral_at_zero_gamma(self):
+        # the bracket reaches gamma = 0 where beta_large_c underflows (rho_p
+        # 1e300 at alpha 4); the knee gamma^(2/alpha) is then 0, so the
+        # decades must start at 1 to end at all, and 1/u^(alpha/2) is not
+        # integrable at 0
+        with pytest.raises(RuntimeError, match="did not converge on \\[0, 1\\]"):
+            asymptotics._activity_integral(0.0, params())
 
     def test_no_thinning_equals_unit_nu(self):
         p1 = params(alpha=4.0, nu=1.0, c=50.0)

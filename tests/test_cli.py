@@ -415,6 +415,22 @@ class TestAsymptoteCmd:
         assert len(record) == 1 and str(record[0].message).startswith("c * nu = 0.6 <= 1")
         assert "warning" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "alpha,c,root",
+        [
+            # the oracle's bracket probes gamma far below the root; mpmath 50
+            # digits of the closed-form roots
+            ("2.2", "1.0000001", 214247555.9662712293256399),
+            ("4", "1.000000001", 337737251268.5718553524),
+        ],
+    )
+    def test_next_to_unit_c(self, capsys, alpha, c, root):
+        assert main(["asymptote", "--alpha", alpha, "--rho-p", "0.01", "--c", c]) == 0
+        out = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines())
+        assert float(out["beta (fixed point)"]) == pytest.approx(root, rel=1e-6)
+        assert float(out["beta (quadrature oracle)"]) == pytest.approx(root, rel=1e-6)
+        assert float(out["rel diff fp vs oracle"]) < 1e-6
+
 
 class TestDensityCmd:
     def test_hc1_inside_band(self, capsys):
@@ -495,6 +511,29 @@ class TestDensityCmd:
         assert code == 2
         assert captured.out == ""
         assert f"does not take {key}," in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the disk area underflows to 0, and so would the density's divisor
+            pytest.param(["--rho-p", "1e300", "--c", "1e-300", "--replications", "2"],
+                         id="area-underflow"),
+            pytest.param(["--rho-p", "0.01", "--c", "0.01"], id="round-to-zero"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:c \\* nu")
+    def test_empty_network(self, capsys, monkeypatch, argv):
+        from mmsenet import montecarlo
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("density_estimate called on an empty network")
+
+        monkeypatch.setattr(montecarlo, "density_estimate", refuse)
+        code = main(["density", "--model", "independent", "--n-branches", "1", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("density: --c, --n-branches: round(c N) = 0 at N=1")
 
 
 class TestPlotCmd:
@@ -696,6 +735,30 @@ class TestArgumentErrors:
         )
         assert code == 2
         assert "--nu" in err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # r_T^-alpha overflows in the SIR scale
+            pytest.param({"network": {"rho_p": 1e200, "alpha": 4, "c": 50, "r_T": 1e-101},
+                          "model": {"name": "hc1", "h": 1e-101}},
+                         id="hc1-r_T-1e-101"),
+            # the power-controlled signal weight r_T^alpha overflows
+            pytest.param({"network": {"rho_p": 1e-200, "alpha": 4, "c": 200, "r_T": 1e100},
+                          "model": {"name": "cellular", "rho_c": 1e-201, "kappa": 3,
+                                    "power_control": True}},
+                         id="cellular-r_T-1e100"),
+        ],
+    )
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sir_scale_overflow(self, tmp_path, capsys, no_run, overrides, threads):
+        cfg = write_config(tmp_path / "c.json", sweep={"N": [2]}, **overrides)
+        assert main(["simulate", "--config", str(cfg), "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(
+            "simulate: network, sweep.N[0]: cannot size or predict the point (OverflowError"
+        )
 
     def test_format_flag_removed(self, tmp_path, capsys, no_run):
         cfg = write_config(tmp_path / "c.json")

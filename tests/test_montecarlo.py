@@ -163,6 +163,34 @@ class TestRunExperiment:
             assert a.rate.std == b.rate.std
             assert a.empirical_density == b.empirical_density
 
+    @pytest.mark.parametrize("replications,pool_workers", [(BLOCK_SIZE, None), (3, None),
+                                                           (2 * BLOCK_SIZE + 1, 3)])
+    def test_no_more_workers_than_blocks(self, monkeypatch, replications, pool_workers):
+        # the pool forks every worker at its first submit, so its size is
+        # recorded by a stand-in that runs the blocks in this process
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        cfg = config(ModelSpec("hc1", h=0.5 * R_T))
+        spec = ExperimentSpec(base=cfg, n_values=(2,), replications=replications,
+                              master_seed=9)
+        serial = run_experiment(spec, workers=1).points
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Recorder)
+        assert run_experiment(spec, workers=64).points == serial
+        assert started == ([] if pool_workers is None else [pool_workers])
+
     def test_variant_expansion_order(self):
         cfg = config(ModelSpec("hc1", h=0.5 * R_T))
         spec = ExperimentSpec(
