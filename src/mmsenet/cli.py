@@ -222,7 +222,7 @@ def _check_point(config: NetworkConfig, where: str) -> None:
     try:
         _check_size(config, f"network.c, {where}", f"model.rho_b, {where}")
         rate = montecarlo.predicted_rate(config)  # None for a zero density
-        montecarlo._sir_scale(config)  # the sweep's own factor; raises OverflowError
+        montecarlo._sir_scale(config)  # the sweep's own factor; raises beyond the float range
         if rate is None or math.isfinite(rate):
             return
         problem = "the asymptotic prediction is not finite"

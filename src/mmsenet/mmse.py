@@ -191,15 +191,24 @@ def _cholesky_forms(g_t: np.ndarray, cov: np.ndarray) -> np.ndarray:
     return (y.real ** 2 + y.imag ** 2).sum(axis=-1)
 
 
-def sir_samples(
-    g_t: np.ndarray, cov: np.ndarray, r_t: float, alpha: float, signal_weight: float = 1.0
-) -> np.ndarray:
+def sir_samples(rngs, weights, n_branches: int, scale: float) -> np.ndarray:
     """Exact MMSE output SIR of every member of a stack, NaN where singular.
 
-    g_t is (B, N) and cov is (B, N, N); r_t, alpha and signal_weight are
-    shared by the stack, and each member's SIR is mmse_sir's.
+    Member j makes its one fading draw (_fading_draw) from rngs[j], after
+    whatever that generator has already drawn; the tail is the plane matrix
+    [Re G; Im G] that _plane_covariance turns into the covariance of the
+    received weights weights[j], so no complex interferer matrix is built.
+    One quadratic_forms call solves the stack, times scale (the signal
+    weight times r_T^-alpha, shared by the stack).
     """
-    return signal_weight * r_t ** -alpha * quadratic_forms(g_t, cov)
+    n = n_branches
+    g_t = np.empty((len(rngs), 2 * n))
+    cov = np.empty((len(rngs), n, n), dtype=complex)
+    for j, (rng, w) in enumerate(zip(rngs, weights)):
+        z = _fading_draw(rng, n, w.size)
+        g_t[j] = z[:2 * n]
+        cov[j] = _plane_covariance(z[2 * n:].reshape(2 * n, w.size), w)
+    return scale * quadratic_forms(_complex(g_t[:, :n], g_t[:, n:]), cov)
 
 
 def _sir_sample(sir, r_t: float, alpha: float, n_branches: int,
@@ -224,16 +233,16 @@ def mmse_sir(
 
     sir = signal_weight * r_t^-alpha * g_t^H cov^{-1} g_t, solved through a
     Hermitian Cholesky factorization (never an explicit inverse) by
-    sir_samples on a stack of one.  The default signal_weight of 1 is the
-    unit-transmit-power case; a power-controlled representative passes
+    quadratic_forms on a stack of one.  The default signal_weight of 1 is
+    the unit-transmit-power case; a power-controlled representative passes
     r_t^alpha, making the received signal power 1; n_branches defaults to len(g_t).
 
-    Raises SingularCovariance where sir_samples gives NaN: when the
+    Raises SingularCovariance where quadratic_forms gives NaN: when the
     covariance is not positive definite or its condition number exceeds
     CONDITION_CAP; the caller is expected to redraw the realization.
     """
-    (sir,) = sir_samples(np.asarray(g_t)[None], np.asarray(cov)[None], r_t, alpha,
-                         signal_weight=signal_weight)
+    (quad,) = quadratic_forms(np.asarray(g_t)[None], np.asarray(cov)[None])
+    sir = signal_weight * r_t ** -alpha * quad
     if math.isnan(sir):
         raise SingularCovariance(
             f"covariance is not positive definite or its condition number "

@@ -12,6 +12,7 @@ stacked passes; a sweep solves each fixed-size block of one point as a stack.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -63,11 +64,16 @@ def _sir_scale(config: NetworkConfig) -> float:
     """The factor of every SIR of a point: signal weight times r_T^-alpha.
 
     The signal weight is r_T^alpha under power control, else 1.  Raises
-    OverflowError where a power leaves the float range; load_config checks
-    every point with it, so such a point is rejected before the sweep.
+    OverflowError where a power overflows the float range, and
+    FloatingPointError where the factor falls below the normal range (every
+    SIR would be 0 or lose its precision); load_config checks every point
+    with it, so such a point is rejected before the sweep.
     """
     signal_weight = config.r_t ** config.alpha if config.model.power_control else 1.0
-    return signal_weight * config.r_t ** -config.alpha
+    scale = signal_weight * config.r_t ** -config.alpha
+    if scale < sys.float_info.min:
+        raise FloatingPointError(f"the SIR scale {scale!r} underflows the normal float range")
+    return scale
 
 
 def _run_block(config: NetworkConfig, entropy, keys) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -75,20 +81,16 @@ def _run_block(config: NetworkConfig, entropy, keys) -> tuple[np.ndarray, np.nda
 
     keys[i] is the spawn key of member i; attempt a of that member draws from
     _stream(entropy, keys[i] + (a,)).  Each round realizes every pending
-    member's geometry in stacked passes (pointproc.interference_weights).
-    Each member then makes its one fading draw (mmse._fading_draw), whose
-    tail is already the real plane matrix [Re G; Im G] that
-    mmse._plane_covariance turns into its covariance, so no complex
-    interferer matrix is built.  One batched kernel (mmse.quadratic_forms)
-    solves the stack, times the point's _sir_scale, and only the singular
-    members are redrawn, at the next attempt, up to MAX_REDRAWS times.  Per
-    member, sir is NaN when every attempt was singular, active is the last
-    draw's active count and redraws its attempt index (MAX_REDRAWS for a
-    failed member).  No diagonal loading is applied anywhere: that would
-    quietly turn the SIR into an SINR and bias comparisons against the
-    noise-free theory.
+    member's geometry in stacked passes (pointproc.interference_weights);
+    mmse.sir_samples then draws each member's fading from the same stream,
+    builds its covariance and solves the stack, times the point's
+    _sir_scale.  Only the singular members are redrawn, at the next attempt,
+    up to MAX_REDRAWS times.  Per member, sir is NaN when every attempt was
+    singular, active is the last draw's active count and redraws its attempt
+    index (MAX_REDRAWS for a failed member).  No diagonal loading is applied
+    anywhere: that would quietly turn the SIR into an SINR and bias
+    comparisons against the noise-free theory.
     """
-    n = config.n_branches
     scale = _sir_scale(config)
     sir = np.full(len(keys), np.nan)
     active = np.zeros(len(keys), dtype=np.int64)
@@ -99,15 +101,7 @@ def _run_block(config: NetworkConfig, entropy, keys) -> tuple[np.ndarray, np.nda
             break
         rngs = [pointproc.as_generator(_stream(entropy, (*keys[i], attempt))) for i in pending]
         weights = pointproc.interference_weights(config, rngs)
-        g_t = np.empty((len(pending), 2 * n))
-        cov = np.empty((len(pending), n, n), dtype=complex)
-        for j, (rng, w) in enumerate(zip(rngs, weights)):
-            # the fading follows the member's geometry draws in its stream;
-            # its interferer planes are dropped once their covariance is built
-            z = mmse._fading_draw(rng, n, w.size)
-            g_t[j] = z[:2 * n]
-            cov[j] = mmse._plane_covariance(z[2 * n:].reshape(2 * n, w.size), w)
-        sir[pending] = scale * mmse.quadratic_forms(mmse._complex(g_t[:, :n], g_t[:, n:]), cov)
+        sir[pending] = mmse.sir_samples(rngs, weights, config.n_branches, scale)
         active[pending] = [w.size for w in weights]
         redraws[pending] = attempt
         pending = pending[np.isnan(sir[pending])]

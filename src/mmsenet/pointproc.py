@@ -133,6 +133,8 @@ class ModelSpec:
             value = getattr(self, key)
             if key in MODEL_PARAMS[self.name]:
                 ok = value is not None and valid(value)
+                if key != "power_control" and isinstance(value, (bool, np.bool_)):
+                    ok, rule = False, f"needs a number for {key}, not a bool"
             else:
                 ok, rule = value is None or value is False, f"does not take {key}"
             if not ok:
@@ -170,6 +172,9 @@ class NetworkConfig:
     model: ModelSpec
 
     def __post_init__(self):
+        for key in ("rho_p", "alpha", "n_branches", "c", "r_t"):
+            if isinstance(getattr(self, key), (bool, np.bool_)):
+                raise ValueError(f"{key} must be a number, not a bool, got {getattr(self, key)!r}")
         if not self.rho_p > 0:
             raise ValueError(f"rho_p must be positive, got {self.rho_p}")
         if not self.alpha > 2:

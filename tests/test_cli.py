@@ -760,6 +760,22 @@ class TestArgumentErrors:
             "simulate: network, sweep.N[0]: cannot size or predict the point (OverflowError"
         )
 
+    @pytest.mark.parametrize("r_t", [1e100, 1e77], ids=["zero", "subnormal"])
+    def test_sir_scale_underflow(self, tmp_path, capsys, no_run, r_t):
+        # r_T^-alpha is 1e-400 -> 0.0 or the subnormal 1e-308: every SIR
+        # would be 0 or lose its precision
+        cfg = write_config(tmp_path / "c.json", sweep={"N": [2]},
+                           network={"rho_p": RHO_P, "alpha": 4.0, "c": 50.0, "r_T": r_t})
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(
+            "simulate: network, sweep.N[0]: cannot size or predict the point "
+            "(FloatingPointError: the SIR scale "
+        )
+        assert "underflows the normal float range" in captured.err
+        assert f"r_T={r_t:.9g}, N=2, model hc1" in captured.err
+
     def test_format_flag_removed(self, tmp_path, capsys, no_run):
         cfg = write_config(tmp_path / "c.json")
         code, err = self.exit_code_and_stderr(

@@ -247,8 +247,9 @@ class TestMmseSir:
 
 
 class TestStackedKernel:
-    """sir_samples / quadratic_forms over (B, N) channels and (B, N, N)
-    covariances, against mmse_sir one matrix at a time."""
+    """quadratic_forms over (B, N) channels and (B, N, N) covariances, and
+    sir_samples over a stack of generators and weights, against mmse_sir one
+    matrix at a time."""
 
     def stack(self, n, count, b, seed):
         g_t = np.empty((b, n), dtype=complex)
@@ -266,7 +267,7 @@ class TestStackedKernel:
         # member 4 gets fewer interferers than branches: singular
         f = draw_fading(n, n - 1, 77)
         cov[4] = interference_covariance(f.interferers, np.ones(n - 1))
-        stacked = sir_samples(g_t, cov, 2.0, 4.0, signal_weight=3.0)
+        stacked = 3.0 * 2.0 ** -4.0 * quadratic_forms(g_t, cov)
         assert stacked.shape == (9,)
         for i in range(9):
             try:
@@ -275,6 +276,32 @@ class TestStackedKernel:
                 assert math.isnan(stacked[i])
                 continue
             assert stacked[i] == want
+        assert np.flatnonzero(np.isnan(stacked)).tolist() == [4]
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    def test_sir_samples_equal_public_path(self, n):
+        # each member draws its weights, then its fading, from one generator;
+        # member 4 has fewer interferers than branches: singular
+        counts = [3 * n] * 9
+        counts[4] = n - 1
+        scale = 3.0 * 2.0 ** -4.0
+
+        def draws():
+            rngs = [as_generator(500 + i) for i in range(9)]
+            weights = [rng.uniform(1.0, 30.0, k) ** -4.0 for rng, k in zip(rngs, counts)]
+            return rngs, weights
+
+        stacked = sir_samples(*draws(), n, scale)
+        assert stacked.shape == (9,)
+        for i, (rng, w) in enumerate(zip(*draws())):
+            f = draw_fading(n, w.size, rng)
+            cov = interference_covariance(f.interferers, w)
+            try:
+                want = mmse_sir(f.g_t, cov, 2.0, 4.0, signal_weight=3.0).sir
+            except SingularCovariance:
+                assert math.isnan(stacked[i])
+                continue
+            assert stacked[i].tobytes() == np.float64(want).tobytes()
         assert np.flatnonzero(np.isnan(stacked)).tolist() == [4]
 
     def test_matches_dense_solve(self):

@@ -969,6 +969,25 @@ class TestRealization:
         with pytest.raises(ValueError, match=key):
             ModelSpec(name, **params)
 
+    @pytest.mark.parametrize(
+        "name,params,network,key",
+        [
+            ("hc1", {"h": 1.0}, {"n_branches": True}, "n_branches"),
+            ("hc1", {"h": 1.0}, {"rho_p": True}, "rho_p"),
+            ("hc1", {"h": 1.0}, {"alpha": True}, "alpha"),
+            ("hc1", {"h": 1.0}, {"c": np.True_}, "c"),
+            ("hc1", {"h": 1.0}, {"r_t": True}, "r_t"),
+            ("hc2", {"h": True}, {}, "h"),
+            ("boolean", {"h": 1.0, "rho_b": True}, {}, "rho_b"),
+            ("cellular", {"rho_c": True, "kappa": 3}, {}, "rho_c"),
+            ("cellular", {"rho_c": 0.001, "kappa": True}, {}, "kappa"),
+        ],
+    )
+    def test_bool_is_not_a_number(self, name, params, network, key):
+        # True would pass the range rules as 1 and reach the pipeline
+        with pytest.raises(ValueError, match=rf"\b{key}\b.*not a bool"):
+            config(ModelSpec(name, **params), **network)
+
     def test_params_label_lists_the_model_parameters_in_table_order(self):
         assert MODEL_NAMES == tuple(MODEL_PARAMS)
         assert ModelSpec("independent").params_label() == "-"
