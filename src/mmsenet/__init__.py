@@ -45,11 +45,9 @@ from .montecarlo import (
     summarize,
 )
 from .pointproc import (
-    BaseStationLattice,
     ModelSpec,
     NetworkConfig,
     Realization,
-    hex_lattice_band0,
     realization_to_csv,
     realize,
 )
@@ -87,11 +85,9 @@ __all__ = [
     "run_experiment",
     "run_realization",
     "summarize",
-    "BaseStationLattice",
     "ModelSpec",
     "NetworkConfig",
     "Realization",
-    "hex_lattice_band0",
     "realization_to_csv",
     "realize",
 ]

@@ -327,7 +327,7 @@ def density_estimate(config: NetworkConfig, replications: int, master_seed: int)
         raise ValueError("replications must be >= 1")
     counts = []
     seeds = (derive_seed(master_seed, 0, r) for r in range(replications))
-    for _, _, active, _, _ in pointproc.realize_passes(config, seeds):
+    for _, active, _, _ in pointproc.realize_passes(config, seeds):
         counts.extend(active.sum(axis=1))
     return float(np.mean(counts)) / (math.pi * config.radius ** 2)
 
@@ -336,12 +336,14 @@ def realize_scaled_powers(config: NetworkConfig, seeds) -> np.ndarray:
     """Scaled received powers N^{alpha/2} P_i r_i^-alpha, one row per seed.
 
     Row k belongs to realize(config, seeds[k]); the seeds are realized in
-    pointproc.realize_passes, and no seeds give a (0, n_nodes) array.
+    pointproc.realize_passes, whose active entries are scattered into rows
+    of zeros, and no seeds give a (0, n_nodes) array.
     """
-    rows = [
-        mmse.scaled_received_powers(positions, weight, config.n_branches, config.alpha)
-        for positions, _, _, weight, _ in pointproc.realize_passes(config, seeds)
-    ]
+    rows = []
+    for _, active, positions, weight in pointproc.realize_passes(config, seeds):
+        row = np.zeros(active.shape)
+        row[active] = mmse.scaled_received_powers(positions, weight, config.n_branches, config.alpha)
+        rows.append(row)
     return np.concatenate(rows) if rows else np.empty((0, config.n_nodes))
 
 

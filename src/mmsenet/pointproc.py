@@ -20,7 +20,13 @@ origin receiver.  Supported rules:
 
 Every "within h" above is the one strict test sqrt(dx*dx + dy*dy) < h
 (_within), so a distance of exactly h never counts.  Each rule runs as one
-kernel over a stack of realizations (_hard_core, _schedule, _boolean).
+kernel over a stack of realizations (_hard_core, _cellular, _boolean).
+Cellular activation decides each mobile's cell in float32 and sends only
+the mobiles within a stated margin of a cell edge to the exact float64
+placement, which gives the same cells bit for bit; only the winners are
+then placed exactly.  A stacked pass yields the draws, the activation and
+the active nodes' positions and weights; realize rebuilds every node's
+fields from the draws.
 
 Geometry conventions: the receiver sits at the origin, the representative
 transmitter at (r_T, 0), and R is derived from (N, c, rho_p) so that
@@ -48,9 +54,7 @@ __all__ = [
     "ModelSpec",
     "NetworkConfig",
     "Realization",
-    "BaseStationLattice",
     "as_generator",
-    "hex_lattice_band0",
     "realize",
     "realize_passes",
     "interference_weights",
@@ -487,30 +491,6 @@ def _boolean(positions: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray
 # hexagonal cellular lattice
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BaseStationLattice:
-    """Hexagonal base-station lattice with a reuse-kappa frequency coloring.
-
-    sites holds the station coordinates, ij their integer lattice coordinates
-    in the (a1, a2) basis, and band0 flags the sublattice (anchored at the
-    origin) that shares the representative receiver's frequency band.
-    """
-
-    sites: np.ndarray      # (M, 2)
-    ij: np.ndarray         # (M, 2) integer coordinates
-    band0: np.ndarray      # (M,) bool
-    rho_c: float
-    kappa: int
-    spacing: float         # nearest-neighbor distance d
-
-    @property
-    def band0_sites(self) -> np.ndarray:
-        return self.sites[self.band0]
-
-    def cell_area(self) -> float:
-        return math.sqrt(3.0) / 2.0 * self.spacing ** 2
-
-
 def hex_spacing(rho_c: float) -> float:
     """Nearest-neighbor distance of a hexagonal lattice of site density rho_c."""
     return math.sqrt(2.0 / (math.sqrt(3.0) * rho_c))
@@ -542,64 +522,19 @@ def _band0_mask(p: np.ndarray, q: np.ndarray, kappa: int) -> np.ndarray:
     return mask
 
 
-def hex_lattice_band0(rho_c: float, kappa: int, extent: float) -> BaseStationLattice:
-    """Hexagonal lattice of density rho_c covering a disk of radius extent.
+def _hex_round(f1: np.ndarray, f2: np.ndarray) -> tuple:
+    """Cube-coordinate hex rounding of fractional axial coordinates (f1, f2).
 
-    One in kappa sites (the sublattice containing the origin) is assigned to
-    frequency band 0.  Supported reuse factors are those expressible as
-    i^2 + i j + j^2: 1, 3, 4, 7.
+    One pass (https://www.redblobgames.com/grids/hexagons/#rounding): f1, f2
+    and f3 = -f1 - f2 are rounded to integers, and the one with the largest
+    rounding error is re-derived from the other two so the three again sum
+    to zero.  This is exact, not a heuristic: the set of points that round
+    to a site is that site's hexagonal Voronoi cell.  The arithmetic runs in
+    the precision of f1 and f2, whose buffers the rounding errors
+    |rint(f) - f| overwrite; each error is exact, since rint(f) and f are
+    close enough that their difference needs no rounding.  Returns the
+    site's integer coordinates (p, q) and the errors (e1, e2, e3).
     """
-    if not rho_c > 0:
-        raise ValueError(f"rho_c must be positive, got {rho_c}")
-    if kappa not in _KAPPA_ANCHOR:
-        raise ValueError(
-            f"unsupported reuse factor kappa={kappa}; supported: {sorted(_KAPPA_ANCHOR)}"
-        )
-    d = hex_spacing(rho_c)
-    # enumerate integer coordinates whose sites can fall inside the extent
-    m1 = int(math.ceil(extent / d)) + 2
-    m2 = int(math.ceil(extent / (d * math.sqrt(3.0) / 2.0))) + 2
-    p, q = np.meshgrid(np.arange(-m1 - m2, m1 + m2 + 1), np.arange(-m2, m2 + 1))
-    p = p.ravel()
-    q = q.ravel()
-    x = d * (p + 0.5 * q)
-    y = d * (math.sqrt(3.0) / 2.0) * q
-    keep = x * x + y * y <= extent * extent
-    p, q, x, y = p[keep], q[keep], x[keep], y[keep]
-    return BaseStationLattice(
-        sites=np.column_stack((x, y)),
-        ij=np.column_stack((p, q)),
-        band0=_band0_mask(p, q, kappa),
-        rho_c=rho_c,
-        kappa=kappa,
-        spacing=d,
-    )
-
-
-def _nearest_site(
-    points: np.ndarray, spacing: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integer coordinates (p, q) of the nearest lattice site, and its distance.
-
-    One pass of cube-coordinate hex rounding
-    (https://www.redblobgames.com/grids/hexagons/#rounding): the fractional
-    axial coordinates (f1, f2) and f3 = -f1 - f2 are rounded to integers, and
-    the one with the largest rounding error is re-derived from the other two
-    so the three again sum to zero.  This is exact, not a heuristic: the set
-    of points that round to a site is that site's hexagonal Voronoi cell.
-    points may carry leading axes (..., 2); returns (p, q, distances) of
-    the leading shape.
-
-    The temporaries are written back in place: the rounding errors |r - f|
-    overwrite f1, f2 and f3, and the site offsets and distances reuse those
-    buffers, so a stacked pass allocates six float arrays besides (p, q).
-    A pass is too large to stay in cache, and each fresh array costs page
-    faults as well as memory traffic.
-    """
-    x, y = points[..., 0], points[..., 1]
-    f2 = y / (spacing * math.sqrt(3.0) / 2.0)
-    f1 = x / spacing
-    f1 -= 0.5 * f2
     f3 = np.negative(f1)
     f3 -= f2
     r1, r2, r3 = np.rint(f1), np.rint(f2), np.rint(f3)
@@ -610,11 +545,32 @@ def _nearest_site(
     fix1 &= e1 > e3
     fix2 = e2 > e3
     fix2 &= ~fix1
-    # fix1 and fix2 are disjoint, so r1 is still the rounded f1 where fix2
-    # re-derives q from it
-    np.copyto(r1, np.subtract(np.negative(r2, out=e1), r3, out=e1), where=fix1)
-    np.copyto(r2, np.subtract(np.negative(r1, out=e1), r3, out=e1), where=fix2)
-    p, q = r1.astype(np.int64), r2.astype(np.int64)
+    # re-deriving r1 as -r2 - r3 subtracts the integer sum r1 + r2 + r3 from
+    # it, and likewise for r2 (fix1 and fix2 are disjoint); multiplying by
+    # the masks is some twenty times faster than a masked (where=) subtract
+    r3 += r1
+    r3 += r2
+    r1 -= fix1 * r3
+    r2 -= fix2 * r3
+    return r1.astype(np.int64), r2.astype(np.int64), (e1, e2, e3)
+
+
+def _nearest_site(
+    points: np.ndarray, spacing: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer coordinates (p, q) of the nearest lattice site, and its distance.
+
+    The fractional axial coordinates of each point go through _hex_round in
+    float64.  points may carry leading axes (..., 2); returns (p, q,
+    distances) of the leading shape.  The site offsets and distances reuse
+    the rounding-error buffers: a pass is too large to stay in cache, and
+    each fresh array costs page faults as well as memory traffic.
+    """
+    x, y = points[..., 0], points[..., 1]
+    f2 = y / (spacing * math.sqrt(3.0) / 2.0)
+    f1 = x / spacing
+    f1 -= 0.5 * f2
+    p, q, (e1, e2, _) = _hex_round(f1, f2)
     sx = np.multiply(0.5, q, out=e1)
     sx += p
     sx *= spacing
@@ -624,62 +580,143 @@ def _nearest_site(
     return p, q, np.sqrt(sx, out=sx)
 
 
-def _schedule(
-    positions: np.ndarray, marks: np.ndarray, spacing: float, kappa: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uplink TDMA slots of a stack: positions (B, n, 2), marks (B, n).
+# The float32 cell decision of _cells.  With L = radius / spacing and
+# u = 2^-24 (float32's unit roundoff), its fractional axial coordinates
+# differ from the exact ones by less than 67 u L:
+#   rho = L sqrt(u_r): the casts of u_r and L, sqrt, the product   3.5 u L
+#   theta = 2 pi u_theta: the casts of u_theta and 2 pi, product   15.7 u
+#   cos, sin: theta's error, plus 2 u for numpy's float32 loops    17.7 u
+#     (1.49 ulp documented for its SIMD loops, under 1 for libm)
+#   rho cos, rho sin: 17.7 + 3.5, plus their rounding              22.2 u L
+#   f2 = 2/sqrt(3) rho sin: 1.155 (22.2 + the constant's 1 + 1)     28.0 u L
+#   f1 = rho cos - f2 / 2: 22.2 + 28.0 / 2 + 1.2                   37.4 u L
+#   f3 = -f1 - f2: 37.4 + 28.0 + 1.2                               66.6 u L
+# and the float64 pipeline (_nearest_site of _to_disk) differs from the
+# exact ones by some 2^-50 L.  Both compute each rounding error
+# e_i = |rint(f_i) - f_i| exactly.  So where every float32 f_i lies more
+# than eps from the nearest half-integer, both pipelines round it to the
+# same integer and their e_i differ by less than eps; where moreover every
+# pair of float32 e_i lies more than 2 eps apart, the fix-up comparisons
+# agree as well, and (p, q) is the float64 pipeline's bit for bit.  The
+# margin eps = 2^-14 L = 1024 u L is 15 times the bound.  The floor 2^-24
+# covers the errors that do not scale with L: the rounding of the margin
+# tests themselves (at most 2^-26) and float32 underflow at tiny L.
+_F32_MARGIN = 2.0 ** -14
+_F32_FLOOR = 2.0 ** -24
 
-    Every mobile attaches to its nearest base station of the hexagonal
-    lattice with nearest-neighbor distance spacing (the lattice Voronoi
-    cells, found in one pass by _nearest_site).  In each band-0 cell of the
-    reuse-kappa coloring other than the origin cell, the occupant with the
-    minimal mark transmits, and an exact tie goes to the lower flattened
-    index; the origin cell's slot belongs to the representative
-    transmitter, so its occupants stay silent.  Each member's cells are its
-    own.  One unstable sort of an int64 (member, cell) key groups the
-    eligible mobiles into runs of one cell; a segment minimum per run gives
-    its lowest mark, and a second one the lowest index among the occupants
-    that hold it, so the order within a run never matters.  Returns the
-    (B, n) activation and each mobile's distance to its serving station.
+
+def _cells(radius: float, spacing: float, u_r: np.ndarray, u_theta: np.ndarray) -> tuple:
+    """Each mobile's cell (p, q): _nearest_site(_to_disk(radius, u_r, u_theta), spacing)'s.
+
+    u_r and u_theta are the (B, n) radius and angle draws.  The cells are
+    rounded in float32, and a mobile within the margin eps of a cell-edge
+    decision (see above) is placed and rounded by the float64 pipeline
+    instead.  Where the margin covers every mobile (eps >= 1/2, from
+    radius / spacing of about 2^13) the float32 stage is skipped.
     """
-    b, n = positions.shape[:2]
-    p, q, serving = _nearest_site(positions, spacing)
+    scale = radius / spacing
+    eps = _F32_MARGIN * scale + _F32_FLOOR
+    if not eps < 0.5:
+        p, q, _ = _nearest_site(_to_disk(radius, u_r, u_theta), spacing)
+        return p, q
+    rho = np.sqrt(u_r, dtype=np.float32)
+    rho *= np.float32(scale)
+    theta = np.multiply(u_theta, np.float32(2.0 * math.pi), dtype=np.float32)
+    f2 = np.sin(theta)
+    f2 *= rho
+    f2 *= np.float32(2.0 / math.sqrt(3.0))
+    f1 = np.cos(theta, out=theta)
+    f1 *= rho
+    f1 -= 0.5 * f2
+    p, q, (e1, e2, e3) = _hex_round(f1, f2)
+    # the thresholds round to float32, by at most 2^-26 (the floor's share)
+    gap = np.maximum(e1, e2, out=rho)
+    unsafe = np.maximum(gap, e3, out=gap) >= 0.5 - eps
+    for a, b in ((e1, e2), (e1, e3), (e2, e3)):
+        unsafe |= np.abs(np.subtract(a, b, out=gap), out=gap) <= 2.0 * eps
+    unsafe = np.flatnonzero(unsafe)
+    member, node = np.divmod(unsafe, u_r.shape[1])
+    exact = _nearest_site(_to_disk(radius, u_r[member, node], u_theta[member, node]), spacing)
+    p.reshape(-1)[unsafe], q.reshape(-1)[unsafe] = exact[:2]
+    return p, q
+
+
+# most (member, cell) table entries _schedule spans per mobile; a pass
+# whose lattice is sparser in mobiles indexes only its occupied cells
+_TABLE_PER_MOBILE = 4
+
+
+def _schedule(p: np.ndarray, q: np.ndarray, marks: np.ndarray, kappa: int) -> np.ndarray:
+    """Uplink TDMA slots of a stack: the mobiles' cells (p, q) and marks, each (B, n).
+
+    In each band-0 cell of the reuse-kappa coloring other than the origin
+    cell, the occupant with the minimal mark transmits, and an exact tie
+    goes to the lower flattened index; the origin cell's slot belongs to
+    the representative transmitter, so its occupants stay silent.  Each
+    member's cells are its own.  One table with an entry per (member, cell)
+    takes each cell's lowest mark (np.minimum.at) and then the lowest index
+    among the occupants that hold it, so ties need no ordering; the band-0
+    and origin tests run once per table entry.  The table spans the pass's
+    p and q ranges, or holds only the occupied cells where that span would
+    exceed _TABLE_PER_MOBILE entries per mobile (stations far denser than
+    mobiles).  Returns the (B, n) activation.
+    """
+    b, n = marks.shape
     active = np.zeros(b * n, dtype=bool)
-    eligible = np.flatnonzero(_band0_mask(p, q, kappa) & ((p != 0) | (q != 0)))
-    if eligible.size:
-        # one non-negative int64 key per (member, cell), with offsets and
-        # widths from this pass's own p and q ranges
-        p, q = p.ravel()[eligible], q.ravel()[eligible]
-        p_lo, q_lo = int(p.min()), int(q.min())
-        p_span, q_span = int(p.max()) - p_lo + 1, int(q.max()) - q_lo + 1
-        cell = ((eligible // n) * p_span + (p - p_lo)) * q_span + (q - q_lo)
-        order = np.argsort(cell)
-        start = np.flatnonzero(np.diff(cell[order], prepend=-1))
-        index = eligible[order]
-        mark = marks.ravel()[index]
-        low = np.minimum.reduceat(mark, start)
-        # occupants above their cell's lowest mark drop out of the index minimum
-        index[mark != np.repeat(low, np.diff(start, append=mark.size))] = b * n
-        active[np.minimum.reduceat(index, start)] = True
-    return active.reshape(b, n), serving
+    if not active.size:
+        return active.reshape(b, n)
+    p_lo, q_lo = int(p.min()), int(q.min())
+    p_span, q_span = int(p.max()) - p_lo + 1, int(q.max()) - q_lo + 1
+    if b * p_span * q_span > _TABLE_PER_MOBILE * active.size:
+        # the occupied (member, p, q) triples, which no int64 key can
+        # overflow however sparse the pass
+        member = np.broadcast_to(np.arange(b)[:, None], (b, n))
+        triples = np.stack((member.reshape(-1), p.reshape(-1), q.reshape(-1)))
+        (_, cell_p, cell_q), cell = np.unique(triples, axis=1, return_inverse=True)
+    else:
+        cell = p - p_lo
+        cell += np.arange(b)[:, None] * p_span
+        cell *= q_span
+        cell += q
+        cell -= q_lo
+        cell_p, cell_q = np.divmod(np.arange(b * p_span * q_span), q_span)
+        cell_p %= p_span
+        cell_p += p_lo
+        cell_q += q_lo
+    cell = cell.reshape(-1)
+    marks = marks.reshape(-1)
+    low = np.full(cell_p.size, np.inf)
+    np.minimum.at(low, cell, marks)
+    holders = np.flatnonzero(marks == low[cell])
+    first = np.full(cell_p.size, active.size)
+    np.minimum.at(first, cell[holders], holders)
+    slot = _band0_mask(cell_p, cell_q, kappa) & ((cell_p != 0) | (cell_q != 0))
+    slot &= first < active.size
+    active[first[slot]] = True
+    return active.reshape(b, n)
+
+
+def _cellular(
+    radius: float, spacing: float, kappa: int,
+    u_r: np.ndarray, u_theta: np.ndarray, marks: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cellular activation of a stack from its (B, n) draws.
+
+    The cells come from _cells and the winners from _schedule; only the
+    winners are placed exactly (_to_disk, _nearest_site), bit for bit as a
+    pass over every mobile places them.  Returns the (B, n) activation and
+    the winners' positions (K, 2) and serving distances (K,), member after
+    member.
+    """
+    active = _schedule(*_cells(radius, spacing, u_r, u_theta), marks, kappa)
+    member, node = np.divmod(np.flatnonzero(active), u_r.shape[1])
+    positions = _to_disk(radius, u_r[member, node], u_theta[member, node])
+    return active, positions, _nearest_site(positions, spacing)[2]
 
 
 # ---------------------------------------------------------------------------
 # full realization
 # ---------------------------------------------------------------------------
-
-def lattice_for(config: NetworkConfig) -> BaseStationLattice:
-    """The base-station lattice a cellular config implies.
-
-    Extends three lattice spacings beyond the network disk so every in-disk
-    mobile finds its true nearest station inside the generated set.  The
-    simulation never builds it; it is the brute-force oracle that the
-    one-pass nearest-site search is checked against.
-    """
-    spec = config.model
-    d = hex_spacing(spec.rho_c)
-    return hex_lattice_band0(spec.rho_c, spec.kappa, config.radius + 3.0 * d)
-
 
 def _realize_stack(config: NetworkConfig, rngs) -> tuple:
     """One stacked geometry pass: a realization per generator in rngs.
@@ -687,59 +724,69 @@ def _realize_stack(config: NetworkConfig, rngs) -> tuple:
     Each member draws its uniforms from its own generator in a fixed order
     (node radii, node angles, then marks for hc2 and cellular, or cluster
     radii and angles for boolean), so a member's draws do not depend on the
-    stack.  The disk transform, activation and power weights then run once
-    over the stack; hard-core and Boolean activation search the whole pass
-    with one banded cell list (_close_pairs, _boolean).  Returns the
-    Realization fields (positions, marks, active, power_weight,
-    serving_distance), each with a leading member axis, or None where the
-    model has no such field.
+    stack.  Activation then runs once over the stack.  Hard-core and
+    Boolean activation place every node and search the whole pass with one
+    banded cell list (_close_pairs, _boolean); cellular activation places
+    only its winners exactly (_cellular).  Returns (draws, active,
+    positions, power_weight): the (B, k) draws, a row per member, the (B, n)
+    activation, and the active nodes' exact positions (K, 2) and transmit
+    weights (K,), member after member.
     """
     spec, n, m = config.model, config.n_nodes, config.n_clusters
     extra = {"hc2": n, "cellular": n, "boolean": 2 * m}.get(spec.name, 0)
     u = np.empty((len(rngs), 2 * n + extra))
     for rng, row in zip(rngs, u):
         rng.random(out=row)
-    positions = _to_disk(config.radius, u[:, :n], u[:, n:2 * n])
-    marks = serving = None
+    u_r, u_theta = u[:, :n], u[:, n:2 * n]
 
+    if spec.name == "cellular":
+        active, positions, serving = _cellular(
+            config.radius, hex_spacing(spec.rho_c), spec.kappa, u_r, u_theta, u[:, 2 * n:]
+        )
+        weight = serving ** config.alpha if spec.power_control else np.ones(len(serving))
+        return u, active, positions, weight
+    positions = _to_disk(config.radius, u_r, u_theta)
     if spec.name == "independent":
         active = np.ones((len(rngs), n), dtype=bool)
-    elif spec.name == "hc1":
-        active = _hard_core(positions, None, config.x_t, spec.h)
-    elif spec.name == "hc2":
-        marks = u[:, 2 * n:]
-        active = _hard_core(positions, marks, config.x_t, spec.h)
-    elif spec.name == "cellular":
-        marks = u[:, 2 * n:]
-        active, serving = _schedule(positions, marks, hex_spacing(spec.rho_c), spec.kappa)
-    else:  # boolean
+    elif spec.name == "boolean":
         centers = _to_disk(config.radius, u[:, 2 * n:2 * n + m], u[:, 2 * n + m:])
         active = _boolean(positions, centers, spec.h)
-
-    if spec.power_control:
-        power_weight = np.where(active, serving ** config.alpha, 0.0)
-    else:
-        power_weight = np.where(active, 1.0, 0.0)
-    return positions, marks, active, power_weight, serving
+    else:  # hc1, or hc2 with its marks
+        marks = u[:, 2 * n:] if spec.name == "hc2" else None
+        active = _hard_core(positions, marks, config.x_t, spec.h)
+    return u, active, positions[active], np.ones(np.count_nonzero(active))
 
 
 def realize(config: NetworkConfig, seed) -> Realization:
     """Sample one complete network realization for the configured model.
 
-    A stacked geometry pass of one member.  Draw order is fixed (positions,
-    then marks or cluster centers), so a given (config, seed) pair
-    reproduces the identical realization on any worker and in any stack.
+    A stacked geometry pass of one member, rebuilt from its draws into
+    every node's fields: positions, marks, the cellular serving distances,
+    and the pass's transmit weights scattered into zeros.  Draw order is
+    fixed (positions, then marks or cluster centers), so a given (config,
+    seed) pair reproduces the identical realization on any worker and in
+    any stack.
     """
-    fields = _realize_stack(config, [as_generator(seed)])
-    return Realization(*(None if f is None else f[0] for f in fields))
+    (u,), (active,), _, weight = _realize_stack(config, [as_generator(seed)])
+    spec, n = config.model, config.n_nodes
+    positions = _to_disk(config.radius, u[:n], u[n:2 * n])
+    marks = u[2 * n:] if spec.name in ("hc2", "cellular") else None
+    serving = None
+    if spec.name == "cellular":
+        serving = _nearest_site(positions, hex_spacing(spec.rho_c))[2]
+    power_weight = np.zeros(n)
+    power_weight[active] = weight
+    return Realization(positions, marks, active, power_weight, serving)
 
 
 def realize_passes(config: NetworkConfig, seeds) -> Iterator[tuple]:
-    """_realize_stack's fields for consecutive members of the iterable seeds.
+    """_realize_stack's (draws, active, positions, power_weight) for consecutive seeds.
 
-    Member k's slice is realize(config, seeds[k]), and a Generator seed is
-    left where realize leaves it.  A pass takes at most _NODE_BUDGET nodes
-    (cluster centers counted, at least one member), which bounds its memory.
+    Member k's draws and activation, and its rows of the active nodes'
+    positions and weights, are those of realize(config, seeds[k]), and a
+    Generator seed is left where realize leaves it.  A pass takes at most
+    _NODE_BUDGET nodes (cluster centers counted, at least one member),
+    which bounds its memory.
     """
     per_pass = max(1, _NODE_BUDGET // max(1, config.n_nodes + config.n_clusters))
     seeds = iter(seeds)
@@ -750,11 +797,9 @@ def realize_passes(config: NetworkConfig, seeds) -> Iterator[tuple]:
 def interference_weights(config: NetworkConfig, rngs) -> list[np.ndarray]:
     """Received power weights w_i r_i^-alpha of each realize_passes member's active interferers."""
     weights = []
-    for positions, _, active, power_weight, _ in realize_passes(config, rngs):
-        act = active.ravel()
-        pos = positions.reshape(-1, 2)[act]
-        radii = np.hypot(pos[:, 0], pos[:, 1])
-        w = power_weight.ravel()[act] * radii ** -config.alpha
+    for _, active, positions, power_weight in realize_passes(config, rngs):
+        radii = np.hypot(positions[:, 0], positions[:, 1])
+        w = power_weight * radii ** -config.alpha
         stop = 0
         for count in active.sum(axis=1).tolist():
             weights.append(w[stop:stop + count])

@@ -463,6 +463,14 @@ class TestDensityCmd:
         assert code == 0
         assert "predicted density  0.01\n" in out and "(inside)" in out
 
+    def test_outside_exits_1(self, capsys):
+        # round(c N) = 2 independent nodes on an area of c N / rho_p = 250:
+        # 0.008 against 0.01 on every replication, a deterministic OUTSIDE
+        code = main(["density", "--model", "independent", "--rho-p", "0.01", "--c", "2.5",
+                     "--n-branches", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "relative error     0.2\n" in out and "(OUTSIDE)" in out
 
     @pytest.mark.parametrize(
         "argv,given",

@@ -330,6 +330,22 @@ class TestEstimatorPasses:
 
     @pytest.mark.parametrize("members", [0, 7, REPS])
     @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_pass_fields(self, model, members, monkeypatch):
+        # the fields the estimators read: each member's activation and its
+        # rows of the active nodes' exact positions and transmit weights
+        cfg, singles = self.prepare(model, members, monkeypatch)
+        seeds = (derive_seed(self.SEED, 0, r) for r in range(self.REPS))
+        passes = list(pointproc.realize_passes(cfg, seeds))
+        assert len(passes) == math.ceil(self.REPS / max(1, members))
+        _, active, positions, weight = (np.concatenate(field) for field in zip(*passes))
+        assert active.tobytes() == np.stack([r.active for r in singles]).tobytes()
+        want = np.concatenate([r.positions[r.active] for r in singles])
+        assert positions.tobytes() == want.tobytes()
+        want = np.concatenate([r.power_weight[r.active] for r in singles])
+        assert weight.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("members", [0, 7, REPS])
+    @pytest.mark.parametrize("model", sorted(MODELS))
     def test_density_estimate(self, model, members, monkeypatch):
         cfg, singles = self.prepare(model, members, monkeypatch)
         want = float(np.mean([r.active_count for r in singles])) / (math.pi * cfg.radius ** 2)

@@ -10,6 +10,7 @@ import io
 import math
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,12 +21,12 @@ from mmsenet.pointproc import (
     _KAPPA_ANCHOR,
     MODEL_NAMES,
     MODEL_PARAMS,
-    BaseStationLattice,
     ModelSpec,
     NetworkConfig,
     Realization,
     _band0_mask,
     _boolean,
+    _cells,
     _close_pairs,
     _hard_core,
     _nearest_site,
@@ -34,9 +35,7 @@ from mmsenet.pointproc import (
     _to_disk,
     _within,
     as_generator,
-    hex_lattice_band0,
     hex_spacing,
-    lattice_for,
     realization_to_csv,
     realize,
 )
@@ -571,6 +570,80 @@ class TestBandedSearch:
 # cellular lattice and scheduling
 # ---------------------------------------------------------------------------
 
+# The base-station lattice enumerated site by site: the brute-force oracle
+# of the one-pass nearest-site search and of the band-0 test.
+
+@dataclass(frozen=True)
+class BaseStationLattice:
+    """Hexagonal base-station lattice with a reuse-kappa frequency coloring.
+
+    sites holds the station coordinates, ij their integer lattice coordinates
+    in the (a1, a2) basis, and band0 flags the sublattice (anchored at the
+    origin) that shares the representative receiver's frequency band.
+    """
+
+    sites: np.ndarray      # (M, 2)
+    ij: np.ndarray         # (M, 2) integer coordinates
+    band0: np.ndarray      # (M,) bool
+    rho_c: float
+    kappa: int
+    spacing: float         # nearest-neighbor distance d
+
+    @property
+    def band0_sites(self) -> np.ndarray:
+        return self.sites[self.band0]
+
+    def cell_area(self) -> float:
+        return math.sqrt(3.0) / 2.0 * self.spacing ** 2
+
+
+def hex_lattice_band0(rho_c: float, kappa: int, extent: float) -> BaseStationLattice:
+    """Hexagonal lattice of density rho_c covering a disk of radius extent.
+
+    One in kappa sites (the sublattice containing the origin) is assigned to
+    frequency band 0.  Supported reuse factors are those expressible as
+    i^2 + i j + j^2: 1, 3, 4, 7.
+    """
+    if not rho_c > 0:
+        raise ValueError(f"rho_c must be positive, got {rho_c}")
+    if kappa not in _KAPPA_ANCHOR:
+        raise ValueError(
+            f"unsupported reuse factor kappa={kappa}; supported: {sorted(_KAPPA_ANCHOR)}"
+        )
+    d = hex_spacing(rho_c)
+    # enumerate integer coordinates whose sites can fall inside the extent
+    m1 = int(math.ceil(extent / d)) + 2
+    m2 = int(math.ceil(extent / (d * math.sqrt(3.0) / 2.0))) + 2
+    p, q = np.meshgrid(np.arange(-m1 - m2, m1 + m2 + 1), np.arange(-m2, m2 + 1))
+    p = p.ravel()
+    q = q.ravel()
+    x = d * (p + 0.5 * q)
+    y = d * (math.sqrt(3.0) / 2.0) * q
+    keep = x * x + y * y <= extent * extent
+    p, q, x, y = p[keep], q[keep], x[keep], y[keep]
+    return BaseStationLattice(
+        sites=np.column_stack((x, y)),
+        ij=np.column_stack((p, q)),
+        band0=_band0_mask(p, q, kappa),
+        rho_c=rho_c,
+        kappa=kappa,
+        spacing=d,
+    )
+
+
+def lattice_for(config: NetworkConfig) -> BaseStationLattice:
+    """The base-station lattice a cellular config implies.
+
+    Extends three lattice spacings beyond the network disk so every in-disk
+    mobile finds its true nearest station inside the generated set.  The
+    simulation never builds it; it is the brute-force oracle that the
+    one-pass nearest-site search is checked against.
+    """
+    spec = config.model
+    d = hex_spacing(spec.rho_c)
+    return hex_lattice_band0(spec.rho_c, spec.kappa, config.radius + 3.0 * d)
+
+
 class TestLattice:
     def test_origin_site_in_band0(self):
         lat = hex_lattice_band0(0.001, 3, 200.0)
@@ -634,6 +707,12 @@ class TestCellularScheduling:
         )
 
     @staticmethod
+    def schedule(positions, marks, spacing, kappa):
+        """_schedule on the float64 cells of positions: (active, serving)."""
+        p, q, serving = _nearest_site(positions, spacing)
+        return _schedule(p, q, marks, kappa), serving
+
+    @staticmethod
     def boundary_points(cfg, lat, rng):
         """Edge midpoints and vertices of cells spread over the disk, each
         stepped 1e-9 d toward every site it is equidistant from."""
@@ -674,8 +753,13 @@ class TestCellularScheduling:
         d_all = np.linalg.norm(pts[:, None, :] - lat.sites[None, :, :], axis=-1)
         np.testing.assert_array_equal(np.column_stack((p, q)), lat.ij[d_all.argmin(axis=1)])
         assert np.allclose(dist, d_all.min(axis=1), rtol=1e-12, atol=1e-9)
-        _, (serving,) = _schedule(pts[None], np.zeros((1, len(pts))), lat.spacing, lat.kappa)
-        np.testing.assert_array_equal(serving, dist)
+        # the same points as draws: the float32 cell decision places each in
+        # the cell the float64 pipeline gives it
+        u_r = (np.hypot(pts[:, 0], pts[:, 1]) / cfg.radius) ** 2
+        u_theta = np.arctan2(pts[:, 1], pts[:, 0]) / (2.0 * math.pi) % 1.0
+        want = _nearest_site(_to_disk(cfg.radius, u_r, u_theta), lat.spacing)[:2]
+        got = _cells(cfg.radius, lat.spacing, u_r[None], u_theta[None])
+        np.testing.assert_array_equal(np.concatenate(got), np.stack(want))
 
     @staticmethod
     def schedule_brute(positions, marks, lat):
@@ -728,7 +812,7 @@ class TestCellularScheduling:
         rng = np.random.default_rng([kappa, members])
         positions, marks = self.stack_case(lat, radius, kind, members, rng)
         want_active, want_serving = self.schedule_brute(positions, marks, lat)
-        active, serving = _schedule(positions, marks, lat.spacing, kappa)
+        active, serving = self.schedule(positions, marks, lat.spacing, kappa)
         np.testing.assert_array_equal(active, want_active)
         np.testing.assert_array_equal(serving, want_serving)
         if kind == "no_eligible":
@@ -760,7 +844,7 @@ class TestCellularScheduling:
         band0_idx = np.flatnonzero(lat.band0 & np.any(lat.ij != 0, axis=1))
         site = lat.sites[band0_idx[0]]
         pos = site[None, :] + 0.05 * lat.spacing
-        (active,), (serving,) = _schedule(pos[None], np.array([[0.5]]), lat.spacing, lat.kappa)
+        (active,), (serving,) = self.schedule(pos[None], np.array([[0.5]]), lat.spacing, lat.kappa)
         assert active.all()
         assert serving[0] == pytest.approx(np.linalg.norm(pos[0] - site), rel=1e-12)
 
@@ -769,7 +853,7 @@ class TestCellularScheduling:
         lat = lattice_for(cfg)
         other_idx = np.flatnonzero(~lat.band0)
         pos = lat.sites[other_idx[0]][None, :] + 0.05 * lat.spacing
-        (active,), _ = _schedule(pos[None], np.array([[0.5]]), lat.spacing, lat.kappa)
+        (active,), _ = self.schedule(pos[None], np.array([[0.5]]), lat.spacing, lat.kappa)
         assert not active.any()
 
     def test_min_mark_wins_within_cell(self):
@@ -779,7 +863,7 @@ class TestCellularScheduling:
         site = lat.sites[band0_idx[0]]
         pos = np.vstack([site + [0.1, 0.0], site + [0.0, 0.1], site + [0.1, 0.1]])
         marks = np.array([0.9, 0.05, 0.5])
-        (active,), _ = _schedule(pos[None], marks[None], lat.spacing, lat.kappa)
+        (active,), _ = self.schedule(pos[None], marks[None], lat.spacing, lat.kappa)
         assert list(active) == [False, True, False]
 
     def test_stacked_members_do_not_share_cells(self):
@@ -789,7 +873,7 @@ class TestCellularScheduling:
         lat = lattice_for(cfg)
         band0_idx = np.flatnonzero(lat.band0 & np.any(lat.ij != 0, axis=1))
         pos = np.stack([lat.sites[band0_idx[:1]] + 0.05 * lat.spacing] * 2)
-        active, _ = _schedule(pos, np.array([[0.5], [0.2]]), lat.spacing, lat.kappa)
+        active, _ = self.schedule(pos, np.array([[0.5], [0.2]]), lat.spacing, lat.kappa)
         assert active.all()
 
     def test_activation_fraction_limit(self):
@@ -882,24 +966,42 @@ class TestRealization:
 
     @pytest.mark.parametrize("model", sorted(STACK_MODELS))
     def test_stacked_member_equals_realize(self, model):
-        # every member's slice of one stacked pass is realize on its own
-        # generator, bit for bit, and leaves that generator where realize does
+        # every member's share of one stacked pass (its draws, activation and
+        # its rows of the active nodes' positions and weights) is realize on
+        # its own generator, bit for bit, and leaves that generator where
+        # realize does
         cfg = config(self.STACK_MODELS[model], n_branches=4, c=200.0)
+        n = cfg.n_nodes
         seeds = [np.random.SeedSequence(3, spawn_key=(k,)) for k in range(5)]
         rngs = [as_generator(seed) for seed in seeds]
-        stack = _realize_stack(cfg, rngs)
-        names = ("positions", "marks", "active", "power_weight", "serving_distance")
+        draws, active, positions, weight = _realize_stack(cfg, rngs)
+        counts = active.sum(axis=1)
+        assert positions.shape == (counts.sum(), 2) and weight.shape == (counts.sum(),)
+        stop = 0
         for k, seed in enumerate(seeds):
             rng = as_generator(seed)
             single = realize(cfg, rng)
-            for name, field in zip(names, stack):
-                want = getattr(single, name)
-                if want is None:
-                    assert field is None, name
-                else:
-                    got = field[k]
-                    assert got.dtype == want.dtype and got.shape == want.shape, name
-                    assert got.tobytes() == want.tobytes(), name
+            rows = slice(stop, stop + counts[k])
+            stop += counts[k]
+            want = {
+                "active": single.active,
+                "positions": single.positions[single.active],
+                "power_weight": single.power_weight[single.active],
+                "all_positions": single.positions,
+            }
+            got = {
+                "active": active[k],
+                "positions": positions[rows],
+                "power_weight": weight[rows],
+                "all_positions": _to_disk(cfg.radius, draws[k, :n], draws[k, n:2 * n]),
+            }
+            if single.marks is not None:
+                want["marks"], got["marks"] = single.marks, draws[k, 2 * n:]
+            for name, value in want.items():
+                assert got[name].dtype == value.dtype and got[name].shape == value.shape, name
+                assert got[name].tobytes() == value.tobytes(), name
+            assert single.power_weight[~single.active].tobytes() == bytes(8 * (n - counts[k]))
+            assert (single.serving_distance is None) == (cfg.model.name != "cellular")
             assert rngs[k].random() == rng.random()
 
     def test_unit_power_weights(self):
