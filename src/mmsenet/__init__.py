@@ -26,10 +26,7 @@ from .mmse import (
     SingularCovariance,
     SirSample,
     draw_fading,
-    edf,
     interference_covariance,
-    ks_distance,
-    min_eigenvalue,
     mmse_sir,
     scaled_received_powers,
 )
@@ -70,10 +67,7 @@ __all__ = [
     "SingularCovariance",
     "SirSample",
     "draw_fading",
-    "edf",
     "interference_covariance",
-    "ks_distance",
-    "min_eigenvalue",
     "mmse_sir",
     "scaled_received_powers",
     "ExperimentReport",

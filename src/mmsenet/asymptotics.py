@@ -234,7 +234,8 @@ def _solve_root(func, params: AsymptoticParams) -> float:
     around the large-c value b until func changes sign, then Brent's method
     to machine relative precision (brentq's default rtol, 4 eps, is its
     floor; the negligible xtol keeps the stopping rule relative at every
-    scale of beta).
+    scale of beta).  A Brent search that does not converge raises
+    FloatingPointError: the defect is too noisy at these parameters.
     """
     # the activity integral is bounded by c * nu, so no positive root can
     # exist at or below one; the closed form would only produce spurious
@@ -249,9 +250,14 @@ def _solve_root(func, params: AsymptoticParams) -> float:
     for _ in range(_MAX_EXPAND):
         ends = {lo: func(lo), hi: func(hi)}
         if ends[lo] * ends[hi] <= 0.0:  # brentq reuses the two known end values
-            return _scipy("optimize").brentq(
-                lambda x: ends[x] if x in ends else func(x), lo, hi, xtol=sys.float_info.min
+            root, result = _scipy("optimize").brentq(
+                lambda x: ends[x] if x in ends else func(x), lo, hi, xtol=sys.float_info.min,
+                full_output=True, disp=False,
             )
+            if not result.converged:
+                raise FloatingPointError(f"root search in [{lo:.3g}, {hi:.3g}] stopped: "
+                                         f"{result.flag} after {result.iterations} steps")
+            return root
         lo /= 10.0
         hi *= 10.0
     raise NoBracket(
@@ -266,12 +272,12 @@ def solve_beta_fixed_point(params: AsymptoticParams) -> AsymptoticSolution:
     Seeded at the large-c value (the exact c -> infinity limit), bracketed by
     geometric expansion, then solved by Brent's method to machine relative
     precision.  The reported residual is |fixed_point_equation| at the
-    root; it is required to be below 1e-10.
+    root; above 1e-10 it raises FloatingPointError.
     """
     beta = _solve_root(lambda b: fixed_point_equation(b, params), params)
     residual = abs(fixed_point_equation(beta, params))
     if residual > 1e-10:
-        raise RuntimeError(f"fixed-point solve stalled: residual {residual:.3g}")
+        raise FloatingPointError(f"fixed-point solve stalled: residual {residual:.3g}")
     return AsymptoticSolution(beta=beta, residual=residual, params=params)
 
 
@@ -286,7 +292,8 @@ def _activity_integral(gamma: float, params: AsymptoticParams) -> float:
         gamma * pi * rho * Int_0^{c/(pi rho_p)} du / (u^(alpha/2) + gamma),
 
     a smooth, bounded integrand handled piecewise by scipy's adaptive rule.
-    This path never calls the hypergeometric code.
+    A piece it cannot integrate to 1e-8 raises FloatingPointError.  This
+    path never calls the hypergeometric code.
     """
     alpha = params.alpha
     u0 = params.c / (math.pi * params.rho_p)
@@ -311,7 +318,7 @@ def _activity_integral(gamma: float, params: AsymptoticParams) -> float:
             continue
         val, err = quad(integrand, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
         if not math.isfinite(val) or val < 0.0 or err > 1e-8 * max(abs(val), 1e-300):
-            raise RuntimeError(
+            raise FloatingPointError(
                 f"quadrature did not converge on [{a:.3g}, {b:.3g}] "
                 f"(value {val:.6g}, error estimate {err:.3g})"
             )

@@ -29,7 +29,7 @@ from dataclasses import replace
 
 from . import __version__, asymptotics, montecarlo
 from .asymptotics import AsymptoticParams, NoBracket
-from .pointproc import MODEL_NAMES, MODEL_PARAMS, ModelSpec, NetworkConfig
+from .pointproc import MODEL_NAMES, MODEL_PARAMS, ModelSpec, NetworkConfig, hex_spacing
 from .svgplot import RateSeries, render_rate_chart
 
 CSV_COLUMNS = (
@@ -46,6 +46,16 @@ _TOP_KEYS = {"schema_version", "network", "model", "sweep", "replications", "mas
 # complex entries (1.6 GB), and on its Boolean cluster centers; the test, demo
 # and benchmark regimes stay near 2e5
 MAX_FADING_ENTRIES = 10**8
+
+# bound on a cellular point's L = R / s, the disk radius in station spacings.
+# pointproc places each mobile and reads its fractional axial coordinates
+# (|f| <= 2 L / sqrt(3)) in float64, some 2^-50 L from their exact values
+# (2^-50.0 L against 80-bit arithmetic).  At L <= 2^48 that is at most a
+# quarter of a cell; from L = 2^52 on, the ulp of f is a whole cell and no
+# point inside a cell can be told from its edge.  The bound also keeps the
+# int64 cell coordinates (|p|, |q| < 2^49) and the band-0 products far from
+# overflow.
+MAX_CELL_SCALE = 2.0**48
 
 
 class ConfigError(Exception):
@@ -205,8 +215,9 @@ def load_config(path: str) -> montecarlo.ExperimentSpec:
     return spec
 
 
-def _check_size(config: NetworkConfig, nodes_by: str, clusters_by: str) -> None:
-    """Reject a point over the size budget, naming the keys or flags that set the size."""
+def _check_size(config: NetworkConfig, nodes_by: str, clusters_by: str, cells_by: str) -> None:
+    """Reject a point over the size budget or past the float64 cell range,
+    naming the keys or flags that set the size."""
     at = f"at N={config.n_branches}, c={config.c:.9g}"
     budget = f"exceeds the budget of {MAX_FADING_ENTRIES:.0e}"
     if config.n_branches * config.n_nodes > MAX_FADING_ENTRIES:
@@ -214,13 +225,20 @@ def _check_size(config: NetworkConfig, nodes_by: str, clusters_by: str) -> None:
     if config.n_clusters > MAX_FADING_ENTRIES:
         raise ConfigError(f"{clusters_by}: round(pi rho_b R^2) {at}, "
                           f"rho_b={config.model.rho_b:.9g} {budget} cluster centers")
+    if config.model.rho_c is not None:
+        scale = config.radius / hex_spacing(config.model.rho_c)
+        if not scale <= MAX_CELL_SCALE:
+            raise ConfigError(f"{cells_by}: the disk radius is {scale:.3g} station spacings "
+                              f"{at}, rho_c={config.model.rho_c:.9g}, more than the "
+                              f"{MAX_CELL_SCALE:.3g} within which float64 resolves a cell")
 
 
 def _check_point(config: NetworkConfig, where: str) -> None:
     """Reject a sweep point the size budget cannot hold, whose SIR scale leaves
     the float range, or that the theory cannot predict."""
     try:
-        _check_size(config, f"network.c, {where}", f"model.rho_b, {where}")
+        _check_size(config, f"network.c, {where}", f"model.rho_b, {where}",
+                    f"model.rho_c, {where}")
         rate = montecarlo.predicted_rate(config)  # None for a zero density
         montecarlo._sir_scale(config)  # the sweep's own factor; raises beyond the float range
         if rate is None or math.isfinite(rate):
@@ -368,7 +386,17 @@ def cmd_density(args) -> int:
             r_t=args.r_t if args.r_t else math.sqrt(1.0 / (math.pi * args.rho_p)),
             model=model,
         )
-        _check_size(config, "--c, --n-branches", "--rho-b")
+        predicted = config.predicted_density()
+        if not predicted > 0.0:
+            # a limiting density can underflow to 0 (a huge exclusion radius,
+            # rho_p / rho_c below the smallest double, which also puts the
+            # disk past the cell range); the relative error would divide by
+            # it.  Name rho_p and the model's own parameters.
+            own = (f"--{key.replace('_', '-')}" for key in MODEL_PARAMS[args.model])
+            given = _given(args, ("--rho-p", *own))
+            raise ConfigError(f"the limiting active density of model {args.model!r} is "
+                              f"{predicted:.3g} at {given}; nothing to compare against")
+        _check_size(config, "--c, --n-branches", "--rho-b", "--rho-c")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except ArithmeticError as exc:
@@ -379,15 +407,6 @@ def cmd_density(args) -> int:
         # where the disk area underflows
         raise ConfigError(f"--c, --n-branches: round(c N) = 0 at N={config.n_branches}, "
                           f"c={config.c:.9g}: the network holds no potential interferer")
-    predicted = config.predicted_density()
-    if not predicted > 0.0:
-        # a limiting density can underflow to 0 (a huge exclusion radius,
-        # rho_p / rho_c below the smallest double); the relative error would
-        # divide by it.  Name rho_p and the model's own parameters.
-        own = (f"--{key.replace('_', '-')}" for key in MODEL_PARAMS[args.model])
-        given = _given(args, ("--rho-p", *own))
-        raise ConfigError(f"the limiting active density of model {args.model!r} is "
-                          f"{predicted:.3g} at {given}; nothing to compare against")
     simulated = montecarlo.density_estimate(config, args.replications, args.seed)
     nu = config.nu_expected
     n = config.n_nodes

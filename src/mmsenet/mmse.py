@@ -3,9 +3,7 @@
 For a representative channel vector g_T and interference covariance
 R = sum_i w_i g_i g_i^H (w_i the received power weight of active node i),
 the linear combiner maximizing output SIR is w = R^{-1} g_T and the achieved
-SIR is (signal power) * g_T^H R^{-1} g_T.  The module also supplies the
-eigenvalue and empirical-distribution utilities the limit theory is checked
-against.
+SIR is (signal power) * g_T^H R^{-1} g_T.
 """
 
 from __future__ import annotations
@@ -21,23 +19,17 @@ __all__ = [
     "SingularCovariance",
     "FadingSet",
     "SirSample",
-    "EmpiricalDistribution",
     "draw_fading",
     "interference_covariance",
     "mmse_sir",
     "quadratic_forms",
     "sir_samples",
-    "min_eigenvalue",
-    "edf",
-    "ks_distance",
     "scaled_received_powers",
 ]
 
 # beyond this spectral condition number a realization is redrawn rather than
 # trusted to a Cholesky solve
 CONDITION_CAP = 1e12
-
-_HERMITIAN_TOL = 1e-10
 
 
 class SingularCovariance(Exception):
@@ -250,57 +242,6 @@ def mmse_sir(
         )
     n = np.shape(g_t)[-1] if n_branches is None else n_branches
     return _sir_sample(sir, r_t, alpha, n, active_count)
-
-
-def min_eigenvalue(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    Rejects inputs whose asymmetry exceeds 1e-10 (relative to the largest
-    entry) instead of silently symmetrizing them.
-    """
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"square matrix required, got shape {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()))
-    asym = float(np.abs(mat - mat.conj().T).max())
-    if asym > _HERMITIAN_TOL * scale:
-        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3g})")
-    return float(np.linalg.eigvalsh(mat)[0])
-
-
-class EmpiricalDistribution:
-    """Right-continuous step function F(x) = #{v_i <= x} / n."""
-
-    def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size == 0:
-            raise ValueError("empirical distribution needs at least one value")
-        self._sorted = np.sort(values)
-        self.n = values.size
-
-    def __call__(self, x):
-        idx = np.searchsorted(self._sorted, x, side="right")
-        out = idx / self.n
-        if np.isscalar(x):
-            return float(out)
-        return out
-
-    def atom_at_zero(self) -> float:
-        """Probability mass sitting exactly at zero."""
-        return float(np.count_nonzero(self._sorted == 0.0)) / self.n
-
-
-def edf(values) -> EmpiricalDistribution:
-    """Empirical distribution function of a sample (zeros of muted nodes included)."""
-    return EmpiricalDistribution(values)
-
-
-def ks_distance(empirical: EmpiricalDistribution, reference, grid) -> float:
-    """max_x |F_n(x) - H(x)| over the supplied evaluation grid."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be non-empty")
-    return float(np.max(np.abs(empirical(grid) - reference(grid))))
 
 
 def scaled_received_powers(

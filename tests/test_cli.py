@@ -235,6 +235,12 @@ class TestConfig:
                          "network.c, sweep.N[0]: N x round(c N)", id="nodes"),
             pytest.param({"model": {"name": "boolean", "h": 1, "rho_b": 1e300}},
                          "model.rho_b, sweep.N[0]: round(pi rho_b R^2)", id="clusters"),
+            # R/s about 2^504: float64 positions resolve no cell, and the
+            # int64 cast of the rounded cell coordinates would overflow
+            pytest.param({"model": {"name": "cellular", "rho_c": 1e300, "kappa": 3},
+                          "sweep": {"N": [2]}, "replications": 5},
+                         "model.rho_c, sweep.N[0]: the disk radius is 5.25e+151 station "
+                         "spacings", id="cells"),
         ],
     )
     def test_unsized_sweep_point_exits_2_without_running(
@@ -250,7 +256,7 @@ class TestConfig:
         assert main(["simulate", "--config", str(p)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert key in captured.err
+        assert key in captured.err and captured.err.count("\n") == 1
 
     def test_regime_warning_names_the_caller(self, tmp_path):
         p = write_config(tmp_path / "c.json", model=REGIME_MODEL, network=REGIME_NETWORK)
@@ -481,6 +487,10 @@ class TestDensityCmd:
                          "--rho-b: round(pi rho_b R^2)", id="clusters"),
             pytest.param(["--model", "independent", "--c", "1e308", "--rho-p", "1e-10"],
                          "cannot evaluate at --rho-p 1e-10 --c 1e+308", id="overflow"),
+            # the same point as test_unsized_sweep_point_exits_2_without_running's
+            pytest.param(["--model", "cellular", "--rho-c", "1e300", "--kappa", "3",
+                          "--c", "50", "--replications", "5"],
+                         "--rho-c: the disk radius is 5.25e+151 station spacings", id="cells"),
         ],
     )
     def test_size_budget(self, capsys, monkeypatch, argv, given):
@@ -494,7 +504,7 @@ class TestDensityCmd:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert given in captured.err
+        assert given in captured.err and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv,key",

@@ -1,6 +1,7 @@
 """Property test of config loading: every config that load_config accepts
-gives a sized network (nodes and Boolean cluster centers), a finite SIR
-scale and finite predictions at every sweep point.
+gives a sized network (nodes, Boolean cluster centers and a cellular disk
+within the float64 cell range), a finite SIR scale and finite predictions
+at every sweep point.
 
 Configs are drawn across the full float exponent range, the integer fields,
 every activation model and parameters the model does not take.  Nothing is
@@ -13,12 +14,12 @@ import math
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from mmsenet import montecarlo  # noqa: E402
-from mmsenet.cli import MAX_FADING_ENTRIES, ConfigError, load_config  # noqa: E402
-from mmsenet.pointproc import MODEL_NAMES, MODEL_PARAMS  # noqa: E402
+from mmsenet.cli import MAX_CELL_SCALE, MAX_FADING_ENTRIES, ConfigError, load_config  # noqa: E402
+from mmsenet.pointproc import MODEL_NAMES, MODEL_PARAMS, hex_spacing  # noqa: E402
 
 # reals: usually a positive double, half the time of modest size and half
 # the time anywhere from subnormal to largest; else any double (NaN and the
@@ -83,6 +84,16 @@ def configs(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(raw=configs())
+# valid but for a disk some 2^504 station spacings wide: the drawn configs
+# that load_config accepts include no cellular point at all
+@example(raw={
+    "schema_version": 1,
+    "network": {"rho_p": 0.01, "alpha": 4.0, "c": 50.0, "r_T": 5.64},
+    "model": {"name": "cellular", "rho_c": 1e300, "kappa": 3},
+    "sweep": {"N": [2]},
+    "replications": 5,
+    "master_seed": 1,
+})
 def test_loaded_config_is_sized_and_predicted_everywhere(tmp_path_factory, raw):
     path = tmp_path_factory.getbasetemp() / "property.json"
     path.write_text(json.dumps(raw))
@@ -93,6 +104,8 @@ def test_loaded_config_is_sized_and_predicted_everywhere(tmp_path_factory, raw):
     for config in spec.point_configs():
         assert config.n_branches * config.n_nodes <= MAX_FADING_ENTRIES
         assert config.n_clusters <= MAX_FADING_ENTRIES
+        if config.model.rho_c is not None:
+            assert config.radius / hex_spacing(config.model.rho_c) <= MAX_CELL_SCALE
         assert math.isfinite(montecarlo._sir_scale(config))
         density = config.predicted_density()
         assert math.isfinite(density) and density >= 0.0

@@ -12,13 +12,9 @@ import pytest
 
 from mmsenet.mmse import (
     CONDITION_CAP,
-    EmpiricalDistribution,
     SingularCovariance,
     draw_fading,
-    edf,
     interference_covariance,
-    ks_distance,
-    min_eigenvalue,
     mmse_sir,
     quadratic_forms,
     scaled_received_powers,
@@ -361,53 +357,53 @@ class TestStackedKernel:
 
 
 class TestMinEigenvalue:
+    """Smallest eigenvalue of the interference covariance, criterion 10b's quantity."""
+
     def test_identity(self):
-        assert min_eigenvalue(np.eye(5)) == pytest.approx(1.0, abs=1e-14)
+        cov = interference_covariance(np.eye(5, dtype=complex), np.ones(5))
+        assert np.array_equal(cov, np.eye(5))
+        assert np.linalg.eigvalsh(cov)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_rank_deficient_zero(self):
         f = draw_fading(6, 3, 17)
         cov = interference_covariance(f.interferers, np.ones(3))
-        assert min_eigenvalue(cov) == pytest.approx(0.0, abs=1e-10)
-
-    def test_non_hermitian_rejected(self):
-        m = np.eye(3)
-        m[0, 1] = 1e-6
-        with pytest.raises(ValueError, match="Hermitian"):
-            min_eigenvalue(m)
+        assert np.linalg.eigvalsh(cov)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_known_spectrum(self):
-        m = np.diag([3.0, 0.25, 7.0])
-        assert min_eigenvalue(m) == 0.25
+        cov = interference_covariance(np.eye(3, dtype=complex), np.array([3.0, 0.25, 7.0]))
+        assert np.linalg.eigvalsh(cov)[0] == 0.25
 
 
 class TestEdf:
+    """Scaled received powers and their empirical distribution."""
+
     def test_single_value_step(self):
-        F = edf(np.full(10, 2.5))
-        assert F(2.4999) == 0.0
-        assert F(2.5) == 1.0
-        assert F(1e18) == 1.0
+        # four nodes at radius 5: one power value, so the EDF is a single step
+        pos = np.array([[3.0, 4.0], [4.0, 3.0], [5.0, 0.0], [0.0, -5.0]])
+        p = scaled_received_powers(pos, np.ones(4), 4, 4.0)
+        assert np.all(p == p[0])
+        assert p[0] == pytest.approx(16.0 / 625.0, rel=1e-15)
+        grid = np.array([p[0] * (1 - 1e-12), p[0], 1e18])
+        assert np.array_equal(np.searchsorted(np.sort(p), grid, side="right") / p.size, [0.0, 1.0, 1.0])
 
     def test_normalization_and_vectorization(self):
-        F = edf([1.0, 2.0, 3.0, 4.0])
-        out = F(np.array([0.5, 2.0, 10.0]))
-        assert np.allclose(out, [0.0, 0.5, 1.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            edf([])
+        # a stack of members gives each member's row; powers scale as N^(alpha/2)
+        rng = np.random.default_rng(5)
+        pos = rng.uniform(-10.0, 10.0, size=(3, 7, 2))
+        w = rng.uniform(0.0, 2.0, size=(3, 7))
+        stacked = scaled_received_powers(pos, w, 9, 3.0)
+        assert stacked.shape == (3, 7)
+        for k in range(3):
+            assert np.array_equal(stacked[k], scaled_received_powers(pos[k], w[k], 9, 3.0))
+        one = scaled_received_powers(pos, w, 1, 3.0)
+        assert np.allclose(stacked, 9.0 ** 1.5 * one, rtol=1e-14, atol=0.0)
 
     def test_atom_at_zero(self):
-        F = edf([0.0, 0.0, 1.0, 2.0])
-        assert F(-1e-300) == 0.0
-        assert F.atom_at_zero() == 0.5
-        assert F(0.0) == 0.5
-
-    def test_ks_distance(self):
-        F = edf([1.0, 2.0])
-        H = lambda x: np.clip(np.asarray(x, float) / 2.0, 0.0, 1.0)
-        grid = np.array([0.5, 1.0, 1.5, 2.0])
-        # |F-H| at grid: |0-.25|, |.5-.5|, |.5-.75|, |1-1|
-        assert ks_distance(F, H, grid) == pytest.approx(0.25)
+        # muted nodes put an atom at zero, of mass the muted fraction
+        pos = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.0, 4.0]])
+        p = scaled_received_powers(pos, np.array([0.0, 0.0, 1.0, 2.0]), 4, 4.0)
+        edf = np.searchsorted(np.sort(p), [-1e-300, 0.0], side="right") / p.size
+        assert np.array_equal(edf, [0.0, 0.5])
 
     def test_scaled_powers_zeros_for_muted(self):
         pos = np.array([[3.0, 4.0], [1.0, 0.0]])
@@ -436,6 +432,7 @@ class TestEdf:
                 r_t=math.sqrt(1.0 / (math.pi * 0.01)), model=ModelSpec("independent"),
             )
             powers = realize_scaled_powers(cfg, (derive_seed(2, 0, s) for s in range(20)))
-            vals = [ks_distance(edf(p), ref, grid) for p in powers]
+            vals = [np.abs(np.searchsorted(np.sort(p), grid, side="right") / p.size
+                           - ref(grid)).max() for p in powers]
             ks.append(float(np.mean(vals)))
         assert ks[0] > ks[1] > ks[2]
