@@ -28,7 +28,6 @@ from .mmse import (
     draw_fading,
     interference_covariance,
     mmse_sir,
-    scaled_received_powers,
 )
 from .montecarlo import (
     ExperimentReport,
@@ -69,7 +68,6 @@ __all__ = [
     "draw_fading",
     "interference_covariance",
     "mmse_sir",
-    "scaled_received_powers",
     "ExperimentReport",
     "ExperimentSpec",
     "RealizationFailed",

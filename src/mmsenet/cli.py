@@ -397,10 +397,8 @@ def cmd_density(args) -> int:
             raise ConfigError(f"the limiting active density of model {args.model!r} is "
                               f"{predicted:.3g} at {given}; nothing to compare against")
         _check_size(config, "--c, --n-branches", "--rho-b", "--rho-c")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    except ArithmeticError as exc:
-        flags = ("--rho-p", "--c", "--n-branches", "--rho-b")
+    except (ValueError, ArithmeticError) as exc:
+        flags = ("--rho-p", "--c", "--n-branches", "--h", "--rho-b", "--rho-c", "--kappa", "--r-t")
         raise ConfigError(f"cannot evaluate at {_given(args, flags)}: {exc}") from exc
     if config.n_nodes == 0:
         # no node to activate; the simulated density would be 0, or 0 / 0

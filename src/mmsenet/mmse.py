@@ -24,7 +24,6 @@ __all__ = [
     "mmse_sir",
     "quadratic_forms",
     "sir_samples",
-    "scaled_received_powers",
 ]
 
 # beyond this spectral condition number a realization is redrawn rather than
@@ -243,15 +242,3 @@ def mmse_sir(
     n = np.shape(g_t)[-1] if n_branches is None else n_branches
     return _sir_sample(sir, r_t, alpha, n, active_count)
 
-
-def scaled_received_powers(
-    positions: np.ndarray, power_weight: np.ndarray, n_branches: int, alpha: float
-) -> np.ndarray:
-    """p_i = N^{alpha/2} w_i r_i^-alpha over all potential nodes.
-
-    Muted nodes (weight 0) contribute exact zeros; for unit-power models the
-    weights are the 0/1 activity indicators, so this is the quantity whose
-    empirical distribution converges to the limit law (per member of a stack).
-    """
-    r = np.hypot(positions[..., 0], positions[..., 1])
-    return float(n_branches) ** (alpha / 2.0) * power_weight * r ** -alpha

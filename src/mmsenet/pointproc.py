@@ -19,14 +19,15 @@ origin receiver.  Supported rules:
   distance h of one of m uniformly placed cluster centers.
 
 Every "within h" above is the one strict test sqrt(dx*dx + dy*dy) < h
-(_within), so a distance of exactly h never counts.  Each rule runs as one
-kernel over a stack of realizations (_hard_core, _cellular, _boolean).
-Cellular activation decides each mobile's cell in float32 and sends only
-the mobiles within a stated margin of a cell edge to the exact float64
-placement, which gives the same cells bit for bit; only the winners are
-then placed exactly.  A stacked pass yields the draws, the activation and
-the active nodes' positions and weights; realize rebuilds every node's
-fields from the draws.
+(_within; np.hypot for h past 2^511), so a distance of exactly h never
+counts.  Each rule runs as one kernel over a stack of realizations
+(_hard_core, _cellular, _boolean).  Cellular activation decides each
+mobile's cell in float32 and sends only the mobiles within a stated margin
+of a cell edge to the exact float64 placement, which gives the same cells
+bit for bit; only the winners are then placed exactly.  A stacked pass
+(realize_passes) yields the activation and the active nodes' received
+powers w_i r_i^-alpha, which _received alone computes; realize rebuilds
+every node's fields from a pass's draws.
 
 Geometry conventions: the receiver sits at the origin, the representative
 transmitter at (r_T, 0), and R is derived from (N, c, rho_p) so that
@@ -300,8 +301,13 @@ def _to_disk(radius: float, u_r: np.ndarray, u_theta: np.ndarray) -> np.ndarray:
 
 
 def _within(dx: np.ndarray, dy: np.ndarray, h: float) -> np.ndarray:
-    # equal bit for bit to np.linalg.norm(np.column_stack((dx, dy)), axis=1) < h
-    return np.sqrt(dx * dx + dy * dy) < h
+    # equal bit for bit to np.linalg.norm(np.column_stack((dx, dy)), axis=1) < h;
+    # a square that overflows is a distance past 2^511, beyond any smaller h,
+    # and np.hypot, which cannot overflow, serves every larger h
+    if h > 2.0 ** 511:
+        return np.hypot(dx, dy) < h
+    with np.errstate(over="ignore"):
+        return np.sqrt(dx * dx + dy * dy) < h
 
 
 # Banded cell-list neighbour search (the cell lists of molecular dynamics).
@@ -696,114 +702,121 @@ def _schedule(p: np.ndarray, q: np.ndarray, marks: np.ndarray, kappa: int) -> np
     return active.reshape(b, n)
 
 
-def _cellular(
-    radius: float, spacing: float, kappa: int,
-    u_r: np.ndarray, u_theta: np.ndarray, marks: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cellular activation of a stack from its (B, n) draws.
+def _cellular(radius: float, spacing: float, kappa: int, u_r: np.ndarray, u_theta: np.ndarray,
+              marks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cellular activation of a stack from its (B, n) draws: the (B, n)
+    activation, and the winners' positions (K, 2), member after member.
 
     The cells come from _cells and the winners from _schedule; only the
-    winners are placed exactly (_to_disk, _nearest_site), bit for bit as a
-    pass over every mobile places them.  Returns the (B, n) activation and
-    the winners' positions (K, 2) and serving distances (K,), member after
-    member.
+    winners are placed, bit for bit as a pass over every mobile would.
     """
     active = _schedule(*_cells(radius, spacing, u_r, u_theta), marks, kappa)
     member, node = np.divmod(np.flatnonzero(active), u_r.shape[1])
-    positions = _to_disk(radius, u_r[member, node], u_theta[member, node])
-    return active, positions, _nearest_site(positions, spacing)[2]
+    return active, _to_disk(radius, u_r[member, node], u_theta[member, node])
 
 
 # ---------------------------------------------------------------------------
 # full realization
 # ---------------------------------------------------------------------------
 
-def _realize_stack(config: NetworkConfig, rngs) -> tuple:
-    """One stacked geometry pass: a realization per generator in rngs.
+def _draws(config: NetworkConfig, rngs) -> np.ndarray:
+    """The (B, k) uniforms of a stack, a row per generator in rngs.
 
-    Each member draws its uniforms from its own generator in a fixed order
-    (node radii, node angles, then marks for hc2 and cellular, or cluster
-    radii and angles for boolean), so a member's draws do not depend on the
-    stack.  Activation then runs once over the stack.  Hard-core and
-    Boolean activation place every node and search the whole pass with one
-    banded cell list (_close_pairs, _boolean); cellular activation places
-    only its winners exactly (_cellular).  Returns (draws, active,
-    positions, power_weight): the (B, k) draws, a row per member, the (B, n)
-    activation, and the active nodes' exact positions (K, 2) and transmit
-    weights (K,), member after member.
+    Each member draws from its own generator in a fixed order (node radii,
+    node angles, then marks for hc2 and cellular, or cluster radii and
+    angles for boolean), so a member's draws do not depend on the stack.
     """
-    spec, n, m = config.model, config.n_nodes, config.n_clusters
-    extra = {"hc2": n, "cellular": n, "boolean": 2 * m}.get(spec.name, 0)
+    n, m = config.n_nodes, config.n_clusters
+    extra = {"hc2": n, "cellular": n, "boolean": 2 * m}.get(config.model.name, 0)
     u = np.empty((len(rngs), 2 * n + extra))
     for rng, row in zip(rngs, u):
         rng.random(out=row)
-    u_r, u_theta = u[:, :n], u[:, n:2 * n]
+    return u
 
+
+def _activate(config: NetworkConfig, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, n) activation of a stack's draws u, and the active nodes' exact
+    positions (K, 2), member after member.
+
+    Activation runs once over the stack.  Hard-core and Boolean activation
+    place every node and search the whole pass with one banded cell list
+    (_close_pairs, _boolean); cellular activation places only its winners.
+    """
+    spec, n, m = config.model, config.n_nodes, config.n_clusters
+    u_r, u_theta = u[:, :n], u[:, n:2 * n]
     if spec.name == "cellular":
-        active, positions, serving = _cellular(
-            config.radius, hex_spacing(spec.rho_c), spec.kappa, u_r, u_theta, u[:, 2 * n:]
-        )
-        weight = serving ** config.alpha if spec.power_control else np.ones(len(serving))
-        return u, active, positions, weight
+        return _cellular(config.radius, hex_spacing(spec.rho_c), spec.kappa,
+                         u_r, u_theta, u[:, 2 * n:])
     positions = _to_disk(config.radius, u_r, u_theta)
     if spec.name == "independent":
-        active = np.ones((len(rngs), n), dtype=bool)
+        active = np.ones((len(u), n), dtype=bool)
     elif spec.name == "boolean":
         centers = _to_disk(config.radius, u[:, 2 * n:2 * n + m], u[:, 2 * n + m:])
         active = _boolean(positions, centers, spec.h)
     else:  # hc1, or hc2 with its marks
         marks = u[:, 2 * n:] if spec.name == "hc2" else None
         active = _hard_core(positions, marks, config.x_t, spec.h)
-    return u, active, positions[active], np.ones(np.count_nonzero(active))
+    return active, positions[active]
+
+
+def _received(config: NetworkConfig, positions: np.ndarray) -> np.ndarray:
+    """Received powers w_i r_i^-alpha of active nodes at positions (K, 2), inf
+    past the float range: the one place the power law is computed.  w_i is 1,
+    or r_b^alpha for a power-controlled mobile r_b from its serving station.
+    """
+    with np.errstate(over="ignore"):
+        received = np.hypot(positions[:, 0], positions[:, 1]) ** -config.alpha
+    if config.model.power_control:
+        serving = _nearest_site(positions, hex_spacing(config.model.rho_c))[2]
+        received = serving ** config.alpha * received
+    return received
 
 
 def realize(config: NetworkConfig, seed) -> Realization:
     """Sample one complete network realization for the configured model.
 
-    A stacked geometry pass of one member, rebuilt from its draws into
-    every node's fields: positions, marks, the cellular serving distances,
-    and the pass's transmit weights scattered into zeros.  Draw order is
-    fixed (positions, then marks or cluster centers), so a given (config,
-    seed) pair reproduces the identical realization on any worker and in
-    any stack.
+    The activation of a one-member pass (_draws, _activate), with every
+    node's fields rebuilt from its draws: positions, marks, the cellular
+    serving distances and the transmit weights.  A given (config, seed)
+    reproduces the identical realization on any worker and in any stack.
     """
-    (u,), (active,), _, weight = _realize_stack(config, [as_generator(seed)])
-    spec, n = config.model, config.n_nodes
+    u = _draws(config, [as_generator(seed)])
+    (active,), _ = _activate(config, u)
+    u, spec, n = u[0], config.model, config.n_nodes
     positions = _to_disk(config.radius, u[:n], u[n:2 * n])
     marks = u[2 * n:] if spec.name in ("hc2", "cellular") else None
-    serving = None
-    if spec.name == "cellular":
-        serving = _nearest_site(positions, hex_spacing(spec.rho_c))[2]
-    power_weight = np.zeros(n)
-    power_weight[active] = weight
+    serving = _nearest_site(positions, hex_spacing(spec.rho_c))[2] if spec.rho_c else None
+    power_weight = active.astype(float)
+    if spec.power_control:
+        power_weight[active] = serving[active] ** config.alpha
     return Realization(positions, marks, active, power_weight, serving)
 
 
-def realize_passes(config: NetworkConfig, seeds) -> Iterator[tuple]:
-    """_realize_stack's (draws, active, positions, power_weight) for consecutive seeds.
+def realize_passes(config: NetworkConfig, seeds) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(active, received) of stacked passes over consecutive seeds: the (B, n)
+    activation and the active nodes' received powers, member after member.
 
-    Member k's draws and activation, and its rows of the active nodes'
-    positions and weights, are those of realize(config, seeds[k]), and a
-    Generator seed is left where realize leaves it.  A pass takes at most
-    _NODE_BUDGET nodes (cluster centers counted, at least one member),
-    which bounds its memory.
+    Member k's row of active is realize(config, seeds[k])'s, and its share
+    of received is that realization's power_weight[active] *
+    radii()[active] ** -alpha, bit for bit; a Generator seed is left where
+    realize leaves it.  A pass takes at most _NODE_BUDGET nodes (cluster
+    centers counted, at least one member).
     """
     per_pass = max(1, _NODE_BUDGET // max(1, config.n_nodes + config.n_clusters))
     seeds = iter(seeds)
     while stack := [as_generator(seed) for seed in itertools.islice(seeds, per_pass)]:
-        yield _realize_stack(config, stack)
+        # u is held until the next pass draws: freed mid-pass, its heap memory
+        # was trimmed and faulted back in: 13000 more faults a cellular_uplink sweep
+        u = _draws(config, stack)
+        active, positions = _activate(config, u)
+        yield active, _received(config, positions)
 
 
 def interference_weights(config: NetworkConfig, rngs) -> list[np.ndarray]:
-    """Received power weights w_i r_i^-alpha of each realize_passes member's active interferers."""
+    """Each realize_passes member's received powers w_i r_i^-alpha, split off its pass's."""
     weights = []
-    for _, active, positions, power_weight in realize_passes(config, rngs):
-        radii = np.hypot(positions[:, 0], positions[:, 1])
-        w = power_weight * radii ** -config.alpha
-        stop = 0
-        for count in active.sum(axis=1).tolist():
-            weights.append(w[stop:stop + count])
-            stop += count
+    for active, received in realize_passes(config, rngs):
+        weights += np.split(received, np.cumsum(active.sum(axis=1))[:-1])
     return weights
 
 

@@ -4,10 +4,10 @@ frozen_nearest_site and frozen_schedule are the cellular scheduler as it
 stood before cells were decided in float32: every mobile placed by _to_disk
 and rounded to its hex cell in float64, and each cell's winner found by one
 argsort of (member, cell) keys and two segment minima
-(np.minimum.reduceat).  _cellular must give the same activation, winner
-positions and serving distances bit for bit, and _cells the same cell for
-every mobile, including the mobiles that sit within rounding of a hex edge
-or vertex.
+(np.minimum.reduceat).  _cellular must give the same activation and winner
+positions bit for bit, the winners the same serving distances, and _cells
+the same cell for every mobile, including the mobiles that sit within
+rounding of a hex edge or vertex.
 """
 
 import math
@@ -24,6 +24,7 @@ from mmsenet.pointproc import (  # noqa: E402
     _band0_mask,
     _cells,
     _cellular,
+    _nearest_site,
     _to_disk,
     hex_spacing,
 )
@@ -139,9 +140,10 @@ def assert_matches_frozen(radius, u, kappa):
     p, q = _cells(radius, SPACING, u_r, u_theta)
     np.testing.assert_array_equal(p, want_p)
     np.testing.assert_array_equal(q, want_q)
-    active, positions, serving = _cellular(radius, SPACING, kappa, u_r, u_theta, marks)
+    active, positions = _cellular(radius, SPACING, kappa, u_r, u_theta, marks)
     assert active.tobytes() == want_active.tobytes()
     assert positions.tobytes() == full[want_active].tobytes()
+    serving = _nearest_site(positions, SPACING)[2]
     assert serving.tobytes() == want_serving[want_active].tobytes()
 
 

@@ -982,7 +982,8 @@ class TestInvalidInputExit:
                          id="simulate"),
             pytest.param(["density", "--model", "hc1", "--rho-p", "0.01", "--c", "10",
                           "--n-branches", "2"],
-                         "density: model 'hc1' needs h >= 0, got h=None\n", id="density"),
+                         "density: cannot evaluate at --rho-p 0.01 --c 10.0 --n-branches 2: "
+                         "model 'hc1' needs h >= 0, got h=None\n", id="density"),
             pytest.param(["plot", "--report", "{config}", "--out", "{config}.svg"],
                          "plot: malformed report: expected header " + repr(CSV_COLUMNS) + "\n",
                          id="plot"),

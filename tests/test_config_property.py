@@ -3,9 +3,12 @@ gives a sized network (nodes, Boolean cluster centers and a cellular disk
 within the float64 cell range), a finite SIR scale and finite predictions
 at every sweep point.
 
-Configs are drawn across the full float exponent range, the integer fields,
-every activation model and parameters the model does not take.  Nothing is
-simulated, so no drawn network is ever allocated.
+Configs are drawn for every activation model, usually with values of each
+key's own range, so that about half of them load, and one value in ten wild:
+anywhere in the float exponent range, an integer of any size, a parameter
+the model does not take.  A second test checks that the strategy reaches
+accepted configs of every model.  Nothing is simulated, so no drawn network
+is ever allocated.
 """
 
 import json
@@ -14,36 +17,40 @@ import math
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, example, given, settings  # noqa: E402
+from hypothesis import HealthCheck, Phase, example, find, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from mmsenet import montecarlo  # noqa: E402
 from mmsenet.cli import MAX_CELL_SCALE, MAX_FADING_ENTRIES, ConfigError, load_config  # noqa: E402
 from mmsenet.pointproc import MODEL_NAMES, MODEL_PARAMS, hex_spacing  # noqa: E402
 
-# reals: usually a positive double, half the time of modest size and half
-# the time anywhere from subnormal to largest; else any double (NaN and the
-# infinities too: json writes them as literals that json.load reads back) or
-# an integer, small, large or beyond the float range
-REALS = (
-    st.one_of(
-        st.floats(min_value=1e-3, max_value=1e3),
-        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-    ),
-    st.one_of(
-        st.floats(),
-        st.integers(min_value=-3, max_value=10),
-        st.integers(min_value=-(10**400), max_value=10**400),
-    ),
+# reals: usually a value of the key's own range, modest enough that a point
+# is valid: alpha in (2, 8] and the rest within 1e-2..1e2, so that r_T^-alpha
+# stays normal (r_T^-8 within 1e-16..1e16) and the node and cluster counts
+# (c N <= 6400, rho_b / rho_p <= 1e4) and the cell scale stay within budget;
+# else any double (NaN and the infinities too: json writes them as literals
+# that json.load reads back) or an integer, small, large or beyond the float
+# range
+WILD_REAL = st.one_of(
+    st.floats(),
+    st.integers(min_value=-3, max_value=10),
+    st.integers(min_value=-(10**400), max_value=10**400),
 )
+MODEST = (st.floats(min_value=1e-2, max_value=1e2), WILD_REAL)
+NETWORK = {
+    "rho_p": MODEST,
+    "alpha": (st.floats(min_value=2.0, max_value=8.0, exclude_min=True), WILD_REAL),
+    "c": MODEST,
+    "r_T": MODEST,
+}
 INTEGERS = (
     st.integers(min_value=1, max_value=64),
     st.integers(min_value=-(10**400), max_value=10**400),
 )
 PARAMS = {
-    "h": REALS,
-    "rho_b": REALS,
-    "rho_c": REALS,
+    "h": (st.floats(min_value=0.0, max_value=1e2), WILD_REAL),
+    "rho_b": MODEST,
+    "rho_c": MODEST,
     "kappa": (st.sampled_from([1, 3, 4, 7]), INTEGERS[1]),
     "power_control": (st.booleans(), st.integers(min_value=0, max_value=1)),
 }
@@ -67,7 +74,7 @@ def configs(draw):
         model[key] = pick(st.just(value), st.lists(st.one_of(*PARAMS[key]), max_size=3))
     return {
         "schema_version": 1,
-        "network": {key: pick(*REALS) for key in ("rho_p", "alpha", "c", "r_T")},
+        "network": {key: pick(*values) for key, values in NETWORK.items()},
         "model": model,
         "sweep": {"N": [pick(*INTEGERS) for _ in range(draw(st.integers(1, 3)))]},
         "replications": pick(*INTEGERS),
@@ -84,8 +91,8 @@ def configs(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(raw=configs())
-# valid but for a disk some 2^504 station spacings wide: the drawn configs
-# that load_config accepts include no cellular point at all
+# valid but for a disk some 2^504 station spacings wide, past the float64
+# cell range
 @example(raw={
     "schema_version": 1,
     "network": {"rho_p": 0.01, "alpha": 4.0, "c": 50.0, "r_T": 5.64},
@@ -111,3 +118,26 @@ def test_loaded_config_is_sized_and_predicted_everywhere(tmp_path_factory, raw):
         assert math.isfinite(density) and density >= 0.0
         rate = montecarlo.predicted_rate(config)
         assert rate is None or math.isfinite(rate)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_strategy_draws_accepted_configs_of_every_model(tmp_path, name):
+    # the property above holds only as far as the strategy reaches configs
+    # that load_config accepts: it reaches them for every model
+    path = tmp_path / "find.json"
+
+    def accepted(raw):
+        if raw["model"]["name"] != name:
+            return False
+        path.write_text(json.dumps(raw))
+        try:
+            load_config(str(path))
+        except ConfigError:
+            return False
+        return True
+
+    # the first accepted config, unshrunk
+    found = find(configs(), accepted, settings=settings(
+        max_examples=500, derandomize=True, database=None, phases=[Phase.generate]))
+    assert found["model"]["name"] == name

@@ -17,7 +17,6 @@ from mmsenet.mmse import (
     interference_covariance,
     mmse_sir,
     quadratic_forms,
-    scaled_received_powers,
     sir_samples,
 )
 from mmsenet.pointproc import as_generator
@@ -376,41 +375,6 @@ class TestMinEigenvalue:
 
 class TestEdf:
     """Scaled received powers and their empirical distribution."""
-
-    def test_single_value_step(self):
-        # four nodes at radius 5: one power value, so the EDF is a single step
-        pos = np.array([[3.0, 4.0], [4.0, 3.0], [5.0, 0.0], [0.0, -5.0]])
-        p = scaled_received_powers(pos, np.ones(4), 4, 4.0)
-        assert np.all(p == p[0])
-        assert p[0] == pytest.approx(16.0 / 625.0, rel=1e-15)
-        grid = np.array([p[0] * (1 - 1e-12), p[0], 1e18])
-        assert np.array_equal(np.searchsorted(np.sort(p), grid, side="right") / p.size, [0.0, 1.0, 1.0])
-
-    def test_normalization_and_vectorization(self):
-        # a stack of members gives each member's row; powers scale as N^(alpha/2)
-        rng = np.random.default_rng(5)
-        pos = rng.uniform(-10.0, 10.0, size=(3, 7, 2))
-        w = rng.uniform(0.0, 2.0, size=(3, 7))
-        stacked = scaled_received_powers(pos, w, 9, 3.0)
-        assert stacked.shape == (3, 7)
-        for k in range(3):
-            assert np.array_equal(stacked[k], scaled_received_powers(pos[k], w[k], 9, 3.0))
-        one = scaled_received_powers(pos, w, 1, 3.0)
-        assert np.allclose(stacked, 9.0 ** 1.5 * one, rtol=1e-14, atol=0.0)
-
-    def test_atom_at_zero(self):
-        # muted nodes put an atom at zero, of mass the muted fraction
-        pos = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0], [0.0, 4.0]])
-        p = scaled_received_powers(pos, np.array([0.0, 0.0, 1.0, 2.0]), 4, 4.0)
-        edf = np.searchsorted(np.sort(p), [-1e-300, 0.0], side="right") / p.size
-        assert np.array_equal(edf, [0.0, 0.5])
-
-    def test_scaled_powers_zeros_for_muted(self):
-        pos = np.array([[3.0, 4.0], [1.0, 0.0]])
-        w = np.array([0.0, 2.0])
-        p = scaled_received_powers(pos, w, 4, 4.0)
-        assert p[0] == 0.0
-        assert p[1] == pytest.approx(4.0 ** 2.0 * 2.0, rel=1e-12)
 
     def test_edf_approaches_limit_with_network_size(self):
         # all-active network: KS distance to the limiting law shrinks as the

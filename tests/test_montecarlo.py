@@ -304,6 +304,39 @@ class TestAipStatistic:
         assert realize_scaled_powers(cfg, iter(())).shape == (0, cfg.n_nodes)
 
 
+class TestScaledPowers:
+    """realize_scaled_powers row by row: N^{alpha/2} w_i r_i^-alpha per node."""
+
+    @pytest.mark.parametrize("model", [
+        ModelSpec("independent"),
+        ModelSpec("cellular", rho_c=0.001, kappa=3, power_control=True),
+    ], ids=["independent", "cellular_pc"])
+    def test_power_law_and_normalization(self, model):
+        # p_i r_i^alpha / N^{alpha/2} gives back the transmit weight: 1 for
+        # unit power (so one distance, one power value), r_b^alpha under
+        # power control, 0 for a muted node
+        for n_branches in (1, 4, 9):
+            cfg = config(model, n_branches=n_branches, c=200.0, alpha=3.0)
+            seed = derive_seed(3, 0, 0)
+            (p,) = realize_scaled_powers(cfg, [seed])
+            r = pointproc.realize(cfg, seed)
+            weight = p * r.radii() ** cfg.alpha / n_branches ** (cfg.alpha / 2.0)
+            np.testing.assert_allclose(weight, r.power_weight, rtol=1e-13, atol=0.0)
+
+    def test_muted_nodes_are_an_atom_at_zero(self):
+        # every muted node contributes an exact 0, and only they do: the
+        # empirical distribution jumps at 0 by the muted fraction
+        cfg = config(ModelSpec("hc1", h=0.5 * R_T), n_branches=4, c=200.0)
+        seeds = [derive_seed(3, 0, s) for s in range(3)]
+        for p, seed in zip(realize_scaled_powers(cfg, seeds), seeds):
+            muted = ~pointproc.realize(cfg, seed).active
+            assert 0 < np.count_nonzero(muted) < p.size
+            assert p[muted].tobytes() == bytes(8 * np.count_nonzero(muted))
+            assert np.all(p[~muted] > 0.0)
+            edf = np.searchsorted(np.sort(p), [-1e-300, 0.0], side="right") / p.size
+            assert edf.tolist() == [0.0, np.count_nonzero(muted) / p.size]
+
+
 class TestEstimatorPasses:
     """density_estimate, realize_scaled_powers and aip_statistic equal a
     per-seed realize loop bit for bit, however their replications are split
@@ -328,21 +361,30 @@ class TestEstimatorPasses:
         singles = [pointproc.realize(cfg, derive_seed(self.SEED, 0, r)) for r in range(self.REPS)]
         return cfg, singles
 
+    @staticmethod
+    def received(r, alpha):
+        # a realization's received powers w_i r_i^-alpha, active node by node
+        return r.power_weight[r.active] * r.radii()[r.active] ** -alpha
+
+    def scaled_row(self, cfg, r):
+        row = np.zeros(cfg.n_nodes)
+        row[r.active] = float(cfg.n_branches) ** (cfg.alpha / 2.0) * self.received(r, cfg.alpha)
+        return row
+
     @pytest.mark.parametrize("members", [0, 7, REPS])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_pass_fields(self, model, members, monkeypatch):
-        # the fields the estimators read: each member's activation and its
-        # rows of the active nodes' exact positions and transmit weights
+        # the two fields a pass yields: each member's activation and its
+        # share of the active nodes' received powers
         cfg, singles = self.prepare(model, members, monkeypatch)
         seeds = (derive_seed(self.SEED, 0, r) for r in range(self.REPS))
         passes = list(pointproc.realize_passes(cfg, seeds))
         assert len(passes) == math.ceil(self.REPS / max(1, members))
-        _, active, positions, weight = (np.concatenate(field) for field in zip(*passes))
+        assert {len(fields) for fields in passes} == {2}
+        active, received = (np.concatenate(field) for field in zip(*passes))
         assert active.tobytes() == np.stack([r.active for r in singles]).tobytes()
-        want = np.concatenate([r.positions[r.active] for r in singles])
-        assert positions.tobytes() == want.tobytes()
-        want = np.concatenate([r.power_weight[r.active] for r in singles])
-        assert weight.tobytes() == want.tobytes()
+        want = np.concatenate([self.received(r, cfg.alpha) for r in singles])
+        assert received.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("members", [0, 7, REPS])
     @pytest.mark.parametrize("model", sorted(MODELS))
@@ -357,20 +399,20 @@ class TestEstimatorPasses:
         cfg, singles = self.prepare(model, members, monkeypatch)
         got = realize_scaled_powers(cfg, (derive_seed(self.SEED, 0, r) for r in range(self.REPS)))
         assert got.shape == (self.REPS, cfg.n_nodes)
+        scale = float(cfg.n_branches) ** (cfg.alpha / 2.0)
         for row, r in zip(got, singles):
-            want = mmse.scaled_received_powers(
-                r.positions, r.power_weight, cfg.n_branches, cfg.alpha
-            )
-            assert np.array_equal(row, want)
+            assert row.tobytes() == self.scaled_row(cfg, r).tobytes()
+            if not cfg.model.power_control:
+                # with w = 1 the grouping of the product is immaterial:
+                # (scale w) r^-alpha over every node gives the same bytes
+                want = scale * r.power_weight * r.radii() ** -cfg.alpha
+                assert row.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("members", [0, 7, REPS])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_aip_statistic(self, model, members, monkeypatch):
         cfg, singles = self.prepare(model, members, monkeypatch)
-        powers = [
-            mmse.scaled_received_powers(r.positions, r.power_weight, cfg.n_branches, cfg.alpha)
-            for r in singles
-        ]
+        powers = [self.scaled_row(cfg, r) for r in singles]
         x = float(np.median(powers[0][powers[0] > 0]))
         want = float(np.var([np.count_nonzero(p <= x) / p.size for p in powers], ddof=1))
         assert want > 0

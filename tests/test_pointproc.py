@@ -24,13 +24,15 @@ from mmsenet.pointproc import (
     ModelSpec,
     NetworkConfig,
     Realization,
+    _activate,
     _band0_mask,
     _boolean,
     _cells,
     _close_pairs,
+    _draws,
     _hard_core,
     _nearest_site,
-    _realize_stack,
+    _received,
     _schedule,
     _to_disk,
     _within,
@@ -118,7 +120,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("b,n", [(1, 1), (3, 257), (10, 3200)])
     def test_to_disk_equals_out_of_place_expression(self, b, n):
-        # row slices of one draw matrix, as _realize_stack passes them
+        # row slices of one draw matrix, as _activate passes them
         u = np.random.default_rng(n).random((b, 3 * n))
         u_r, u_theta = u[:, :n], u[:, n:2 * n]
         r = 7.5 * np.sqrt(u_r)
@@ -482,6 +484,14 @@ class TestBandedSearch:
         n = positions.shape[1]
         for member in range(len(positions)):
             assert run_end[(member + 1) * n - 2] == (member + 1) * n
+
+    def test_overflowing_squares(self):
+        # a square overflows only for a distance past 2^511: apart at any
+        # smaller h, and np.hypot decides at a larger h; neither warns
+        dx, dy = np.array([1e200, 1e160, 3.0]), np.array([0.0, 1e160, 4.0])
+        assert _within(dx, dy, 1e150).tolist() == [False, False, True]
+        assert _within(dx, dy, 2e160).tolist() == [False, True, True]
+        assert _within(dx, dy, math.inf).tolist() == [True, True, True]
 
     def test_chunks_within_budget_at_infinite_h(self, monkeypatch):
         # at h = inf each member is one cell, so every pair of a member is a
@@ -966,33 +976,35 @@ class TestRealization:
 
     @pytest.mark.parametrize("model", sorted(STACK_MODELS))
     def test_stacked_member_equals_realize(self, model):
-        # every member's share of one stacked pass (its draws, activation and
-        # its rows of the active nodes' positions and weights) is realize on
-        # its own generator, bit for bit, and leaves that generator where
-        # realize does
+        # every member's share of one stacked pass (its draws, activation,
+        # active positions and received powers) is realize on its own
+        # generator, bit for bit, and leaves that generator where realize does
         cfg = config(self.STACK_MODELS[model], n_branches=4, c=200.0)
         n = cfg.n_nodes
         seeds = [np.random.SeedSequence(3, spawn_key=(k,)) for k in range(5)]
         rngs = [as_generator(seed) for seed in seeds]
-        draws, active, positions, weight = _realize_stack(cfg, rngs)
+        draws = _draws(cfg, rngs)
+        active, positions = _activate(cfg, draws)
+        received = _received(cfg, positions)
         counts = active.sum(axis=1)
-        assert positions.shape == (counts.sum(), 2) and weight.shape == (counts.sum(),)
+        assert received.shape == (counts.sum(),)
         stop = 0
         for k, seed in enumerate(seeds):
             rng = as_generator(seed)
             single = realize(cfg, rng)
             rows = slice(stop, stop + counts[k])
             stop += counts[k]
+            act = single.active
             want = {
-                "active": single.active,
-                "positions": single.positions[single.active],
-                "power_weight": single.power_weight[single.active],
+                "active": act,
+                "positions": single.positions[act],
+                "received": single.power_weight[act] * single.radii()[act] ** -cfg.alpha,
                 "all_positions": single.positions,
             }
             got = {
                 "active": active[k],
                 "positions": positions[rows],
-                "power_weight": weight[rows],
+                "received": received[rows],
                 "all_positions": _to_disk(cfg.radius, draws[k, :n], draws[k, n:2 * n]),
             }
             if single.marks is not None:
@@ -1000,9 +1012,21 @@ class TestRealization:
             for name, value in want.items():
                 assert got[name].dtype == value.dtype and got[name].shape == value.shape, name
                 assert got[name].tobytes() == value.tobytes(), name
-            assert single.power_weight[~single.active].tobytes() == bytes(8 * (n - counts[k]))
+            assert single.power_weight[~act].tobytes() == bytes(8 * (n - counts[k]))
             assert (single.serving_distance is None) == (cfg.model.name != "cellular")
+            if cfg.model.power_control:
+                want = single.serving_distance[act] ** cfg.alpha
+                assert single.power_weight[act].tobytes() == want.tobytes()
+            else:
+                assert np.all(single.power_weight[act] == 1.0)
             assert rngs[k].random() == rng.random()
+
+    def test_received_power_past_the_float_range_is_inf(self):
+        # at rho_p = 1e300 the nodes lie some 1e-150 from the receiver, so
+        # r^-4 overflows: inf, without a warning
+        cfg = config(ModelSpec("independent"), rho_p=1e300, r_t=1.0)
+        ((active, received),) = pointproc.realize_passes(cfg, [0])
+        assert active.all() and np.isinf(received).all()
 
     def test_unit_power_weights(self):
         cfg = config(ModelSpec("hc1", h=0.5 * R_T))
