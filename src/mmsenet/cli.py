@@ -162,7 +162,7 @@ def load_config(path: str) -> montecarlo.ExperimentSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
@@ -234,13 +234,19 @@ def _check_size(config: NetworkConfig, nodes_by: str, clusters_by: str, cells_by
 
 
 def _check_point(config: NetworkConfig, where: str) -> None:
-    """Reject a sweep point the size budget cannot hold, whose SIR scale leaves
-    the float range, or that the theory cannot predict."""
+    """Reject a sweep point the size budget cannot hold, whose SIR or interferer
+    power scale leaves the float range, or that the theory cannot predict."""
     try:
         _check_size(config, f"network.c, {where}", f"model.rho_b, {where}",
                     f"model.rho_c, {where}")
         rate = montecarlo.predicted_rate(config)  # None for a zero density
         montecarlo._sir_scale(config)  # the sweep's own factor; raises beyond the float range
+        # a node at the typical nearest distance (pi rho_p)^-1/2 receives
+        # (pi rho_p)^(alpha/2); a covariance entry sums round(c N) received
+        # powers, and where that overflows its spectrum is NaN: no SIR at all
+        power = (math.pi * config.rho_p) ** (config.alpha / 2.0) * config.n_nodes
+        if not math.isfinite(power):
+            raise OverflowError(f"the interferer power scale {power!r} exceeds the float range")
         if rate is None or math.isfinite(rate):
             return
         problem = "the asymptotic prediction is not finite"
@@ -450,7 +456,7 @@ def _parse_csv(path: str) -> list[dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln for ln in fh.read().split("\n") if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read report: {exc}") from exc
     if not lines or lines[0] != CSV_COLUMNS:
         raise ConfigError(f"malformed report: expected header {CSV_COLUMNS!r}")
@@ -492,10 +498,10 @@ def cmd_plot(args) -> int:
         s.mean.append(row["mean_rate"])
         s.std.append(0.0 if row["std_rate"] is None else row["std_rate"])
         s.asymptote.append(row["asymptote"])
-    if skipped:
-        print(f"skipped {skipped} failed rows", file=sys.stderr)
     if not series:
         raise ConfigError("no plottable rows")
+    if skipped:
+        print(f"skipped {skipped} failed rows", file=sys.stderr)
     with _open_out(args.out) as fh:
         fh.write(render_rate_chart(list(series.values()), title=args.title))
     print(f"wrote {args.out}", file=sys.stderr)

@@ -148,10 +148,11 @@ def quadratic_forms(g_t: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """g^H R^{-1} g for each member of a stack, NaN where R is unusable.
 
     g_t is (B, N) and cov is (B, N, N).  A member is unusable when its
-    covariance is not positive definite or its spectral condition number
-    exceeds CONDITION_CAP.  The usable members go through one batched
-    Cholesky factorization R = L L^H and one batched solve y = L^{-1} g, so
-    the form is |y|^2 (never an explicit inverse).  Each member's value does
+    covariance is not positive definite, its spectral condition number
+    exceeds CONDITION_CAP or its spectrum is NaN (a non-finite entry).  The
+    usable members go through one batched Cholesky factorization R = L L^H
+    and one batched solve y = L^{-1} g, so the form is |y|^2 (never an
+    explicit inverse).  Each member's value does
     not depend on the rest of the stack.
     """
     g_t = np.asarray(g_t)
@@ -160,7 +161,7 @@ def quadratic_forms(g_t: np.ndarray, cov: np.ndarray) -> np.ndarray:
         raise ValueError(f"stack shapes g_t {g_t.shape}, cov {cov.shape} do not match")
     evals = np.linalg.eigvalsh(cov)
     with np.errstate(divide="ignore", invalid="ignore"):
-        usable = ~((evals[:, 0] <= 0.0) | (evals[:, -1] / evals[:, 0] > CONDITION_CAP))
+        usable = (evals[:, 0] > 0.0) & (evals[:, -1] / evals[:, 0] <= CONDITION_CAP)
     quad = np.full(g_t.shape[0], np.nan)
     if usable.any():
         quad[usable] = _cholesky_forms(g_t[usable], cov[usable])

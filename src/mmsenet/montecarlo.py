@@ -243,39 +243,33 @@ def predicted_rate(config: NetworkConfig) -> float | None:
     return asymptotics.rate_approx(config.n_branches, rho, config.alpha, config.r_t)
 
 
-def _run_point_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    config, master_seed, point_idx, r0, r1 = args
-    return _run_block(config, master_seed, [(point_idx, ri) for ri in range(r0, r1)])
-
-
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
     """Execute all points x replications and aggregate deterministically.
 
     The work items are blocks of BLOCK_SIZE consecutive replications of one
-    point, each returning _run_block's three arrays; with workers > 1 and
-    more than one block they run on a process pool of at most one worker per
-    block.  Aggregation happens in (point, replication) index order, and a
-    replication's numbers do not depend on its block, so the emitted numbers
-    never depend on the worker count or the execution schedule.  A point
-    whose replication fails is flagged and reported with empty statistics
-    (its redraw_total still counts MAX_REDRAWS per failed member); the
-    remaining points still run.
+    point, each the arguments of one _run_block call (config, master seed,
+    spawn keys); with workers > 1 and more than one block the pool maps
+    _run_block over them with at most one worker per block.  Aggregation
+    happens in (point, replication) index order, and a replication's numbers
+    do not depend on its block, so the emitted numbers never depend on the
+    worker count or the execution schedule.  A point whose replication fails
+    is flagged and reported with empty statistics (its redraw_total still
+    counts MAX_REDRAWS per failed member); the remaining points still run.
     """
     from . import __version__
 
     t0 = time.perf_counter()
     configs = spec.point_configs()
-    tasks = [
-        (cfg, spec.master_seed, pi, r0, min(r0 + BLOCK_SIZE, spec.replications))
-        for pi, cfg in enumerate(configs)
-        for r0 in range(0, spec.replications, BLOCK_SIZE)
-    ]
+    spans = [range(r0, min(r0 + BLOCK_SIZE, spec.replications))
+             for r0 in range(0, spec.replications, BLOCK_SIZE)]
+    tasks = [(cfg, spec.master_seed, [(pi, ri) for ri in span])
+             for pi, cfg in enumerate(configs) for span in spans]
     workers = min(workers, len(tasks))  # the pool forks every worker up front
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_run_point_block, tasks))
+            blocks = list(pool.map(_run_block, *zip(*tasks)))
     else:
-        blocks = [_run_point_block(t) for t in tasks]
+        blocks = [_run_block(*t) for t in tasks]
 
     per_point = len(tasks) // len(configs)  # tasks, and so blocks, in (point, block) order
     points = []

@@ -617,14 +617,11 @@ def _cells(radius: float, spacing: float, u_r: np.ndarray, u_theta: np.ndarray) 
     u_r and u_theta are the (B, n) radius and angle draws.  The cells are
     rounded in float32, and a mobile within the margin eps of a cell-edge
     decision (see above) is placed and rounded by the float64 pipeline
-    instead.  Where the margin covers every mobile (eps >= 1/2, from
-    radius / spacing of about 2^13) the float32 stage is skipped.
+    instead.  From radius / spacing of about 2^13 on, eps >= 1/2 and the
+    margin covers every mobile, so all of them take the float64 pipeline.
     """
     scale = radius / spacing
     eps = _F32_MARGIN * scale + _F32_FLOOR
-    if not eps < 0.5:
-        p, q, _ = _nearest_site(_to_disk(radius, u_r, u_theta), spacing)
-        return p, q
     rho = np.sqrt(u_r, dtype=np.float32)
     rho *= np.float32(scale)
     theta = np.multiply(u_theta, np.float32(2.0 * math.pi), dtype=np.float32)

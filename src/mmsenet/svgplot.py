@@ -7,6 +7,7 @@ formatting, no timestamps, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 __all__ = ["RateSeries", "render_rate_chart"]
@@ -159,6 +160,6 @@ def render_rate_chart(series: list[RateSeries], title: str = "") -> str:
 
 
 def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
+    # what XML 1.0 cannot hold, not even as a reference, becomes U+FFFD
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return re.sub(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]", "\ufffd", text)

@@ -32,7 +32,7 @@ from mmsenet.pointproc import (  # noqa: E402
 SPACING = hex_spacing(0.001)
 # radius / spacing from which the float32 margin covers every mobile, up to
 # its floor: 2^-14 L + 2^-24 >= 1/2 from L = 2^13 - 2^-10
-SKIP_SCALE = 2.0 ** 13
+FULL_MARGIN_SCALE = 2.0 ** 13
 
 
 def frozen_nearest_site(points, spacing):
@@ -150,7 +150,7 @@ def assert_matches_frozen(radius, u, kappa):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     kappa=st.sampled_from([1, 3, 4, 7]),
-    # radius / spacing from 0.3 to 3e4, past SKIP_SCALE
+    # radius / spacing from 0.3 to 3e4, past FULL_MARGIN_SCALE
     log_scale=st.floats(min_value=-0.5, max_value=4.5),
     members=st.integers(min_value=1, max_value=4),
     n=st.integers(min_value=1, max_value=80),
@@ -159,9 +159,9 @@ def assert_matches_frozen(radius, u, kappa):
     levels=st.sampled_from([0, 1, 2, 5]),
     seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
 )
-@example(kappa=3, log_scale=math.log10(SKIP_SCALE), members=2, n=60, edge_share=1.0,
+@example(kappa=3, log_scale=math.log10(FULL_MARGIN_SCALE), members=2, n=60, edge_share=1.0,
          levels=2, seed=1)
-@example(kappa=7, log_scale=math.log10(SKIP_SCALE - 0.01), members=2, n=60,
+@example(kappa=7, log_scale=math.log10(FULL_MARGIN_SCALE - 0.01), members=2, n=60,
          edge_share=1.0, levels=2, seed=2)
 # a (member, p, q) table index would overflow int64 here: 4 (2.3 L)^2 > 2^63
 @example(kappa=3, log_scale=9.7, members=4, n=80, edge_share=0.5, levels=2, seed=3)
@@ -178,21 +178,30 @@ def test_bulk_draws_equal_frozen_cells(scale):
     assert_matches_frozen(radius, u, 3)
 
 
-@pytest.mark.parametrize("scale,float32", [
-    (0.3, True), (18.8, True), (SKIP_SCALE - 0.01, True),
-    (SKIP_SCALE, False), (3e4, False),
-])
-def test_float32_stage_skipped_where_margin_covers_every_mobile(scale, float32, monkeypatch):
-    rounded = []
-    hex_round = pointproc._hex_round
+@pytest.mark.parametrize("scale", [0.3, 18.8, FULL_MARGIN_SCALE - 0.01, FULL_MARGIN_SCALE,
+                                   3e4, 2.0 ** 48])
+def test_margin_sends_every_mobile_to_float64_from_full_margin_scale(scale, monkeypatch):
+    rounded, placed = [], []
+    hex_round, nearest_site = pointproc._hex_round, pointproc._nearest_site
 
-    def spy(f1, f2):
+    def spy_round(f1, f2):
         rounded.append(f1.dtype)
         return hex_round(f1, f2)
 
-    monkeypatch.setattr(pointproc, "_hex_round", spy)
+    def spy_site(points, spacing):
+        placed.append(points.shape[0])
+        return nearest_site(points, spacing)
+
+    monkeypatch.setattr(pointproc, "_hex_round", spy_round)
+    monkeypatch.setattr(pointproc, "_nearest_site", spy_site)
     radius, u = draw_stack(5, 2, 400, scale, 0.5, 0)
-    _cells(radius, SPACING, u[:, :400], u[:, 400:800])
+    u_r, u_theta = u[:, :400], u[:, 400:800]
+    p, q = _cells(radius, SPACING, u_r, u_theta)
     # the float32 rounding comes first; the exact pipeline rounds in float64
-    assert rounded[0] == (np.float32 if float32 else np.float64)
+    assert rounded[0] == np.float32
     assert all(dtype == np.float64 for dtype in rounded[1:])
+    if scale >= FULL_MARGIN_SCALE:
+        assert placed == [800]
+    want_p, want_q, _ = frozen_nearest_site(_to_disk(radius, u_r, u_theta), SPACING)
+    np.testing.assert_array_equal(p, want_p)
+    np.testing.assert_array_equal(q, want_q)

@@ -23,6 +23,7 @@ R_T = math.sqrt(1.0 / (math.pi * RHO_P))
 # c * nu = 0.667 <= 1: the regime in which the covariance is often singular
 REGIME_MODEL = {"name": "cellular", "rho_c": 0.001, "kappa": 3}
 REGIME_NETWORK = {"rho_p": RHO_P, "alpha": 4.0, "c": 20.0, "r_T": R_T}
+POWER_CONTROLLED = {"name": "cellular", "rho_c": 0.001, "kappa": 3, "power_control": True}
 
 
 def write_config(path, **overrides):
@@ -329,8 +330,16 @@ class TestSimulate:
             assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "r.csv")]) == 0
         assert [w.filename for w in record if "c * nu" in str(w.message)] == [__file__]
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json")
+    @pytest.mark.parametrize("overrides", [
+        {},
+        # blocks of 25: three per point, on a pool of two
+        {"model": {"name": "hc2", "h": 0.5 * R_T}, "sweep": {"N": [2]}, "replications": 60},
+        # cells decided in float32, only the winners placed in float64
+        {"network": {"rho_p": RHO_P, "alpha": 4.0, "c": 200.0, "r_T": R_T},
+         "model": POWER_CONTROLLED, "sweep": {"N": [2]}, "replications": 60},
+    ], ids=["hc1", "hc2", "cellular-power-control"])
+    def test_threads_do_not_change_bytes(self, tmp_path, overrides):
+        cfg = write_config(tmp_path / "c.json", **overrides)
         out1 = tmp_path / "t1.csv"
         out4 = tmp_path / "t4.csv"
         main(["simulate", "--config", str(cfg), "--out", str(out1), "--threads", "1"])
@@ -663,7 +672,7 @@ class TestPlotCmd:
     def test_every_row_failed_exit_2(self, tmp_path, capsys):
         report = self.write_report(tmp_path, {"mean_rate": "", "std_rate": ""})
         assert self.plot(report, tmp_path / "x.svg") == 2
-        assert capsys.readouterr().err.endswith("plot: no plottable rows\n")
+        assert capsys.readouterr().err == "plot: no plottable rows\n"
         assert not (tmp_path / "x.svg").exists()
 
     def test_single_n_renders(self, tmp_path):
@@ -766,6 +775,11 @@ class TestArgumentErrors:
                           "model": {"name": "cellular", "rho_c": 1e-201, "kappa": 3,
                                     "power_control": True}},
                          id="cellular-r_T-1e100"),
+            # the SIR scale is 1, but nodes some 1e-150 from the receiver
+            # receive r^-4 = inf: the covariance would be NaN
+            pytest.param({"network": {"rho_p": 1e300, "alpha": 4, "c": 50, "r_T": 1},
+                          "model": {"name": "independent"}},
+                         id="independent-interferer-power-rho_p-1e300"),
         ],
     )
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -793,6 +807,7 @@ class TestArgumentErrors:
         )
         assert "underflows the normal float range" in captured.err
         assert f"r_T={r_t:.9g}, N=2, model hc1" in captured.err
+        assert captured.err.count("\n") == 1
 
     def test_format_flag_removed(self, tmp_path, capsys, no_run):
         cfg = write_config(tmp_path / "c.json")
@@ -999,6 +1014,19 @@ class TestInvalidInputExit:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == err
 
+    @pytest.mark.parametrize("argv,err", [
+        (["simulate", "--config", "{path}"], "simulate: cannot read config: 'utf-8' codec "),
+        (["plot", "--report", "{path}", "--out", "{path}.svg"],
+         "plot: cannot read report: 'utf-8' codec "),
+    ], ids=["simulate", "plot"])
+    def test_file_not_utf8(self, tmp_path, capsys, argv, err):
+        path = tmp_path / "latin1"
+        path.write_bytes(CSV_COLUMNS.encode() + b"\n\xff\n")
+        assert main([arg.format(path=path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(err)
+        assert captured.err.count("\n") == 1
+
     def test_other_errors_keep_their_traceback(self, tmp_path, monkeypatch):
         from mmsenet import montecarlo
 
@@ -1011,42 +1039,68 @@ class TestInvalidInputExit:
 
 
 # runs mmsenet.cli's main on argv in an interpreter where importing scipy
-# fails, and fails itself if any scipy module got loaded
+# fails; if any scipy module got loaded it exits 1 and names them on stderr,
+# whatever main returned
 _NO_SCIPY = """
 import sys
 sys.modules["scipy"] = None
 from mmsenet import cli
 code = cli.main(sys.argv[1:])
 loaded = [name for name, mod in sys.modules.items() if name.startswith("scipy") and mod]
-sys.exit(code or bool(loaded))
+sys.exit(f"scipy modules loaded: {loaded}" if loaded else code)
 """
+
+
+def run_without_scipy(argv):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, *argv], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
     "model",
-    [{"name": "hc1", "h": 0.5 * R_T}, {"name": "boolean", "h": R_T, "rho_b": RHO_P}],
-    ids=["hc1", "boolean"],
+    [{"name": "independent"}, {"name": "hc1", "h": 0.5 * R_T}, {"name": "hc2", "h": 0.5 * R_T},
+     {"name": "boolean", "h": R_T, "rho_b": RHO_P}, POWER_CONTROLLED],
+    ids=["independent", "hc1", "hc2", "boolean", "cellular-power-control"],
 )
 def test_simulate_density_and_plot_need_no_scipy(tmp_path, model):
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    cfg = write_config(tmp_path / "c.json", model=model, sweep={"N": [2]}, replications=2)
+    network = {"rho_p": RHO_P, "alpha": 4.0, "c": 200.0 if "rho_c" in model else 50.0,
+               "r_T": R_T}
+    cfg = write_config(tmp_path / "c.json", network=network, model=model, sweep={"N": [2]},
+                       replications=2)
     report, chart = tmp_path / "r.csv", tmp_path / "r.svg"
-    density = ["density", "--model", model["name"], "--rho-p", "0.01", "--c", "50",
-               "--n-branches", "2", "--replications", "2"]
+    # density never sets power control, which moves no activation
+    density = ["density", "--model", model["name"], "--rho-p", "0.01", "--c",
+               str(network["c"]), "--n-branches", "2", "--replications", "2"]
     density += [f"--{key.replace('_', '-')}={value}" for key, value in model.items()
-                if key != "name"]
+                if key not in ("name", "power_control")]
     for argv in (
         ["simulate", "--config", str(cfg), "--out", str(report)],
         density,
         ["plot", "--report", str(report), "--out", str(chart)],
     ):
-        proc = subprocess.run(
-            [sys.executable, "-c", _NO_SCIPY, *argv], env=env,
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_without_scipy(argv)
         assert proc.returncode == 0, (argv[0], proc.stderr)
     assert report.read_text().count("\n") == 2 and chart.stat().st_size > 0
+
+
+@pytest.mark.parametrize("overrides,prefix", [
+    # r_T^-alpha = 1e-400 underflows the SIR scale to 0
+    ({"network": {"rho_p": RHO_P, "alpha": 4.0, "c": 50.0, "r_T": 1e100}},
+     "simulate: network, sweep.N[0]: "),
+    # a disk some 2^504 station spacings wide, past the float64 cell range
+    ({"model": {"name": "cellular", "rho_c": 1e300, "kappa": 3}, "replications": 5},
+     "simulate: model.rho_c, sweep.N[0]: "),
+], ids=["underflow", "cells"])
+def test_invalid_point_exits_2_without_scipy(tmp_path, overrides, prefix):
+    cfg = write_config(tmp_path / "c.json", **{"sweep": {"N": [2]}, **overrides})
+    proc = run_without_scipy(["simulate", "--config", str(cfg)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -1054,12 +1108,7 @@ def test_simulate_density_and_plot_need_no_scipy(tmp_path, model):
     ["reuse-opt", "--alpha", "4", "--n-branches", "4", "--rho-p", "0.01", "--rho-c", "0.001"],
 ], ids=["asymptote", "reuse-opt"])
 def test_missing_scipy_is_one_line_exit_1(argv):
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY, *argv], env=env,
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_without_scipy(argv)
     assert proc.returncode == 1
     assert proc.stderr == f"{argv[0]}: needs scipy, which is not installed\n"
     assert proc.stdout == ""

@@ -1,6 +1,7 @@
-"""Property test of the flag commands: `asymptote`, `reuse-opt` and `density`
-run through cli.main on drawn flag values end in a documented exit code,
-never in a traceback.
+"""Property tests of the command line: `asymptote`, `reuse-opt` and `density`
+on drawn flag values, `simulate` on drawn configs and `plot` on drawn
+reports, run through cli.main, end in a documented exit code, never in a
+traceback, and an exit 2 names the flag, key or report cell at fault.
 
 Each flag usually takes a value argparse accepts: often an edge of its
 range (the smallest subnormal, 1e308, the doubles next to alpha = 2 and
@@ -11,13 +12,22 @@ any double, or text that is not a number.  `asymptote` draws the optional
 `density` draws each model with and without its own parameters, at the
 edges 0, 5e-324, 1e300 and inf, at most three replications and networks of
 at most about 2000 nodes, unless the size budget or argparse rejects the
-value.  Only argparse's SystemExit may escape main.
+value.  `simulate` takes test_config_property's configs, made small: at
+most two replications, N at most 64, about 2000 nodes, Boolean cluster
+centers no denser than the nodes and guard radii within a typical node
+spacing.  `plot` takes reports of good rows, failed rows (empty statistics)
+and rows with one wild cell.  Only argparse's SystemExit may escape main.
+The CHANGES.md cases of each command are `@example`s; the missing-scipy
+exit 1 has its own test in test_cli.py, which hides scipy from a fresh
+interpreter.
 """
 
 import contextlib
 import io
+import json
 import math
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -26,7 +36,9 @@ pytest.importorskip("scipy")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from mmsenet.cli import main  # noqa: E402
+from test_config_property import configs  # noqa: E402
+
+from mmsenet.cli import CSV_COLUMNS, main  # noqa: E402
 from mmsenet.pointproc import MODEL_NAMES, MODEL_PARAMS  # noqa: E402
 
 WILD = st.one_of(
@@ -117,6 +129,15 @@ SETTINGS = settings(
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @SETTINGS
 @given(argv=invocations())
+# an alpha, c or rho_p out of range, and N = 0
+@example(argv=["asymptote", "--alpha", "2", "--rho-p", "0.01", "--c", "50"])
+@example(argv=["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "-1"])
+@example(argv=["asymptote", "--alpha", "4", "--rho-p", "0", "--c", "50"])
+@example(argv=["reuse-opt", "--alpha", "4", "--n-branches", "0", "--rho-p", "0.01",
+               "--rho-c", "0.001"])
+# --r-t without --n-branches, and --n-branches without --r-t
+@example(argv=["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "50", "--r-t", "5.64"])
+@example(argv=["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "50", "--n-branches", "4"])
 def test_flag_commands_exit_with_a_documented_code(argv):
     code, err = run(argv)
     assert code in (0, 2, 3), (argv, err)
@@ -197,3 +218,133 @@ def test_density_exits_with_a_documented_code(argv):
     code, err = run(argv)
     assert code in (0, 1, 2), (argv, err)
     assert_names_a_flag(code, err, argv)
+
+
+def _small(raw):
+    """raw with its sizes capped where they are valid numbers: at most 2
+    replications, N at most 64, c N at most 2000 nodes, rho_b at most rho_p
+    and h at most one typical node spacing 1 / sqrt(pi rho_p).  A failed
+    point redraws each replication 100 times, and a guard radius past the
+    disk pairs every node with every other."""
+
+    def real(value):
+        if isinstance(value, float):
+            return math.isfinite(value) and value > 0
+        return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+    def capped(value, cap):
+        if isinstance(value, list):
+            return [capped(v, cap) for v in value]
+        return min(value, cap) if real(value) and real(cap) else value
+
+    network, model, sweep = raw["network"], raw["model"], raw["sweep"]
+    n_values = sweep["N"] = [capped(n, 64) for n in sweep["N"]]
+    largest = max((n for n in n_values if real(n)), default=1)
+    network["c"] = capped(network["c"], 2000.0 / largest)
+    rho_p = network["rho_p"]
+    model_caps = {"rho_b": rho_p, "h": 1.0 / math.sqrt(math.pi * rho_p) if real(rho_p) else None}
+    for key, cap in model_caps.items():
+        if key in model:
+            model[key] = capped(model[key], cap)
+    raw["replications"] = capped(raw["replications"], 2)
+    return raw
+
+
+def simulate_exit(raw, tmp_path):
+    path = tmp_path / "simulate.json"
+    path.write_text(json.dumps(raw))
+    return run(["simulate", "--config", str(path)])
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(SETTINGS, max_examples=150)
+@given(raw=configs().map(_small))
+# an interferer power scale (pi rho_p)^(alpha/2) = 1e601: the covariance
+# would be NaN, and the point read mean_rate 0
+@example(raw={"schema_version": 1, "network": {"rho_p": 1e300, "alpha": 4, "c": 50, "r_T": 1},
+              "model": {"name": "independent"}, "sweep": {"N": [2]}, "replications": 2,
+              "master_seed": 1})
+# r_T^-alpha = 1e-400: an SIR scale that underflows to 0
+@example(raw={"schema_version": 1, "network": {"rho_p": 0.01, "alpha": 4, "c": 50, "r_T": 1e100},
+              "model": {"name": "hc1", "h": 2.82}, "sweep": {"N": [2]}, "replications": 2,
+              "master_seed": 1})
+# round(pi rho_b R^2) cluster centers past the size budget
+@example(raw={"schema_version": 1, "network": {"rho_p": 0.01, "alpha": 4, "c": 50, "r_T": 5.64},
+              "model": {"name": "boolean", "h": 1, "rho_b": 1e300}, "sweep": {"N": [2]},
+              "replications": 2, "master_seed": 1})
+def test_simulate_exits_with_a_documented_code(tmp_path_factory, raw):
+    code, err = simulate_exit(raw, tmp_path_factory.getbasetemp())
+    assert code in (0, 2), (raw, err)
+    assert "Traceback" not in err, (raw, err)
+    if code == 2:
+        # one line, naming the config key or sweep point at fault
+        assert err.count("\n") == 1, (raw, err)
+        assert re.match(r"simulate: (config|schema_version|network|model|sweep|replications|"
+                        r"master_seed)\b", err), (raw, err)
+
+
+# a plotted cell is a finite number within its range: N >= 1, rates in
+# [0, 1024]; the other cells are text
+WILD_CELL = st.one_of(
+    st.sampled_from(["", "nan", "inf", "-inf", "-1", "0", "1e400", "1e308", "-1e308", "5e-324",
+                     "1025", "1e17", "x", "2,3", "<&\"'>", " 4", "0x10"]),
+    st.floats().map(repr),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+            max_size=8),
+)
+COLUMNS = CSV_COLUMNS.split(",")
+FAILED = ("mean_rate", "std_rate", "sem", "rel_gap", "empirical_density")
+
+
+@st.composite
+def reports(draw):
+    """A report of 1 to 6 rows: each good (every cell a finite number in its
+    range, std_rate and sem empty one time in four as at one replication),
+    failed (the statistics empty) or good but for one wild cell."""
+    rate = st.floats(min_value=0.0, max_value=1024.0).map(repr)
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        row = {
+            "model": draw(st.sampled_from(MODEL_NAMES)),
+            "N": str(draw(st.integers(min_value=1, max_value=64))),
+            "c": "50", "alpha": "4", "rho_p": "0.01",
+            "model_params": draw(st.sampled_from(["-", "h=2.82", "h=5.64;rho_b=0.01"])),
+            "mean_rate": draw(rate), "std_rate": draw(rate), "sem": draw(rate),
+            "asymptote": draw(st.one_of(rate, st.just(""))),
+            "rel_gap": "0.1", "empirical_density": "0.0063", "predicted_density": "0.0063",
+            "seed": "11",
+        }
+        kind = draw(st.sampled_from(["good", "good", "single", "failed", "wild"]))
+        if kind == "single":
+            row["std_rate"] = row["sem"] = ""
+        elif kind == "failed":
+            row.update(dict.fromkeys(FAILED, ""))
+        elif kind == "wild":
+            row[draw(st.sampled_from(COLUMNS))] = draw(WILD_CELL)
+        rows.append(",".join(row[col] for col in COLUMNS))
+    return "\n".join([CSV_COLUMNS, *rows]) + "\n"
+
+
+@settings(SETTINGS, max_examples=150)
+@given(report=reports())
+# a y span past the float range, and one N whose axis width rounded away
+@example(report=f"{CSV_COLUMNS}\nhc1,2,50,4,0.01,h=2.82,1e308,1,1,3.9,0.1,0.0063,0.0063,11\n"
+                f"hc1,4,50,4,0.01,h=2.82,-1e308,1,1,3.9,0.1,0.0063,0.0063,11\n")
+@example(report=f"{CSV_COLUMNS}\nhc1,1e17,50,4,0.01,h=2.82,3.5,1,1,3.9,0.1,0.0063,0.0063,11\n")
+# a control character in a label, which no XML document may hold
+@example(report=f"{CSV_COLUMNS}\n\x1f,1,50,4,0.01,-,0.0,0.0,0.0,0.0,0.1,0.0063,0.0063,11\n")
+def test_plot_exits_with_a_documented_code(tmp_path_factory, report):
+    path = tmp_path_factory.getbasetemp() / "report.csv"
+    chart = path.with_suffix(".svg")
+    path.write_text(report, encoding="utf-8")
+    code, err = run(["plot", "--report", str(path), "--out", str(chart)])
+    assert code in (0, 2), (report, err)
+    assert "Traceback" not in err, (report, err)
+    if code == 2:
+        # one line, naming the cell or line at fault, or a report with no
+        # row to plot
+        assert err.count("\n") == 1, (report, err)
+        assert re.match(r"plot: (line \d+(, column \w+)?: |no plottable rows$)", err), \
+            (report, err)
+    else:
+        ET.fromstring(chart.read_text(encoding="utf-8"))  # a well-formed SVG document

@@ -348,6 +348,16 @@ class TestStackedKernel:
         assert np.isnan(got[2])
         assert np.array_equal(np.delete(got, 2), np.delete(want, 2))
 
+    def test_non_finite_member_is_unusable(self):
+        # an inf entry (received powers past the float range) leaves eigvalsh
+        # a NaN spectrum, which must not pass for a usable one
+        g_t, cov = self.stack(2, 6, 4, 900)
+        want = quadratic_forms(g_t, cov)
+        cov[2] = [[np.inf, 0.0], [0.0, 1.0]]
+        got = quadratic_forms(g_t, cov)
+        assert np.isnan(got[2])
+        assert np.delete(got, 2).tobytes() == np.delete(want, 2).tobytes()
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="stack shapes"):
             quadratic_forms(np.ones((2, 3)), np.ones((2, 4, 4)))

@@ -180,8 +180,8 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         cfg = config(ModelSpec("hc1", h=0.5 * R_T))
         spec = ExperimentSpec(base=cfg, n_values=(2,), replications=replications,
