@@ -43,8 +43,9 @@ _NETWORK_KEYS = {"rho_p", "alpha", "c", "r_T"}
 _TOP_KEYS = {"schema_version", "network", "model", "sweep", "replications", "master_seed"}
 
 # budget on the interferer fading matrix of one sweep point, N x round(c N)
-# complex entries (1.6 GB), and on its Boolean cluster centers; the test, demo
-# and benchmark regimes stay near 2e5
+# complex entries (1.6 GB), on its Boolean cluster centers and on a block's
+# covariance stack, BLOCK_SIZE x N^2 complex entries; the test, demo and
+# benchmark regimes stay near 2e5
 MAX_FADING_ENTRIES = 10**8
 
 # bound on a cellular point's L = R / s, the disk radius in station spacings.
@@ -239,6 +240,10 @@ def _check_point(config: NetworkConfig, where: str) -> None:
     try:
         _check_size(config, f"network.c, {where}", f"model.rho_b, {where}",
                     f"model.rho_c, {where}")
+        if montecarlo.BLOCK_SIZE * config.n_branches ** 2 > MAX_FADING_ENTRIES:
+            raise ConfigError(f"{where}: the covariance stack, {montecarlo.BLOCK_SIZE} x N^2 at "
+                              f"N={config.n_branches}, exceeds the budget of "
+                              f"{MAX_FADING_ENTRIES:.0e} entries")
         rate = montecarlo.predicted_rate(config)  # None for a zero density
         montecarlo._sir_scale(config)  # the sweep's own factor; raises beyond the float range
         # a node at the typical nearest distance (pi rho_p)^-1/2 receives

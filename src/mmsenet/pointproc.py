@@ -432,6 +432,23 @@ def _close_pairs(positions: np.ndarray, h: float):
         yield np.minimum(i, j), np.maximum(i, j)
 
 
+def _beyond_every_pair(positions: np.ndarray, h: float) -> bool:
+    """Whether _within(dx, dy, h) holds for every pair of every member of a
+    (B, n, 2) stack: h past twice its largest node radius r.
+
+    A pair is at most 2 r apart, and its rounded distance at most
+    max(2 r, _REACH_FLOOR) (1 + 2^-24): a few ulps, and the absolute error
+    of squares that underflow.  The relative margin _CELL_MARGIN = 2^-20
+    covers that and the rounding of r.  The radii are taken only when h
+    passes twice the first member's largest coordinate, which r is not
+    below.
+    """
+    if positions.size == 0 or not h > 2.0 * np.abs(positions[0]).max():
+        return False
+    largest = float(np.hypot(positions[..., 0], positions[..., 1]).max())
+    return h > max(2.0 * largest, _REACH_FLOOR) * (1.0 + _CELL_MARGIN)
+
+
 def _hard_core(
     positions: np.ndarray, marks: np.ndarray | None, x_t: np.ndarray, h: float
 ) -> np.ndarray:
@@ -444,18 +461,28 @@ def _hard_core(
     within h of the representative x_t is muted regardless of its mark.
     Comparisons are strict: a distance of exactly h deactivates nothing.
     The close pairs of every member come from one banded search over the
-    stack (_close_pairs); the guard around x_t runs once over the stack.
+    stack (_close_pairs), unless h is beyond every pair (_beyond_every_pair):
+    then hc1 mutes every member of two or more nodes whole, and hc2 keeps
+    each member's first lowest mark.  The guard around x_t runs once over
+    the stack.
     """
     b, n = positions.shape[:2]
-    active = np.ones(b * n, dtype=bool)
-    flat_marks = None if marks is None else marks.ravel()
-    for i, j in _close_pairs(positions, h):
-        if flat_marks is None:
-            active[i] = False
-            active[j] = False
+    if _beyond_every_pair(positions, h):
+        if marks is None:
+            active = np.full(b * n, n < 2)
         else:
-            # the lower mark survives; equal marks dominate the larger index
-            active[np.where(flat_marks[i] <= flat_marks[j], j, i)] = False
+            active = np.zeros(b * n, dtype=bool)
+            active[np.arange(b) * n + marks.argmin(axis=1)] = True
+    else:
+        active = np.ones(b * n, dtype=bool)
+        flat_marks = None if marks is None else marks.ravel()
+        for i, j in _close_pairs(positions, h):
+            if flat_marks is None:
+                active[i] = False
+                active[j] = False
+            else:
+                # the lower mark survives; equal marks dominate the larger index
+                active[np.where(flat_marks[i] <= flat_marks[j], j, i)] = False
     x, y = positions[..., 0].ravel(), positions[..., 1].ravel()
     active[_within(x - x_t[0], y - x_t[1], h)] = False
     return active.reshape(b, n)

@@ -198,6 +198,14 @@ class TestConfig:
                 r"network\.c, sweep\.N\[1\]: N x round\(c N\) at N=2000, c=50 exceeds the budget",
                 id="N-2000-c-50",
             ),
+            # 40 nodes, but a block's 25 x 4000^2 complex covariances (6.4 GB)
+            pytest.param(
+                {"network": {"rho_p": RHO_P, "alpha": 4.0, "c": 0.01, "r_T": R_T},
+                 "sweep": {"N": [4000]}},
+                r"^sweep\.N\[0\]: the covariance stack, 25 x N\^2 at N=4000, exceeds the "
+                r"budget of 1e\+08 entries$",
+                id="N-4000-c-0.01",
+            ),
             pytest.param(
                 {"sweep": {"N": [2, 10**400]}},
                 r"network, sweep\.N\[1\]: cannot size or predict the point \(OverflowError",
@@ -242,8 +250,14 @@ class TestConfig:
                           "sweep": {"N": [2]}, "replications": 5},
                          "model.rho_c, sweep.N[0]: the disk radius is 5.25e+151 station "
                          "spacings", id="cells"),
+            # no node at all (round(c N) = 0), and a stack of 25 x 10^36 covariance entries
+            pytest.param({"network": {"rho_p": 1, "alpha": 4, "c": 1e-300, "r_T": 1},
+                          "model": {"name": "independent"}, "sweep": {"N": [10**18]},
+                          "replications": 2},
+                         "sweep.N[0]: the covariance stack", id="covariances"),
         ],
     )
+    @pytest.mark.filterwarnings("ignore:c \\* nu")
     def test_unsized_sweep_point_exits_2_without_running(
         self, tmp_path, capsys, monkeypatch, overrides, key
     ):
@@ -514,6 +528,15 @@ class TestDensityCmd:
         assert code == 2
         assert captured.out == ""
         assert given in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore:c \\* nu")
+    def test_density_has_no_covariance_budget(self, capsys):
+        # 40 nodes at N = 4000, a point that simulate rejects for its covariances
+        code = main(["density", "--model", "independent", "--rho-p", "0.01", "--c", "0.01",
+                     "--n-branches", "4000", "--replications", "2"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "inside" in captured.out
 
     @pytest.mark.parametrize(
         "argv,key",

@@ -224,8 +224,8 @@ def _small(raw):
     """raw with its sizes capped where they are valid numbers: at most 2
     replications, N at most 64, c N at most 2000 nodes, rho_b at most rho_p
     and h at most one typical node spacing 1 / sqrt(pi rho_p).  A failed
-    point redraws each replication 100 times, and a guard radius past the
-    disk pairs every node with every other."""
+    point redraws each replication 100 times, and a guard radius of many
+    spacings, short of the disk's diameter, pairs each node with many."""
 
     def real(value):
         if isinstance(value, float):
@@ -272,6 +272,17 @@ def simulate_exit(raw, tmp_path):
 @example(raw={"schema_version": 1, "network": {"rho_p": 0.01, "alpha": 4, "c": 50, "r_T": 5.64},
               "model": {"name": "boolean", "h": 1, "rho_b": 1e300}, "sweep": {"N": [2]},
               "replications": 2, "master_seed": 1})
+# a covariance stack of 25 x 10^36 entries at a network of no node
+@example(raw={"schema_version": 1, "network": {"rho_p": 1, "alpha": 4, "c": 1e-300, "r_T": 1},
+              "model": {"name": "independent"}, "sweep": {"N": [10**18]}, "replications": 2,
+              "master_seed": 1})
+# guard radii past the disk's diameter: every pair of 2000 nodes is close
+@example(raw={"schema_version": 1, "network": {"rho_p": 1, "alpha": 4, "c": 1000, "r_T": 1},
+              "model": {"name": "hc1", "h": 100}, "sweep": {"N": [2]}, "replications": 2,
+              "master_seed": 1})
+@example(raw={"schema_version": 1, "network": {"rho_p": 1, "alpha": 4, "c": 1000, "r_T": 1},
+              "model": {"name": "hc2", "h": 100}, "sweep": {"N": [2]}, "replications": 2,
+              "master_seed": 1})
 def test_simulate_exits_with_a_documented_code(tmp_path_factory, raw):
     code, err = simulate_exit(raw, tmp_path_factory.getbasetemp())
     assert code in (0, 2), (raw, err)

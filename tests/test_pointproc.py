@@ -197,6 +197,37 @@ class TestHardCore:
         want = hc2_brute(pos, marks, cfg.x_t, cfg.model.h)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("scale", [1.0, 1e-154, 1e-160, 1e150])
+    def test_guard_radius_beyond_every_pair(self, monkeypatch, scale, n):
+        # just above twice the largest radius (with its rounding margin) every
+        # pair is close and the banded search is skipped; just below, it runs.
+        # Both sides match the brute force, with tied marks, an antipodal
+        # pair 2 r apart and a representative that guards part of the disk,
+        # also where squares underflow (1e-154) and where the 2^-511 floor
+        # sets the threshold (1e-160).
+        rng = np.random.default_rng(n)
+        positions = _to_disk(scale, rng.random((4, n)), rng.random((4, n)))
+        positions[0, :2] = [[scale, 0.0], [-scale, 0.0]][:n]
+        marks = rng.integers(0, 3, (4, n)) / 4.0
+        marks[1, -2:] = marks[1].min()
+        x_t = np.array([2.5 * scale, 0.0])
+        largest = np.hypot(positions[..., 0], positions[..., 1]).max()
+        threshold = max(2.0 * largest, 2.0 ** -511) * (1.0 + 2.0 ** -20)
+        searches = []
+        search = pointproc._close_pairs
+        monkeypatch.setattr(pointproc, "_close_pairs",
+                            lambda *args: searches.append(args) or search(*args))
+        for h, searched in ((math.nextafter(threshold, math.inf), False),
+                            (math.nextafter(threshold, 0.0), True)):
+            searches.clear()
+            got1 = _hard_core(positions, None, x_t, h)
+            got2 = _hard_core(positions, marks, x_t, h)
+            assert len(searches) == 2 * searched
+            for k, pos in enumerate(positions):
+                assert np.array_equal(got1[k], hc1_brute(pos, x_t, h)), (h, k)
+                assert np.array_equal(got2[k], hc2_brute(pos, marks[k], x_t, h)), (h, k)
+
     def test_hc1_hardcore_invariant(self):
         cfg = config(ModelSpec("hc1", h=1.0 * R_T), n_branches=8)
         for seed in range(5):
