@@ -33,11 +33,10 @@ import functools
 import importlib
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from ._warn import warn_caller
 
 __all__ = [
     "NoBracket",
@@ -135,8 +134,8 @@ class AsymptoticParams:
     rho_p is the potential-interferer density, nu the limiting activation
     probability (so the active density is rho = nu * rho_p), c the ratio of
     potential interferers to diversity branches, and alpha the path-loss
-    exponent.  The limit regime needs c * nu > 1; a warning is emitted
-    otherwise and the solvers will raise NoBracket.
+    exponent.  The limit regime needs c * nu > 1; the constructor accepts
+    any c * nu, and the solvers raise NoBracket at c * nu <= 1.
     """
 
     rho_p: float
@@ -153,11 +152,6 @@ class AsymptoticParams:
             raise ValueError(f"alpha must exceed 2, got {self.alpha}")
         if not 0.0 < self.nu <= 1.0:
             raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
-        if self.c * self.nu <= 1.0:
-            warn_caller(
-                f"c * nu = {self.c * self.nu:.4g} <= 1: fewer active interferers "
-                "than diversity branches; the SIR limit does not exist"
-            )
 
     @property
     def rho(self) -> float:
@@ -331,9 +325,12 @@ def fixed_point_oracle(params: AsymptoticParams) -> float:
 
     Solves gamma * c * Int tau dH(tau)/(1 + tau gamma) = 1 directly; the
     integral is strictly increasing in gamma from 0 to c * nu, so a unique
-    root exists exactly when c * nu > 1.
+    root exists exactly when c * nu > 1.  scipy's IntegrationWarning is
+    ignored: _activity_integral's own error gate decides convergence.
     """
-    return _solve_root(lambda g: _activity_integral(g, params) - 1.0, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", _scipy("integrate").IntegrationWarning)
+        return _solve_root(lambda g: _activity_integral(g, params) - 1.0, params)
 
 
 # ---------------------------------------------------------------------------

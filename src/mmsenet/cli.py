@@ -305,6 +305,13 @@ def cmd_simulate(args) -> int:
 
     # --out opens before the sweep, so an unwritable path costs no run
     with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
+        # past every exit 2: one line per model variant (nu does not depend on N)
+        for config in spec.point_configs()[::len(spec.n_values)]:
+            if (c_nu := config.c * config.nu_expected) <= 1.0:
+                print(f"simulate: c * nu = {c_nu:.4g} <= 1 for model "
+                      f"{config.model.name} {config.model.params_label()}: fewer active "
+                      "interferers than branches, so draws are often singular and redrawn",
+                      file=sys.stderr)
         report = montecarlo.run_experiment(spec, workers=args.threads)
         out.write(report_to_csv(report))
     if args.out:

@@ -49,8 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._warn import warn_caller
-
 __all__ = [
     "ModelSpec",
     "NetworkConfig",
@@ -190,12 +188,6 @@ class NetworkConfig:
             raise ValueError(f"c must be positive, got {self.c}")
         if not self.r_t > 0:
             raise ValueError(f"r_t must be positive, got {self.r_t}")
-        nu = self.nu_expected
-        if self.c * nu <= 1.0:
-            warn_caller(
-                f"c * nu = {self.c * nu:.4g} <= 1 for model {self.model.name!r}: "
-                "the interference covariance will often be singular"
-            )
 
     @property
     def radius(self) -> float:

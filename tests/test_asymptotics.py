@@ -8,7 +8,6 @@ rather than against scipy itself.
 
 import math
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -387,17 +386,9 @@ class TestFixedPoint:
             assert changes == 1
 
     def test_no_bracket_when_regime_invalid(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = params(alpha=4.0, nu=0.3, c=2.0)  # c * nu = 0.6 < 1
+        p = params(alpha=4.0, nu=0.3, c=2.0)  # c * nu = 0.6 < 1
         with pytest.raises(NoBracket):
             solve_beta_fixed_point(p)
-
-    def test_regime_warning(self):
-        with pytest.warns(UserWarning, match="c \\* nu") as record:
-            params(alpha=4.0, nu=0.3, c=2.0)
-        # attributed to the caller, not to the generated dataclass __init__
-        assert record[0].filename == __file__
 
     def test_solution_rate_predictor(self):
         p = params(alpha=4.0, nu=1.0, c=50.0)

@@ -8,7 +8,6 @@ import pathlib
 import shlex
 import subprocess
 import sys
-import warnings
 
 import pytest
 
@@ -231,7 +230,6 @@ class TestConfig:
             ),
         ],
     )
-    @pytest.mark.filterwarnings("ignore:c \\* nu")
     def test_every_sweep_point_checked_before_any_work(self, tmp_path, overrides, message):
         p = write_config(tmp_path / "c.json", **overrides)
         with pytest.raises(ConfigError, match=message):
@@ -257,7 +255,6 @@ class TestConfig:
                          "sweep.N[0]: the covariance stack", id="covariances"),
         ],
     )
-    @pytest.mark.filterwarnings("ignore:c \\* nu")
     def test_unsized_sweep_point_exits_2_without_running(
         self, tmp_path, capsys, monkeypatch, overrides, key
     ):
@@ -272,14 +269,6 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err and captured.err.count("\n") == 1
-
-    def test_regime_warning_names_the_caller(self, tmp_path):
-        p = write_config(tmp_path / "c.json", model=REGIME_MODEL, network=REGIME_NETWORK)
-        with pytest.warns(UserWarning, match="c \\* nu") as record:
-            load_config(str(p))
-        # the base config and every sweep point warn from this one line,
-        # not from the package or from dataclasses.replace
-        assert {(w.filename, w.lineno) for w in record} == {(__file__, record[0].lineno)}
 
 
 class TestSimulate:
@@ -336,13 +325,21 @@ class TestSimulate:
         main(["simulate", "--config", str(direct), "--out", str(out_direct)])
         assert out_over.read_bytes() == out_direct.read_bytes()
 
-    def test_regime_printed_once(self, tmp_path):
-        p = write_config(tmp_path / "c.json", model=REGIME_MODEL, network=REGIME_NETWORK,
+    def test_regime_printed_once(self, tmp_path, capsys):
+        # kappa 3 has c * nu = 0.667, kappa 1 has 2: one line for the kappa 3
+        # variant, not one per N, before the rest of stderr
+        model = {**REGIME_MODEL, "kappa": [3, 1]}
+        p = write_config(tmp_path / "c.json", model=model, network=REGIME_NETWORK,
                          replications=1)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("default")
-            assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "r.csv")]) == 0
-        assert [w.filename for w in record if "c * nu" in str(w.message)] == [__file__]
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "r.csv")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "c * nu" in line] == err[:1]
+        assert err[0].startswith("simulate: c * nu = 0.6666 <= 1 for model cellular "
+                                 "rho_c=0.001;kappa=3;pc=0: ")
+        # a run that exits 2, here at the last check, opening --out, states no regime
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("simulate: --out: cannot write") and err.count("\n") == 1
 
     @pytest.mark.parametrize("overrides", [
         {},
@@ -371,12 +368,10 @@ class TestSimulate:
             sweep={"N": [16]},
             replications=30,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            point = load_config(str(cfg)).point_configs()[0]
-            redraws = sum(run_realization(point, derive_seed(11, 0, r)).redraw_count
-                          for r in range(30))
-            assert main(["simulate", "--config", str(cfg)]) == 0
+        point = load_config(str(cfg)).point_configs()[0]
+        redraws = sum(run_realization(point, derive_seed(11, 0, r)).redraw_count
+                      for r in range(30))
+        assert main(["simulate", "--config", str(cfg)]) == 0
         assert redraws > 0
         assert capsys.readouterr().err.endswith(f", 0 failed points, {redraws} redraws)\n")
 
@@ -389,8 +384,6 @@ class TestSimulate:
         # boolean with h=0 never activates anyone: the covariance is always
         # singular, the row comes out flagged (empty statistics) but the run
         # still succeeds
-        import warnings
-
         cfg = write_config(
             tmp_path / "c.json",
             model={"name": "boolean", "h": 0.0, "rho_b": RHO_P},
@@ -399,9 +392,7 @@ class TestSimulate:
             replications=1,
         )
         out = tmp_path / "r.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         row = dict(zip(CSV_COLUMNS.split(","), out.read_text().strip().split("\n")[1].split(",")))
         assert row["mean_rate"] == ""
         assert row["rel_gap"] == ""
@@ -433,16 +424,16 @@ class TestAsymptoteCmd:
                 f"large-c {rate_lc:.9g} bits/symbol\n") in capsys.readouterr().out
 
     def test_no_bracket_exit_3(self, capsys):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("default")
-            code = main([
-                "asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "2",
-                "--nu", "0.3",
-            ])
+        code = main([
+            "asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "2", "--nu", "0.3",
+        ])
         assert code == 3
-        # the regime is reported once, by the AsymptoticParams warning
-        assert len(record) == 1 and str(record[0].message).startswith("c * nu = 0.6 <= 1")
-        assert "warning" not in capsys.readouterr().err
+        # the regime is reported once, by these two lines
+        assert capsys.readouterr().err == (
+            "no solution: c * nu = 0.6 <= 1: the fixed point has no positive solution "
+            "(fewer active interferers than branches)\n"
+            "parameters: rho_p=0.01 nu=0.3 c=2.0 alpha=4.0\n"
+        )
 
     @pytest.mark.parametrize(
         "alpha,c,root",
@@ -529,7 +520,6 @@ class TestDensityCmd:
         assert captured.out == ""
         assert given in captured.err and captured.err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("ignore:c \\* nu")
     def test_density_has_no_covariance_budget(self, capsys):
         # 40 nodes at N = 4000, a point that simulate rejects for its covariances
         code = main(["density", "--model", "independent", "--rho-p", "0.01", "--c", "0.01",
@@ -537,6 +527,7 @@ class TestDensityCmd:
         captured = capsys.readouterr()
         assert code == 0, captured.err
         assert "inside" in captured.out
+        assert captured.err == ""  # c * nu = 0.01: density states no regime
 
     @pytest.mark.parametrize(
         "argv,key",
@@ -571,7 +562,6 @@ class TestDensityCmd:
             pytest.param(["--rho-p", "0.01", "--c", "0.01"], id="round-to-zero"),
         ],
     )
-    @pytest.mark.filterwarnings("ignore:c \\* nu")
     def test_empty_network(self, capsys, monkeypatch, argv):
         from mmsenet import montecarlo
 
@@ -959,10 +949,8 @@ class TestArgumentErrors:
             raise AssertionError("density_estimate called despite a zero limiting density")
 
         monkeypatch.setattr(montecarlo, "density_estimate", refuse)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(["density", "--rho-p", "0.01", "--c", "10", "--n-branches", "2",
-                         "--replications", "2", *argv])
+        code = main(["density", "--rho-p", "0.01", "--c", "10", "--n-branches", "2",
+                     "--replications", "2", *argv])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -1117,7 +1105,11 @@ def test_simulate_density_and_plot_need_no_scipy(tmp_path, model):
     # a disk some 2^504 station spacings wide, past the float64 cell range
     ({"model": {"name": "cellular", "rho_c": 1e300, "kappa": 3}, "replications": 5},
      "simulate: model.rho_c, sweep.N[0]: "),
-], ids=["underflow", "cells"])
+    # c * nu = 1e-300 and a covariance stack past the budget: the exit-2 line alone
+    ({"network": {"rho_p": 1, "alpha": 4, "c": 1e-300, "r_T": 1},
+      "model": {"name": "independent"}, "sweep": {"N": [10**18]}},
+     "simulate: sweep.N[0]: the covariance stack"),
+], ids=["underflow", "cells", "covariances"])
 def test_invalid_point_exits_2_without_scipy(tmp_path, overrides, prefix):
     cfg = write_config(tmp_path / "c.json", **{"sweep": {"N": [2]}, **overrides})
     proc = run_without_scipy(["simulate", "--config", str(cfg)])

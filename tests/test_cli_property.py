@@ -114,6 +114,9 @@ def run(argv):
 def assert_names_a_flag(code, err, argv):
     assert "Traceback" not in err, (argv, err)
     if code == 2:
+        # argparse prints its usage first; main's own exit 2 is one line
+        if not err.startswith("usage: "):
+            assert err.count("\n") == 1, (argv, err)
         assert re.search(r"--[a-z]", err.splitlines()[-1]), (argv, err)
 
 
@@ -126,7 +129,6 @@ SETTINGS = settings(
 )
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @SETTINGS
 @given(argv=invocations())
 # an alpha, c or rho_p out of range, and N = 0
@@ -138,6 +140,10 @@ SETTINGS = settings(
 # --r-t without --n-branches, and --n-branches without --r-t
 @example(argv=["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "50", "--r-t", "5.64"])
 @example(argv=["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "50", "--n-branches", "4"])
+# a quadrature past the float range next to alpha = 2, where scipy warns
+# before the oracle's own error gate rejects it
+@example(argv=["asymptote", "--alpha", "2.0000000000000004", "--rho-p", "1e-300",
+               "--c", "564761955.0"])
 def test_flag_commands_exit_with_a_documented_code(argv):
     code, err = run(argv)
     assert code in (0, 2, 3), (argv, err)
@@ -202,7 +208,6 @@ def density_invocations(draw):
     return argv
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(SETTINGS, max_examples=300)
 @given(argv=density_invocations())
 # a limiting density of 0, which the relative error would divide by
@@ -256,7 +261,6 @@ def simulate_exit(raw, tmp_path):
     return run(["simulate", "--config", str(path)])
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(SETTINGS, max_examples=150)
 @given(raw=configs().map(_small))
 # an interferer power scale (pi rho_p)^(alpha/2) = 1e601: the covariance

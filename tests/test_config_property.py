@@ -82,7 +82,6 @@ def configs(draw):
     }
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(
     max_examples=500,
     derandomize=True,
@@ -120,7 +119,6 @@ def test_loaded_config_is_sized_and_predicted_everywhere(tmp_path_factory, raw):
         assert rate is None or math.isfinite(rate)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_strategy_draws_accepted_configs_of_every_model(tmp_path, name):
     # the property above holds only as far as the strategy reaches configs

@@ -1,7 +1,6 @@
 """Tests for the replication engine: seeding, aggregation, reproducibility."""
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -106,12 +105,10 @@ class TestRunRealization:
         # c * nu barely above 1 with a lumpy activation: realizations with
         # fewer active nodes than branches must be redrawn, not loaded
         h = math.sqrt(0.14 / (math.pi * RHO_P))  # coverage ~13%
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = NetworkConfig(
-                rho_p=RHO_P, alpha=4.0, n_branches=16, c=10.0, r_t=R_T,
-                model=ModelSpec("boolean", h=h, rho_b=RHO_P),
-            )
+        cfg = NetworkConfig(
+            rho_p=RHO_P, alpha=4.0, n_branches=16, c=10.0, r_t=R_T,
+            model=ModelSpec("boolean", h=h, rho_b=RHO_P),
+        )
         redraws = 0
         for rep in range(40):
             try:
@@ -230,17 +227,15 @@ class TestRunExperiment:
     def test_failed_point_flagged_others_run(self):
         # a model that never activates anyone cannot produce an invertible
         # covariance: the point is flagged, the healthy variant still runs
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            dead = ModelSpec("boolean", h=0.0, rho_b=RHO_P)
-            cfg = NetworkConfig(
-                rho_p=RHO_P, alpha=4.0, n_branches=2, c=2.0, r_t=R_T, model=dead,
-            )
-            spec = ExperimentSpec(
-                base=cfg, n_values=(2,), replications=2, master_seed=3,
-                variants=(dead, ModelSpec("boolean", h=5 * R_T, rho_b=RHO_P)),
-            )
-            rep = run_experiment(spec)
+        dead = ModelSpec("boolean", h=0.0, rho_b=RHO_P)
+        cfg = NetworkConfig(
+            rho_p=RHO_P, alpha=4.0, n_branches=2, c=2.0, r_t=R_T, model=dead,
+        )
+        spec = ExperimentSpec(
+            base=cfg, n_values=(2,), replications=2, master_seed=3,
+            variants=(dead, ModelSpec("boolean", h=5 * R_T, rho_b=RHO_P)),
+        )
+        rep = run_experiment(spec)
         assert rep.points[0].failed
         assert rep.points[0].rate is None
         assert not rep.points[1].failed
@@ -576,11 +571,9 @@ class TestGoldenSamplePath:
 
     def sample(self, model, master_seed, rep):
         spec, n_branches, c = self.MODELS[model]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = NetworkConfig(
-                rho_p=RHO_P, alpha=4.0, n_branches=n_branches, c=c, r_t=R_T, model=spec
-            )
+        cfg = NetworkConfig(
+            rho_p=RHO_P, alpha=4.0, n_branches=n_branches, c=c, r_t=R_T, model=spec
+        )
         s = run_realization(cfg, derive_seed(master_seed, 0, rep))
         return s.sir, s.redraw_count, s.active_count
 
@@ -594,11 +587,9 @@ class TestGoldenSamplePath:
         # attempt at a time on the attempt's stream, give run_realization's
         # sample exactly: the per-stage path a traced replay times
         spec, n_branches, c = self.MODELS[model]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = NetworkConfig(
-                rho_p=RHO_P, alpha=4.0, n_branches=n_branches, c=c, r_t=R_T, model=spec
-            )
+        cfg = NetworkConfig(
+            rho_p=RHO_P, alpha=4.0, n_branches=n_branches, c=c, r_t=R_T, model=spec
+        )
         seed = derive_seed(master_seed, 0, rep)
         signal_weight = cfg.r_t ** cfg.alpha if spec.power_control else 1.0
         for attempt in range(montecarlo.MAX_REDRAWS + 1):
@@ -698,11 +689,9 @@ class TestBlocks:
 
     def config(self, model):
         spec, n_branches, c = self.MODELS[model]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return NetworkConfig(
-                rho_p=RHO_P, alpha=4.0, n_branches=n_branches, c=c, r_t=R_T, model=spec
-            )
+        return NetworkConfig(
+            rho_p=RHO_P, alpha=4.0, n_branches=n_branches, c=c, r_t=R_T, model=spec
+        )
 
     def singles(self, cfg, count):
         return [run_realization(cfg, derive_seed(self.SEED, 0, r)) for r in range(count)]
@@ -807,9 +796,7 @@ class TestBlocks:
             base=sparse, n_values=(16,), replications=30, master_seed=self.SEED,
             variants=(sparse.model, healthy.model),
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = run_experiment(spec)
+        rep = run_experiment(spec)
         assert rep.points[0].failed and rep.points[0].rate is None
         assert not rep.points[1].failed
         point1 = [run_realization(rep.points[1].config, derive_seed(self.SEED, 1, r))
@@ -824,9 +811,7 @@ class TestBlocks:
         singles = self.singles(cfg, 30)
         monkeypatch.setattr(montecarlo, "MAX_REDRAWS", 1)
         spec = ExperimentSpec(base=cfg, n_values=(16,), replications=30, master_seed=self.SEED)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = run_experiment(spec).points[0]
+        p = run_experiment(spec).points[0]
         succeeded = [s.redraw_count for s in singles if s.redraw_count <= 1]
         failed = len(singles) - len(succeeded)
         assert p.failed and failed == 1 and sum(succeeded) == 2

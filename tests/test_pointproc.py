@@ -9,7 +9,6 @@ closed forms with binomial-style tolerances.
 import io
 import math
 import tracemalloc
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -598,9 +597,7 @@ class TestBandedSearch:
         # a guard far below the node spacing mutes no one and a cluster disk
         # that small covers no one; one larger than the disk does the reverse
         spec = ModelSpec(name, h=h, rho_b=RHO_P if name == "boolean" else None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # c * nu <= 1 where nothing transmits
-            cfg = config(spec, n_branches=4, c=50.0)
+        cfg = config(spec, n_branches=4, c=50.0)
         all_active = (h > 1.0) == (name == "boolean")
         for seed in range(3):
             active = realize(cfg, seed).active
@@ -774,12 +771,10 @@ class TestCellularScheduling:
     @pytest.mark.parametrize("kind", ["random", "far", "boundary"])
     @pytest.mark.parametrize("kappa", [1, 3, 4, 7])
     def test_nearest_site_matches_brute_force(self, kappa, kind):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # c * nu <= 1 at kappa = 7
-            if kind == "random":
-                cfg = self.cfg(kappa=kappa)
-            else:  # the widest disk of the reuse-3 uplink sweep, ~19 spacings
-                cfg = self.cfg(kappa=kappa, n_branches=16, c=800.0)
+        if kind == "random":
+            cfg = self.cfg(kappa=kappa)
+        else:  # the widest disk of the reuse-3 uplink sweep, ~19 spacings
+            cfg = self.cfg(kappa=kappa, n_branches=16, c=800.0)
         lat = lattice_for(cfg)
         rng = np.random.default_rng(kappa)
         if kind == "random":
@@ -945,9 +940,7 @@ class TestCellularScheduling:
 class TestLimitingDensity:
     @staticmethod
     def density(model):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # c * nu <= 1 at the sparse densities
-            return config(model).predicted_density()
+        return config(model).predicted_density()
 
     def test_h_zero_degenerates_to_rho_p(self):
         assert self.density(ModelSpec("hc1", h=0.0)) == 0.01
@@ -1080,12 +1073,6 @@ class TestRealization:
         cfg = config(ModelSpec("boolean", h=R_T, rho_b=0.005), n_branches=4, c=10.0)
         assert cfg.n_clusters == round(math.pi * 0.005 * cfg.radius ** 2) == 20
         assert config(ModelSpec("hc1", h=1.0)).n_clusters == 0
-
-    def test_regime_warning(self):
-        with pytest.warns(UserWarning, match="c \\* nu") as record:
-            config(ModelSpec("cellular", rho_c=0.001, kappa=3), n_branches=8, c=20.0)
-        # attributed to the caller, not to the generated dataclass __init__
-        assert record[0].filename == __file__
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="unknown model"):
