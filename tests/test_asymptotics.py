@@ -8,6 +8,7 @@ rather than against scipy itself.
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -388,6 +389,16 @@ class TestFixedPoint:
     def test_no_bracket_when_regime_invalid(self):
         p = params(alpha=4.0, nu=0.3, c=2.0)  # c * nu = 0.6 < 1
         with pytest.raises(NoBracket):
+            solve_beta_fixed_point(p)
+
+    def test_regime_warning(self):
+        # the constructor accepts c * nu <= 1 without a warning; the solvers
+        # report the regime, once, through NoBracket
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            p = params(alpha=4.0, nu=0.3, c=2.0)
+        assert record == []
+        with pytest.raises(NoBracket, match="^c \\* nu = 0.6 <= 1: "):
             solve_beta_fixed_point(p)
 
     def test_solution_rate_predictor(self):

@@ -8,6 +8,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -269,6 +270,17 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err and captured.err.count("\n") == 1
+
+    def test_regime_warning_names_the_caller(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.json", model=REGIME_MODEL, network=REGIME_NETWORK)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            spec = load_config(str(p))
+        # loading states nothing about c * nu <= 1 at any point; its caller,
+        # simulate, names the regime (test_regime_printed_once)
+        assert record == []
+        assert capsys.readouterr() == ("", "")
+        assert all(point.c * point.nu_expected <= 1.0 for point in spec.point_configs())
 
 
 class TestSimulate:

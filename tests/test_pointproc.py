@@ -9,6 +9,7 @@ closed forms with binomial-style tolerances.
 import io
 import math
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -1073,6 +1074,16 @@ class TestRealization:
         cfg = config(ModelSpec("boolean", h=R_T, rho_b=0.005), n_branches=4, c=10.0)
         assert cfg.n_clusters == round(math.pi * 0.005 * cfg.radius ** 2) == 20
         assert config(ModelSpec("hc1", h=1.0)).n_clusters == 0
+
+    def test_regime_warning(self):
+        # the constructor accepts c * nu <= 1 without a warning; the regime is
+        # reported by simulate, and its effect by redraws and RealizationFailed
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            cfg = config(ModelSpec("cellular", rho_c=0.001, kappa=3), n_branches=8, c=20.0)
+            realize(cfg, 0)
+        assert record == []
+        assert cfg.c * cfg.nu_expected <= 1.0
 
     def test_model_validation(self):
         with pytest.raises(ValueError, match="unknown model"):
