@@ -3,11 +3,11 @@
     python .github/check_failures.py tier1.xml perfbench.xml
 
 Exits 0 only when the failed (or erroring) tests are exactly the three
-acceptance criteria that ROADMAP.md documents as failing by design.  An
-extra failure, or one of the three passing or not running, exits 1 and
-prints the difference.  It also prints each report's wall time and the
-time of its test cases summed per module, slowest first (the timing
-decides nothing).
+acceptance criteria that ROADMAP.md documents as failing by design and no
+test was skipped.  An extra failure, one of the three passing or not
+running, or any skip exits 1 and prints the difference.  It also prints
+each report's wall time and the time of its test cases summed per module,
+slowest first (the timing decides nothing).
 """
 
 import sys
@@ -41,21 +41,26 @@ def print_times(path, root):
 
 
 def main(paths):
-    failed, ran = set(), 0
+    failed, skipped, ran = set(), [], 0
     for path in paths:
         root = ET.parse(path).getroot()
         print_times(path, root)
         for case in root.iter("testcase"):
             ran += 1
+            test_id = f"{case.get('classname')}::{case.get('name')}"
             if case.find("failure") is not None or case.find("error") is not None:
-                failed.add(f"{case.get('classname')}::{case.get('name')}")
-    print(f"{ran} tests ran, {len(failed)} failed")
+                failed.add(test_id)
+            if case.find("skipped") is not None:
+                skipped.append(test_id)
+    print(f"{ran} tests ran, {len(failed)} failed, {len(skipped)} skipped")
     unexpected, missing = sorted(failed - EXPECTED), sorted(EXPECTED - failed)
     for test_id in unexpected:
         print(f"unexpected failure: {test_id}")
     for test_id in missing:
         print(f"documented failure passed or did not run: {test_id}")
-    if ran == 0 or unexpected or missing:
+    for test_id in skipped:
+        print(f"skipped: {test_id}")
+    if ran == 0 or unexpected or missing or skipped:
         return 1
     print("failed tests match the documented set")
     return 0

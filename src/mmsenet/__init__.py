@@ -21,14 +21,7 @@ from .asymptotics import (
     rate_approx,
     solve_beta_fixed_point,
 )
-from .mmse import (
-    FadingSet,
-    SingularCovariance,
-    SirSample,
-    draw_fading,
-    interference_covariance,
-    mmse_sir,
-)
+from .mmse import SirSample
 from .montecarlo import (
     ExperimentReport,
     ExperimentSpec,
@@ -62,12 +55,7 @@ __all__ = [
     "optimal_reuse",
     "rate_approx",
     "solve_beta_fixed_point",
-    "FadingSet",
-    "SingularCovariance",
     "SirSample",
-    "draw_fading",
-    "interference_covariance",
-    "mmse_sir",
     "ExperimentReport",
     "ExperimentSpec",
     "RealizationFailed",

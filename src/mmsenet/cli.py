@@ -246,6 +246,16 @@ def _check_point(config: NetworkConfig, where: str) -> None:
                               f"{MAX_FADING_ENTRIES:.0e} entries")
         rate = montecarlo.predicted_rate(config)  # None for a zero density
         montecarlo._sir_scale(config)  # the sweep's own factor; raises beyond the float range
+        if config.model.power_control:
+            # a mobile transmits at r_b^alpha, r_b at most the circumradius
+            # s / sqrt(3) from its station, plus twice its axial coordinates'
+            # error (MAX_CELL_SCALE), under 2^-47 L circumradii, and 2^-20 more
+            s = hex_spacing(config.model.rho_c)
+            reach = s / math.sqrt(3.0) * (1.0 + 2.0 ** -20 + 2.0 ** -47 * config.radius / s)
+            if config.alpha * math.log2(reach) >= 1024.0:  # reach^alpha overflows
+                raise ConfigError(f"model.rho_c, {where}: a power-controlled mobile up to "
+                                  f"{reach:.3g} from its station at rho_c={config.model.rho_c:.9g} "
+                                  "transmits at r_b^alpha past the float range")
         # a node at the typical nearest distance (pi rho_p)^-1/2 receives
         # (pi rho_p)^(alpha/2); a covariance entry sums round(c N) received
         # powers, and where that overflows its spectrum is NaN: no SIR at all

@@ -57,8 +57,8 @@ class SirSample:
     sir: float
     beta_n: float
     rate: float
-    active_count: int = 0
-    redraw_count: int = 0
+    active_count: int
+    redraw_count: int
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -117,7 +117,8 @@ def interference_covariance(interferers: np.ndarray, weights: np.ndarray) -> np.
         raise ValueError("interferer matrix must be (n_branches, count)")
     if weights.shape != interferers.shape[1:]:
         raise ValueError("one weight per interferer column required")
-    return _plane_covariance(np.concatenate((interferers.real, interferers.imag)), weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in sir_samples
+        return _plane_covariance(np.concatenate((interferers.real, interferers.imag)), weights)
 
 
 def _plane_covariance(planes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -191,15 +192,17 @@ def sir_samples(rngs, weights, n_branches: int, scale: float) -> np.ndarray:
     [Re G; Im G] that _plane_covariance turns into the covariance of the
     received weights weights[j], so no complex interferer matrix is built.
     One quadratic_forms call solves the stack, times scale (the signal
-    weight times r_T^-alpha, shared by the stack).
+    weight times r_T^-alpha, shared by the stack).  A covariance that
+    overflows is built without a warning, and quadratic_forms rejects it.
     """
     n = n_branches
     g_t = np.empty((len(rngs), 2 * n))
     cov = np.empty((len(rngs), n, n), dtype=complex)
-    for j, (rng, w) in enumerate(zip(rngs, weights)):
-        z = _fading_draw(rng, n, w.size)
-        g_t[j] = z[:2 * n]
-        cov[j] = _plane_covariance(z[2 * n:].reshape(2 * n, w.size), w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (rng, w) in enumerate(zip(rngs, weights)):
+            z = _fading_draw(rng, n, w.size)
+            g_t[j] = z[:2 * n]
+            cov[j] = _plane_covariance(z[2 * n:].reshape(2 * n, w.size), w)
     return scale * quadratic_forms(_complex(g_t[:, :n], g_t[:, n:]), cov)
 
 

@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,7 +194,6 @@ class PointResult:
 
     config: NetworkConfig
     rate: StatSummary | None
-    sir: StatSummary | None
     empirical_density: float | None
     predicted_density: float
     asymptote_rate: float | None
@@ -215,7 +214,7 @@ class ExperimentReport:
     master_seed: int
     replications: int
     wall_time_s: float
-    code_version: str = field(default="")
+    code_version: str
 
 
 def predicted_rate(config: NetworkConfig) -> float | None:
@@ -278,11 +277,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
         sirs, active, redraws = (np.concatenate(parts) for parts in zip(*point_blocks))
         failed = bool(np.isnan(sirs).any())
         asym = predicted_rate(cfg)
-        rate = sir = emp_density = rel_gap = None
+        rate = emp_density = rel_gap = None
         if not failed:
             # math.log2 as in SirSample.rate: np.log2 can round differently
             rate = summarize(math.log2(1.0 + s) for s in sirs.tolist())
-            sir = summarize(sirs)
             area = math.pi * cfg.radius ** 2
             emp_density = float(np.mean(active)) / area
             rel_gap = abs(rate.mean - asym) / asym if asym else None
@@ -290,7 +288,6 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
             PointResult(
                 config=cfg,
                 rate=rate,
-                sir=sir,
                 empirical_density=emp_density,
                 predicted_density=cfg.predicted_density(),
                 asymptote_rate=asym,

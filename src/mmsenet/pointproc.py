@@ -257,7 +257,7 @@ class Realization:
     marks: np.ndarray | None    # (n,) in [0, 1)
     active: np.ndarray          # (n,) bool
     power_weight: np.ndarray    # (n,)
-    serving_distance: np.ndarray | None = None
+    serving_distance: np.ndarray | None
 
     @property
     def n_nodes(self) -> int:
@@ -777,10 +777,11 @@ def _activate(config: NetworkConfig, u: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _received(config: NetworkConfig, positions: np.ndarray) -> np.ndarray:
     """Received powers w_i r_i^-alpha of active nodes at positions (K, 2), inf
-    past the float range: the one place the power law is computed.  w_i is 1,
-    or r_b^alpha for a power-controlled mobile r_b from its serving station.
+    past the float range or at the receiver: the one place the power law is
+    computed.  w_i is 1, or r_b^alpha for a power-controlled mobile r_b from
+    its serving station.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         received = np.hypot(positions[:, 0], positions[:, 1]) ** -config.alpha
     if config.model.power_control:
         serving = _nearest_site(positions, hex_spacing(config.model.rho_c))[2]
@@ -836,7 +837,7 @@ def interference_weights(config: NetworkConfig, rngs) -> list[np.ndarray]:
     return weights
 
 
-def realization_to_csv(realization: Realization, fileobj=None) -> str:
+def realization_to_csv(realization: Realization) -> str:
     """Debug dump: one row per potential interferer.
 
     Columns: x, y, mark, active, power_weight, serving_distance (empty when
@@ -855,7 +856,4 @@ def realization_to_csv(realization: Realization, fileobj=None) -> str:
             f"{mark},{int(realization.active[k])},"
             f"{realization.power_weight[k]:.9g},{serv}\n"
         )
-    text = buf.getvalue()
-    if fileobj is not None:
-        fileobj.write(text)
-    return text
+    return buf.getvalue()

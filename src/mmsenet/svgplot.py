@@ -20,14 +20,14 @@ _ML, _MR, _MT, _MB = 64, 16, 28, 48  # margins
 
 @dataclass
 class RateSeries:
-    """One curve: simulated means vs N, optional std-dev and asymptote overlays
+    """One curve: simulated means vs N, with std-dev and asymptote overlays
     (an asymptote of None leaves its point out of the overlay)."""
 
     label: str
     n_values: list[float]
     mean: list[float]
-    std: list[float] | None = None
-    asymptote: list[float | None] | None = None
+    std: list[float]
+    asymptote: list[float | None]
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -51,13 +51,11 @@ def render_rate_chart(series: list[RateSeries], title: str = "") -> str:
         raise ValueError("nothing to plot")
 
     overlays = [
-        [(x, a) for x, a in zip(s.n_values, s.asymptote or ()) if a is not None] for s in series
+        [(x, a) for x, a in zip(s.n_values, s.asymptote) if a is not None] for s in series
     ]
     xs = [x for s in series for x in s.n_values]
     ys = [y for s in series for y in s.mean] + [a for ov in overlays for _, a in ov]
-    for s in series:
-        if s.std:
-            ys.extend(s.std)
+    ys += [y for s in series for y in s.std]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(0.0, min(ys)), max(ys)
     if x_hi == x_lo:
@@ -139,8 +137,7 @@ def render_rate_chart(series: list[RateSeries], title: str = "") -> str:
             out.append(
                 f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3.2" fill="{color}"/>'
             )
-        if s.std:
-            polyline(list(zip(s.n_values, s.std)), color, 1.2, dash="5,4")
+        polyline(list(zip(s.n_values, s.std)), color, 1.2, dash="5,4")
 
     # legend
     ly = _MT + 10

@@ -391,7 +391,7 @@ class TestFixedPoint:
         with pytest.raises(NoBracket):
             solve_beta_fixed_point(p)
 
-    def test_regime_warning(self):
+    def test_constructs_silently_and_solvers_raise_below_the_regime(self):
         # the constructor accepts c * nu <= 1 without a warning; the solvers
         # report the regime, once, through NoBracket
         with warnings.catch_warnings(record=True) as record:

@@ -14,13 +14,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, example, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from mmsenet import pointproc  # noqa: E402
-from mmsenet.pointproc import (  # noqa: E402
+from mmsenet import pointproc
+from mmsenet.pointproc import (
     _band0_mask,
     _cells,
     _cellular,

@@ -271,7 +271,7 @@ class TestConfig:
         assert captured.out == ""
         assert key in captured.err and captured.err.count("\n") == 1
 
-    def test_regime_warning_names_the_caller(self, tmp_path, capsys):
+    def test_load_config_is_silent_below_the_regime(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.json", model=REGIME_MODEL, network=REGIME_NETWORK)
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")

@@ -29,17 +29,13 @@ import math
 import re
 import xml.etree.ElementTree as ET
 
-import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-pytest.importorskip("hypothesis")
-pytest.importorskip("scipy")
-from hypothesis import HealthCheck, example, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
+from test_config_property import configs
 
-from test_config_property import configs  # noqa: E402
-
-from mmsenet.cli import CSV_COLUMNS, main  # noqa: E402
-from mmsenet.pointproc import MODEL_NAMES, MODEL_PARAMS  # noqa: E402
+from mmsenet.cli import CSV_COLUMNS, main
+from mmsenet.pointproc import MODEL_NAMES, MODEL_PARAMS
 
 WILD = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, -1e308, math.inf, -math.inf, math.nan]),
@@ -287,6 +283,17 @@ def simulate_exit(raw, tmp_path):
 @example(raw={"schema_version": 1, "network": {"rho_p": 1, "alpha": 4, "c": 1000, "r_T": 1},
               "model": {"name": "hc2", "h": 100}, "sweep": {"N": [2]}, "replications": 2,
               "master_seed": 1})
+# a node about half the typical distance from the receiver: its power or the
+# covariance overflows, and the member is redrawn without a numpy warning
+@example(raw={"schema_version": 1,
+              "network": {"rho_p": 1e152, "alpha": 4, "c": 50, "r_T": 5.6e-77},
+              "model": {"name": "independent"}, "sweep": {"N": [2]}, "replications": 200,
+              "master_seed": 1})
+# power-controlled mobiles some 6e149 from their stations: r_b^alpha
+# overflows, and inf times an underflowed r^-alpha is a NaN weight
+@example(raw={"schema_version": 1, "network": {"rho_p": 1e-299, "alpha": 4, "c": 800, "r_T": 1},
+              "model": {"name": "cellular", "rho_c": 1e-300, "kappa": 3, "power_control": True},
+              "sweep": {"N": [4]}, "replications": 2, "master_seed": 1})
 def test_simulate_exits_with_a_documented_code(tmp_path_factory, raw):
     code, err = simulate_exit(raw, tmp_path_factory.getbasetemp())
     assert code in (0, 2), (raw, err)

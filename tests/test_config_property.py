@@ -15,14 +15,12 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, Phase, example, find, given, settings
+from hypothesis import strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, Phase, example, find, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from mmsenet import montecarlo  # noqa: E402
-from mmsenet.cli import MAX_CELL_SCALE, MAX_FADING_ENTRIES, ConfigError, load_config  # noqa: E402
-from mmsenet.pointproc import MODEL_NAMES, MODEL_PARAMS, hex_spacing  # noqa: E402
+from mmsenet import montecarlo
+from mmsenet.cli import MAX_CELL_SCALE, MAX_FADING_ENTRIES, ConfigError, load_config
+from mmsenet.pointproc import MODEL_NAMES, MODEL_PARAMS, hex_spacing
 
 # reals: usually a value of the key's own range, modest enough that a point
 # is valid: alpha in (2, 8] and the rest within 1e-2..1e2, so that r_T^-alpha

@@ -6,7 +6,6 @@ production code; limiting activation fractions are checked against their
 closed forms with binomial-style tolerances.
 """
 
-import io
 import math
 import tracemalloc
 import warnings
@@ -1053,6 +1052,11 @@ class TestRealization:
         ((active, received),) = pointproc.realize_passes(cfg, [0])
         assert active.all() and np.isinf(received).all()
 
+    def test_received_power_at_the_receiver_is_inf(self):
+        # rng.random can return 0.0, which places a node at the origin
+        cfg = config(ModelSpec("independent"))
+        assert np.isposinf(pointproc._received(cfg, np.zeros((1, 2)))).all()
+
     def test_unit_power_weights(self):
         cfg = config(ModelSpec("hc1", h=0.5 * R_T))
         r = realize(cfg, 2)
@@ -1066,16 +1070,13 @@ class TestRealization:
         lines = text.strip().split("\n")
         assert lines[0] == "x,y,mark,active,power_weight,serving_distance"
         assert len(lines) == 1 + cfg.n_nodes
-        buf = io.StringIO()
-        realization_to_csv(r, buf)
-        assert buf.getvalue() == text
 
     def test_cluster_count_is_derived(self):
         cfg = config(ModelSpec("boolean", h=R_T, rho_b=0.005), n_branches=4, c=10.0)
         assert cfg.n_clusters == round(math.pi * 0.005 * cfg.radius ** 2) == 20
         assert config(ModelSpec("hc1", h=1.0)).n_clusters == 0
 
-    def test_regime_warning(self):
+    def test_constructs_and_realizes_silently_below_the_regime(self):
         # the constructor accepts c * nu <= 1 without a warning; the regime is
         # reported by simulate, and its effect by redraws and RealizationFailed
         with warnings.catch_warnings(record=True) as record:
