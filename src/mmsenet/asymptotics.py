@@ -9,22 +9,23 @@ co-channel interferers have limiting density ``rho``, the normalized SIR
   Gauss hypergeometric closed form (``solve_beta_fixed_point``),
 * an independent quadrature oracle for the same fixed point that never
   touches the hypergeometric code path (``fixed_point_oracle``); the two
-  share only the root finder (a bracket expansion, then scipy's ``brentq``),
+  share only the root finder (a bracket expansion, then Brent's method),
 * the closed-form value of ``beta`` in the many-interferers-per-branch
   limit (``beta_large_c``) and the rate predictions built on it,
 * cell-edge rate expressions with and without distance-proportional power
   control, and the reuse factor maximizing reuse-normalized rate,
 * the limiting distribution of scaled received powers (``limiting_edf``).
 
-scipy evaluates the special functions: ``gauss_2f1`` and ``lambert_w0``
-are validating wrappers over ``scipy.special.hyp2f1`` and
-``scipy.special.lambertw``, and ``fixed_point_equation`` also calls
-``scipy.special.betaincc``.  scipy is imported on first use, by the five
-functions that call it (``gauss_2f1``, ``lambert_w0``,
-``fixed_point_equation``, ``_solve_root`` and ``_activity_integral``), so
-importing this module, and every simulation path that uses only the
+scipy.special evaluates the special functions, and it is the only scipy
+this module uses: ``gauss_2f1`` and ``lambert_w0`` are validating wrappers
+over ``scipy.special.hyp2f1`` and ``scipy.special.lambertw``, and
+``fixed_point_equation`` also calls ``scipy.special.betaincc``.  The root
+finder and the oracle's Gauss-Legendre quadrature are numpy and plain
+Python.  scipy.special is imported on first use, by those three functions,
+so importing this module, and every simulation path that uses only the
 closed-form rate predictions, needs numpy alone.
-All functions are pure; none hold state but that import.
+All functions are pure; none hold state but that import and the cached
+Gauss-Legendre nodes.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import functools
 import importlib
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +59,20 @@ _BRANCH_POINT = -math.exp(-1.0)  # -1/e, edge of the W0 domain
 # decades the fixed-point bracket may grow on each side before giving up
 _MAX_EXPAND = 60
 
+# Brent's method: scipy brentq's default relative tolerance (4 eps, its
+# floor), an absolute one that never binds, and its step limit
+_RTOL = 4.0 * sys.float_info.epsilon
+_XTOL = sys.float_info.min
+_BRENT_STEPS = 100
+
+# the oracle's quadrature: nodes of the coarser Gauss-Legendre rule, error
+# allowed per piece relative to the whole integral, rounds of halving, and
+# decades taken below the knee before the last piece from 0
+_QUAD_NODES = 20
+_QUAD_RTOL = 1e-12
+_QUAD_HALVINGS = 10
+_DECADES_BELOW = 4
+
 
 class NoBracket(RuntimeError):
     """The fixed-point bracket never produced a sign change.
@@ -74,18 +88,18 @@ class NoBracket(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _scipy(name: str):
-    """The module scipy.<name>, imported on first use.
+def _special():
+    """The module scipy.special, imported on first use.
 
     Cached, because an import statement in a function pays a package
     lookup on every call (about 0.7 us on CPython 3.11) even when the
-    module is loaded, and the fixed-point solvers call gauss_2f1 dozens of
+    module is loaded, and the fixed-point solver calls gauss_2f1 dozens of
     times per solve.  scipy itself is imported first, so that a missing
     scipy always raises ModuleNotFoundError with name "scipy", which the
     command line reports without a traceback.
     """
     importlib.import_module("scipy")
-    return importlib.import_module(f"scipy.{name}")
+    return importlib.import_module("scipy.special")
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
@@ -103,7 +117,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
         raise ValueError(
             f"2F1(a={a}, b={b}; c={c}; 1) diverges: c - a - b = {c - a - b} <= 0"
         )
-    return float(_scipy("special").hyp2f1(a, b, c, z))
+    return float(_special().hyp2f1(a, b, c, z))
 
 
 def lambert_w0(z: float) -> float:
@@ -120,7 +134,7 @@ def lambert_w0(z: float) -> float:
         if z > _BRANCH_POINT * (1.0 + 1e-12):
             return -1.0  # the branch point, or rounding right below it
         raise ValueError(f"lambert_w0 domain is z >= -1/e; got z={z}")
-    return float(_scipy("special").lambertw(z).real)
+    return float(_special().lambertw(z).real)
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +230,73 @@ def fixed_point_equation(beta: float, params: AsymptoticParams) -> float:
     d = 2.0 / params.alpha
     xb = params.support_point * beta
     if xb < 1.0 and (d > 0.5 or xb * sys.float_info.max <= 1.0):
-        share = float(_scipy("special").betaincc(1.0 - d, d, xb / (1.0 + xb)))
+        share = float(_special().betaincc(1.0 - d, d, xb / (1.0 + xb)))
         return (beta / beta_large_c(params.rho, params.alpha)) ** d * share - 1.0
     return params.c * params.nu * gauss_2f1(1.0, d, 1.0 + d, -1.0 / xb) - 1.0
+
+
+def _brent(func, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of func in [a, b] by Brent's method, given fa = func(a) and fb = func(b).
+
+    A port of the van Wijngaarden-Dekker-Brent search of scipy's brentq
+    (Brent 1973), with its rules: steps of inverse quadratic or secant
+    interpolation where they shrink the bracket fast enough, bisection
+    otherwise, and a stop once the bracket is narrower than
+    _XTOL + _RTOL |x|.  Where the interpolation's denominator is zero (a
+    product of defect differences that underflows, or two equal defect
+    values), it bisects, as the C code does when its quotient is infinite
+    or NaN.  Raises FloatingPointError on a NaN defect, or when
+    _BRENT_STEPS steps do not converge.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_STEPS):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
+            if den != 0.0:
+                stry = num / den
+        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry  # a good short step
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = func(xcur)
+        if math.isnan(fcur):
+            raise FloatingPointError(f"root search in [{a:.3g}, {b:.3g}]: the defect "
+                                     f"at {xcur!r} is NaN")
+    raise FloatingPointError(f"root search in [{a:.3g}, {b:.3g}] did not converge "
+                             f"in {_BRENT_STEPS} steps")
 
 
 def _solve_root(func, params: AsymptoticParams) -> float:
     """The root in beta of an increasing fixed-point defect.
 
     Both fixed points share this path: expand [b/10, 10 b] geometrically
-    around the large-c value b until func changes sign, then Brent's method
-    to machine relative precision (brentq's default rtol, 4 eps, is its
-    floor; the negligible xtol keeps the stopping rule relative at every
-    scale of beta).  A Brent search that does not converge raises
+    around the large-c value b until func changes sign, then _brent to
+    machine relative precision (rtol 4 eps; the negligible xtol keeps the
+    stopping rule relative at every scale of beta), handing it the two end
+    values already computed.  A search that does not converge raises
     FloatingPointError: the defect is too noisy at these parameters.
     """
     # the activity integral is bounded by c * nu, so no positive root can
@@ -240,18 +308,16 @@ def _solve_root(func, params: AsymptoticParams) -> float:
             "positive solution (fewer active interferers than branches)"
         )
     center = beta_large_c(params.rho, params.alpha)
+    if center == 0.0:
+        raise FloatingPointError(
+            f"the large-c value of beta underflows to 0 at rho = {params.rho:.3g}, "
+            f"alpha = {params.alpha:.9g}: no bracket can grow from it"
+        )
     lo, hi = center / 10.0, center * 10.0
     for _ in range(_MAX_EXPAND):
-        ends = {lo: func(lo), hi: func(hi)}
-        if ends[lo] * ends[hi] <= 0.0:  # brentq reuses the two known end values
-            root, result = _scipy("optimize").brentq(
-                lambda x: ends[x] if x in ends else func(x), lo, hi, xtol=sys.float_info.min,
-                full_output=True, disp=False,
-            )
-            if not result.converged:
-                raise FloatingPointError(f"root search in [{lo:.3g}, {hi:.3g}] stopped: "
-                                         f"{result.flag} after {result.iterations} steps")
-            return root
+        f_lo, f_hi = func(lo), func(hi)
+        if f_lo * f_hi <= 0.0:
+            return _brent(func, lo, hi, f_lo, f_hi)
         lo /= 10.0
         hi *= 10.0
     raise NoBracket(
@@ -275,62 +341,93 @@ def solve_beta_fixed_point(params: AsymptoticParams) -> AsymptoticSolution:
     return AsymptoticSolution(beta=beta, residual=residual, params=params)
 
 
-def _activity_integral(gamma: float, params: AsymptoticParams) -> float:
-    """gamma * c * Int tau dH(tau) / (1 + tau gamma) by adaptive quadrature.
+@functools.cache
+def _legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes on [-1, 1] of the _QUAD_NODES- and 2 _QUAD_NODES-point
+    Gauss-Legendre rules side by side, and the two weight vectors."""
+    x_n, w_n = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    x_2n, w_2n = np.polynomial.legendre.leggauss(2 * _QUAD_NODES)
+    return np.concatenate([x_n, x_2n]), w_n, w_2n
+
+
+def _activity_complement(gamma: float, params: AsymptoticParams) -> float:
+    """c nu minus the activity integral gamma c Int tau dH(tau) / (1 + tau gamma).
 
     H is the limiting distribution of scaled received powers: an atom of
     mass 1 - nu at zero (which contributes nothing) and density
     (2 pi rho / (alpha c)) tau^(-2/alpha - 1) above the support point.  The
-    substitution u = tau^(-2/alpha) compactifies the tail exactly, leaving
+    substitution u = tau^(-2/alpha) compactifies the tail exactly, and
+    pi rho u0 = c nu with u0 = c / (pi rho_p), leaving
 
-        gamma * pi * rho * Int_0^{c/(pi rho_p)} du / (u^(alpha/2) + gamma),
+        pi * rho * Int_0^u0 du / (1 + (k / u)^(alpha/2)),   k = gamma^(2/alpha),
 
-    a smooth, bounded integrand handled piecewise by scipy's adaptive rule.
-    A piece it cannot integrate to 1e-8 raises FloatingPointError.  This
-    path never calls the hypergeometric code.
+    a bounded integrand that rises from 0 to 1 through the knee u = k.
+    The oracle's defect is c nu - 1 minus this, so next to c nu = 1 it
+    never subtracts two numbers near one.
+
+    The integral is taken piecewise, decade by decade from the knee (or
+    from 1 or u0, if lower) up to u0, and down over _DECADES_BELOW decades
+    under it to a last piece from 0; there the integrand is below
+    (u / k)^(alpha/2), so each decade down adds at most a hundredth of the
+    one above.  Every piece gets the n- and 2n-point Gauss-Legendre rules
+    in one numpy call; a piece whose two values differ by more than
+    _QUAD_RTOL of the whole integral is halved, for at most _QUAD_HALVINGS
+    rounds.  A piece with a non-finite edge or value, or one still off
+    after the last round, raises FloatingPointError naming it.  This path
+    never calls the hypergeometric code.
     """
-    alpha = params.alpha
+    p = params.alpha / 2.0
     u0 = params.c / (math.pi * params.rho_p)
-    p = alpha / 2.0
-
-    def integrand(u):
-        return 1.0 / (u ** p + gamma)
-
-    # integrate decade by decade so the adaptive rule never sees a span of
-    # more than one order of magnitude; the decades start at the knee
-    # u^(alpha/2) = gamma when it lies below 1, and a knee that underflows to
-    # 0 (gamma = 0) would never grow
-    knee = gamma ** (2.0 / alpha)
+    knee = gamma ** (2.0 / params.alpha)
     cut = min(1.0, u0, knee) if knee > 0.0 else min(1.0, u0)
-    edges = [0.0, cut]
+    edges = [0.0, *(cut * 10.0 ** -j for j in range(_DECADES_BELOW, 0, -1)), cut]
     while edges[-1] < u0:
         edges.append(min(edges[-1] * 10.0, u0))
-    quad = _scipy("integrate").quad
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    x, w_n, w_2n = _legendre()
     total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        if b <= a:
-            continue
-        val, err = quad(integrand, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
-        if not math.isfinite(val) or val < 0.0 or err > 1e-8 * max(abs(val), 1e-300):
-            raise FloatingPointError(
-                f"quadrature did not converge on [{a:.3g}, {b:.3g}] "
-                f"(value {val:.6g}, error estimate {err:.3g})"
-            )
-        total += val
-    return gamma * math.pi * params.rho * total
+    halvings = 0
+    while True:
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # (k / u)^p is inf below an underflowing u and 0 above an
+            # overflowing one, so the integrand stays in [0, 1]
+            f = 1.0 / (1.0 + (knee / (mid[:, None] + half[:, None] * x)) ** p)
+            coarse = half * (f[:, :_QUAD_NODES] @ w_n)
+            fine = half * (f[:, _QUAD_NODES:] @ w_2n)
+        err = np.abs(fine - coarse)
+        bad = ~(np.isfinite(lo) & np.isfinite(hi) & np.isfinite(fine) & np.isfinite(err))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise FloatingPointError(f"quadrature did not converge on [{lo[i]:.3g}, {hi[i]:.3g}] "
+                                     f"(value {fine[i]:.6g})")
+        off = err > _QUAD_RTOL * (total + fine.sum())
+        total += fine[~off].sum()
+        if not off.any():
+            return math.pi * params.rho * float(total)
+        if halvings == _QUAD_HALVINGS:
+            break
+        halvings += 1
+        lo, hi = lo[off], hi[off]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    i = int(np.argmax(np.where(off, err, -1.0)))
+    raise FloatingPointError(
+        f"quadrature did not converge on [{lo[i]:.3g}, {hi[i]:.3g}] "
+        f"(value {fine[i]:.6g}, error estimate {err[i]:.3g})"
+    )
 
 
 def fixed_point_oracle(params: AsymptoticParams) -> float:
     """Independent quadrature solution of the normalized-SIR fixed point.
 
-    Solves gamma * c * Int tau dH(tau)/(1 + tau gamma) = 1 directly; the
-    integral is strictly increasing in gamma from 0 to c * nu, so a unique
-    root exists exactly when c * nu > 1.  scipy's IntegrationWarning is
-    ignored: _activity_integral's own error gate decides convergence.
+    Solves gamma * c * Int tau dH(tau)/(1 + tau gamma) = 1 directly, as
+    c nu - 1 = _activity_complement(gamma); the integral is strictly
+    increasing in gamma from 0 to c * nu, so a unique root exists exactly
+    when c * nu > 1.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _scipy("integrate").IntegrationWarning)
-        return _solve_root(lambda g: _activity_integral(g, params) - 1.0, params)
+    excess = params.c * params.nu - 1.0
+    return _solve_root(lambda g: excess - _activity_complement(g, params), params)
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,11 @@ def _check_size(config: NetworkConfig, nodes_by: str, clusters_by: str, cells_by
         raise ConfigError(f"{clusters_by}: round(pi rho_b R^2) {at}, "
                           f"rho_b={config.model.rho_b:.9g} {budget} cluster centers")
     if config.model.rho_c is not None:
-        scale = config.radius / hex_spacing(config.model.rho_c)
+        spacing = hex_spacing(config.model.rho_c)
+        if not math.isfinite(spacing):  # R / s would be 0 and pass the cell range
+            raise ConfigError(f"{cells_by}: the station spacing {at}, "
+                              f"rho_c={config.model.rho_c:.9g} is {spacing}, past the float range")
+        scale = config.radius / spacing
         if not scale <= MAX_CELL_SCALE:
             raise ConfigError(f"{cells_by}: the disk radius is {scale:.3g} station spacings "
                               f"{at}, rho_c={config.model.rho_c:.9g}, more than the "

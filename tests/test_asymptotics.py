@@ -3,16 +3,19 @@
 Expected values marked as frozen were computed offline with mpmath at 30
 significant digits from the defining formulas and integrals.  gauss_2f1 and
 lambert_w0 wrap scipy.special, so they are checked against frozen values
-rather than against scipy itself.
+rather than against scipy itself.  The root finder and the oracle's
+quadrature are the package's own, so scipy.optimize.brentq and
+scipy.integrate.quad serve as their reference implementations.
 """
 
 import math
+import re
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import integrate, optimize
 
 from mmsenet import asymptotics
 from mmsenet.asymptotics import (
@@ -110,8 +113,52 @@ FROZEN_EDGE_ROOTS = [
 ]
 
 
+# roots where x0 = (pi rho_p / c)^(alpha/2) underflows to 0 or to a
+# subnormal (rho_p 0.01, nu 1), by (alpha, c); mpmath 50 digits at the same
+# double arguments
+UNDERFLOWING_SUPPORT = [
+    (4.0, 1e200, 410.63929018737339047),
+    (300.0, 50.0, 2.6470153167442784388e225),
+    (100.0, 5e4, 1.3434353410402833247e75),
+]
+
+
 def params(alpha=4.0, nu=1.0, c=50.0, rho_p=0.01):
     return AsymptoticParams(rho_p=rho_p, c=c, alpha=alpha, nu=nu)
+
+
+def spy_brent(monkeypatch):
+    """Record (defect, a, b, root) of every search of the package's root finder."""
+    searches = []
+    brent = asymptotics._brent
+
+    def spy(func, a, b, fa, fb):
+        root = brent(func, a, b, fa, fb)
+        searches.append((func, a, b, root))
+        return root
+
+    monkeypatch.setattr(asymptotics, "_brent", spy)
+    return searches
+
+
+def quad_activity(gamma, p, complement=False):
+    """The activity integral gamma pi rho Int_0^u0 du / (u^(alpha/2) + gamma),
+    or its complement pi rho Int_0^u0 u^(alpha/2) du / (u^(alpha/2) + gamma),
+    by scipy's adaptive quadrature decade by decade from 1 (or u0)."""
+    half = p.alpha / 2.0
+    u0 = p.c / (math.pi * p.rho_p)
+    edges = [0.0, min(1.0, u0)]
+    while edges[-1] < u0:
+        edges.append(min(edges[-1] * 10.0, u0))
+    if complement:
+        def integrand(u):
+            return u ** half / (u ** half + gamma)
+    else:
+        def integrand(u):
+            return gamma / (u ** half + gamma)
+    pieces = [integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+              for a, b in zip(edges, edges[1:])]
+    return math.pi * p.rho * math.fsum(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +315,13 @@ class TestFixedPoint:
         "solve,defect",
         [
             (solve_beta_fixed_point, "fixed_point_equation"),
-            (fixed_point_oracle, "_activity_integral"),
+            (fixed_point_oracle, "_activity_complement"),
         ],
     )
     def test_bracket_ends_evaluated_once(self, monkeypatch, solve, defect):
         # the sign-change test evaluates both ends of the final bracket, and
-        # brentq reuses those two values rather than evaluating them again
+        # the root finder reuses those two values rather than evaluating them
+        # again
         calls = []
         inner = getattr(asymptotics, defect)
 
@@ -281,36 +329,22 @@ class TestFixedPoint:
             calls.append(x)
             return inner(x, p)
 
-        brackets = []
-        brentq = optimize.brentq
-
-        def spy(f, a, b, **kwargs):
-            brackets.append((a, b))
-            return brentq(f, a, b, **kwargs)
-
         monkeypatch.setattr(asymptotics, defect, counted)
-        monkeypatch.setattr(optimize, "brentq", spy)
+        brackets = spy_brent(monkeypatch)
         solve(params(alpha=4.0, nu=0.6, c=50.0))
-        ((lo, hi),) = brackets
+        ((_, lo, hi, _),) = brackets
         assert (calls.count(lo), calls.count(hi)) == (1, 1)
 
     @pytest.mark.parametrize("c,expansions,rel", [(1.01, 1, 1e-9), (1.001, 2, 1e-8)])
     def test_bracket_expands_near_unit_c(self, monkeypatch, c, expansions, rel):
         # the root is 83x (c = 1.01) and 823x (c = 1.001) the large-c value b,
         # outside the first bracket [b/10, 10 b]
-        brackets = []
-        brentq = optimize.brentq
-
-        def spy(f, a, b, **kwargs):
-            brackets.append((a, b))
-            return brentq(f, a, b, **kwargs)
-
-        monkeypatch.setattr(optimize, "brentq", spy)
+        brackets = spy_brent(monkeypatch)
         p = params(alpha=4.0, nu=1.0, c=c)
         assert solve_beta_fixed_point(p).beta == pytest.approx(fixed_point_oracle(p), rel=rel)
         width = 10.0 ** (expansions + 1)
         center = beta_large_c(p.rho, p.alpha)
-        for lo, hi in brackets:
+        for _, lo, hi, _ in brackets:
             assert (lo, hi) == pytest.approx((center / width, center * width), rel=1e-12)
         assert len(brackets) == 2
 
@@ -334,30 +368,44 @@ class TestFixedPoint:
         assert sol.beta == pytest.approx(root, rel=rel)
         assert sol.residual <= 1e-10
 
-    @pytest.mark.parametrize(
-        "alpha,c,root",
-        [
-            # x0 = (pi rho_p / c)^(alpha/2) underflows to 0 or to a subnormal;
-            # mpmath 50 digits at the same double arguments
-            (4.0, 1e200, 410.63929018737339047),
-            (300.0, 50.0, 2.6470153167442784388e225),
-            (100.0, 5e4, 1.3434353410402833247e75),
-        ],
-    )
+    @pytest.mark.parametrize("alpha,c,root", UNDERFLOWING_SUPPORT)
     def test_solver_where_support_point_underflows(self, alpha, c, root):
         assert params(alpha=alpha, c=c).support_point < sys.float_info.min
         assert solve_beta_fixed_point(params(alpha=alpha, c=c)).beta == pytest.approx(
             root, rel=1e-12
         )
 
-    @pytest.mark.filterwarnings("ignore:The integral is probably divergent")
     def test_activity_integral_at_zero_gamma(self):
-        # the bracket reaches gamma = 0 where beta_large_c underflows (rho_p
-        # 1e300 at alpha 4); the knee gamma^(2/alpha) is then 0, so the
-        # decades must start at 1 to end at all, and 1/u^(alpha/2) is not
-        # integrable at 0
-        with pytest.raises(FloatingPointError, match="did not converge on \\[0, 1\\]"):
-            asymptotics._activity_integral(0.0, params())
+        # the knee gamma^(2/alpha) is 0 at gamma = 0, so the decades must
+        # start at 1 to end at all; the integrand of the complement is then
+        # 1 everywhere, and the activity integral is its gamma -> 0 limit,
+        # 0 to rounding
+        p = params()
+        integral = p.c * p.nu - asymptotics._activity_complement(0.0, p)
+        assert abs(integral) <= 8 * sys.float_info.epsilon * p.c * p.nu
+
+    def test_solvers_refuse_an_underflowing_large_c_value(self):
+        # beta_large_c underflows to 0 at rho_p 1e300, alpha 4; no bracket
+        # can grow from it
+        p = params(rho_p=1e300)
+        for solve in (solve_beta_fixed_point, fixed_point_oracle):
+            with pytest.raises(FloatingPointError, match="underflows to 0"):
+                solve(p)
+
+    @pytest.mark.parametrize(
+        "p,gamma,piece",
+        [
+            # u0 = c / (pi rho_p) overflows: the last decade ends at inf
+            (params(c=1e308), 1.0, "[1e+308, inf]"),
+            (params(rho_p=5e-324), 1.0, "[1e+308, inf]"),
+            # a NaN integrand fails the first piece
+            (params(), math.nan, "[0, 0.0001]"),
+        ],
+        ids=["c-1e308", "rho_p-5e-324", "nan"],
+    )
+    def test_quadrature_names_a_non_finite_piece(self, p, gamma, piece):
+        with pytest.raises(FloatingPointError, match=f"did not converge on {re.escape(piece)}"):
+            asymptotics._activity_complement(gamma, p)
 
     def test_no_thinning_equals_unit_nu(self):
         p1 = params(alpha=4.0, nu=1.0, c=50.0)
@@ -407,6 +455,88 @@ class TestFixedPoint:
         r_t = 5.0
         expect = math.log2(1.0 + 8.0 ** 2 * r_t ** -4.0 * sol.beta)
         assert sol.rate(8, r_t) == pytest.approx(expect, rel=1e-14)
+
+
+ROOT_CASES = [
+    *(pytest.param(params(alpha, nu, c), id=f"grid-{alpha}-{nu}-{c}")
+      for alpha, nu, c in sorted(FROZEN_ROOTS)),
+    *(pytest.param(params(alpha=alpha, c=c), id=f"edge-{alpha}-{c}")
+      for alpha, c, _, _ in FROZEN_EDGE_ROOTS),
+    *(pytest.param(params(alpha=alpha, c=c), id=f"underflow-{alpha}-{c}")
+      for alpha, c, _ in UNDERFLOWING_SUPPORT),
+]
+
+
+class TestAgainstScipy:
+    """The root finder against scipy.optimize.brentq on the same defect and
+    bracket, and the oracle's quadrature against scipy.integrate.quad."""
+
+    @pytest.mark.parametrize("p", ROOT_CASES)
+    def test_root_finder_matches_brentq(self, monkeypatch, p):
+        searches = spy_brent(monkeypatch)
+        solve_beta_fixed_point(p)
+        fixed_point_oracle(p)
+        assert len(searches) == 2
+        for defect, a, b, root in searches:
+            ref = optimize.brentq(defect, a, b, xtol=sys.float_info.min)
+            assert abs(root - ref) <= 4 * sys.float_info.epsilon * abs(ref)
+
+    @pytest.mark.parametrize(
+        "defect,a,b",
+        [
+            # defects near the bottom of the float range: the inverse
+            # quadratic step's denominator, a product of three differences,
+            # underflows to 0, and the search bisects instead of dividing
+            (lambda x: 1e-200 * (x ** 3 - 2.0 * x - 5.0), 2.0, 3.0),
+            (lambda x: 1e-120 * (math.exp(x) - 2.0), -1.0, 3.0),
+            (lambda x: 1e-300 * (math.exp(x) - 2.0), -1.0, 3.0),
+            # a step, and the same defects at a scale of one
+            (lambda x: -1.0 if x < 1.7 else 1.0, 0.0, 3.0),
+            (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+            (lambda x: math.exp(x) - 2.0, -1.0, 3.0),
+        ],
+        ids=["tiny-cubic", "tiny-exp", "subnormal-exp", "step", "cubic", "exp"],
+    )
+    def test_root_finder_matches_brentq_where_interpolation_degenerates(self, defect, a, b):
+        root = asymptotics._brent(defect, a, b, defect(a), defect(b))
+        assert root == optimize.brentq(defect, a, b, xtol=sys.float_info.min)
+
+    def test_root_finder_bracket_end_at_a_root(self):
+        # a zero end value is the root, as brentq returns it
+        assert asymptotics._brent(math.sin, 0.0, 1.0, 0.0, math.sin(1.0)) == 0.0
+        assert asymptotics._brent(math.sin, -1.0, 0.0, math.sin(-1.0), 0.0) == 0.0
+
+    def test_root_finder_raises_where_brentq_stops(self):
+        # a triple root at 0, where the relative tolerance is the negligible
+        # xtol: 100 steps do not get there
+        def cube(x):
+            return x ** 3
+
+        _, result = optimize.brentq(cube, -1.0, 2.0, xtol=sys.float_info.min,
+                                    full_output=True, disp=False)
+        assert not result.converged
+        with pytest.raises(FloatingPointError, match="did not converge in 100 steps"):
+            asymptotics._brent(cube, -1.0, 2.0, -1.0, 8.0)
+
+    def test_root_finder_raises_on_a_nan_defect(self):
+        with pytest.raises(FloatingPointError, match="is NaN"):
+            asymptotics._brent(lambda x: math.nan, -1.0, 2.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("alpha,nu,c", sorted(FROZEN_ROOTS))
+    def test_activity_integral_matches_quad_on_grid(self, alpha, nu, c):
+        p = params(alpha=alpha, nu=nu, c=c)
+        root = FROZEN_ROOTS[alpha, nu, c]
+        for gamma in (root / 10.0, root, root * 10.0):
+            integral = p.c * p.nu - asymptotics._activity_complement(gamma, p)
+            assert integral == pytest.approx(quad_activity(gamma, p), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha,c,root,rel", FROZEN_EDGE_ROOTS)
+    def test_activity_complement_matches_quad_at_edge_roots(self, alpha, c, root, rel):
+        # next to c nu = 1 the complement is c nu - 1 at the root, down to 1e-9
+        p = params(alpha=alpha, c=c)
+        assert asymptotics._activity_complement(root, p) == pytest.approx(
+            quad_activity(root, p, complement=True), rel=1e-13
+        )
 
 
 # ---------------------------------------------------------------------------

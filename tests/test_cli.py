@@ -249,6 +249,12 @@ class TestConfig:
                           "sweep": {"N": [2]}, "replications": 5},
                          "model.rho_c, sweep.N[0]: the disk radius is 5.25e+151 station "
                          "spacings", id="cells"),
+            # a station spacing that overflows: R / s = 0 would pass the cell range
+            pytest.param({"network": {"rho_p": 1e-299, "alpha": 4, "c": 800, "r_T": 1},
+                          "model": {"name": "cellular", "rho_c": 5e-324, "kappa": 3},
+                          "sweep": {"N": [4]}},
+                         "model.rho_c, sweep.N[0]: the station spacing at N=4, c=800, "
+                         "rho_c=4.94065646e-324 is inf", id="spacing"),
             # no node at all (round(c N) = 0), and a stack of 25 x 10^36 covariance entries
             pytest.param({"network": {"rho_p": 1, "alpha": 4, "c": 1e-300, "r_T": 1},
                           "model": {"name": "independent"}, "sweep": {"N": [10**18]},
@@ -517,6 +523,10 @@ class TestDensityCmd:
             pytest.param(["--model", "cellular", "--rho-c", "1e300", "--kappa", "3",
                           "--c", "50", "--replications", "5"],
                          "--rho-c: the disk radius is 5.25e+151 station spacings", id="cells"),
+            pytest.param(["--model", "cellular", "--rho-c", "1e-310", "--kappa", "1",
+                          "--c", "50", "--replications", "2"],
+                         "--rho-c: the station spacing at N=2, c=50, rho_c=1e-310 is inf",
+                         id="spacing"),
         ],
     )
     def test_size_budget(self, capsys, monkeypatch, argv, given):
@@ -1074,13 +1084,29 @@ sys.exit(f"scipy modules loaded: {loaded}" if loaded else code)
 """
 
 
-def run_without_scipy(argv):
+# runs mmsenet.cli's main on argv in a fresh interpreter; if scipy.optimize
+# or scipy.integrate got loaded it exits 1 and names them on stderr,
+# whatever main returned
+_SPECIAL_ONLY = """
+import sys
+from mmsenet import cli
+code = cli.main(sys.argv[1:])
+loaded = [name for name in sys.modules if name.startswith(("scipy.optimize", "scipy.integrate"))]
+sys.exit(f"scipy modules loaded: {loaded}" if loaded else code)
+"""
+
+
+def run_fresh(script, argv):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     return subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY, *argv], env=env,
+        [sys.executable, "-c", script, *argv], env=env,
         capture_output=True, text=True, timeout=120,
     )
+
+
+def run_without_scipy(argv):
+    return run_fresh(_NO_SCIPY, argv)
 
 
 @pytest.mark.parametrize(
@@ -1139,6 +1165,18 @@ def test_missing_scipy_is_one_line_exit_1(argv):
     assert proc.returncode == 1
     assert proc.stderr == f"{argv[0]}: needs scipy, which is not installed\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "50", "--n-branches", "8",
+     "--r-t", "5.64"],
+    ["reuse-opt", "--alpha", "4", "--n-branches", "4", "--rho-p", "0.01", "--rho-c", "0.001"],
+], ids=["asymptote", "reuse-opt"])
+def test_scipy_commands_need_only_scipy_special(argv):
+    # the root finder and the oracle's quadrature are the package's own
+    proc = run_fresh(_SPECIAL_ONLY, argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 def test_other_import_error_keeps_traceback(monkeypatch):

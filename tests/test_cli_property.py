@@ -136,10 +136,15 @@ SETTINGS = settings(
 # --r-t without --n-branches, and --n-branches without --r-t
 @example(argv=["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "50", "--r-t", "5.64"])
 @example(argv=["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "50", "--n-branches", "4"])
-# a quadrature past the float range next to alpha = 2, where scipy warns
-# before the oracle's own error gate rejects it
+# a quadrature past the float range next to alpha = 2: its last piece ends
+# at inf
 @example(argv=["asymptote", "--alpha", "2.0000000000000004", "--rho-p", "1e-300",
                "--c", "564761955.0"])
+# the oracle's failure edges next to alpha = 2: rho_p 1e300, where the fixed
+# point stalls, and a last piece [1e308, inf] at c 1e308 or rho_p 5e-324
+@example(argv=["asymptote", "--alpha", "2.0000000000000004", "--rho-p", "1e300", "--c", "50"])
+@example(argv=["asymptote", "--alpha", "2.0000000000000004", "--rho-p", "0.01", "--c", "1e308"])
+@example(argv=["asymptote", "--alpha", "2.0000000000000004", "--rho-p", "5e-324", "--c", "50"])
 def test_flag_commands_exit_with_a_documented_code(argv):
     code, err = run(argv)
     assert code in (0, 2, 3), (argv, err)
@@ -293,6 +298,11 @@ def simulate_exit(raw, tmp_path):
 # overflows, and inf times an underflowed r^-alpha is a NaN weight
 @example(raw={"schema_version": 1, "network": {"rho_p": 1e-299, "alpha": 4, "c": 800, "r_T": 1},
               "model": {"name": "cellular", "rho_c": 1e-300, "kappa": 3, "power_control": True},
+              "sweep": {"N": [4]}, "replications": 2, "master_seed": 1})
+# a station spacing that overflows: R / s = 0 passed the cell range, and the
+# nearest-site search multiplied inf by 0
+@example(raw={"schema_version": 1, "network": {"rho_p": 1e-299, "alpha": 4, "c": 800, "r_T": 1},
+              "model": {"name": "cellular", "rho_c": 5e-324, "kappa": 3},
               "sweep": {"N": [4]}, "replications": 2, "master_seed": 1})
 def test_simulate_exits_with_a_documented_code(tmp_path_factory, raw):
     code, err = simulate_exit(raw, tmp_path_factory.getbasetemp())
