@@ -350,26 +350,28 @@ def _legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate([x_n, x_2n]), w_n, w_2n
 
 
-def _activity_complement(gamma: float, params: AsymptoticParams) -> float:
-    """c nu minus the activity integral gamma c Int tau dH(tau) / (1 + tau gamma).
+def _activity_integral(gamma: float, params: AsymptoticParams, complement: bool = False) -> float:
+    """The activity integral gamma c Int tau dH(tau) / (1 + tau gamma), or
+    with complement=True c nu minus it.
 
     H is the limiting distribution of scaled received powers: an atom of
     mass 1 - nu at zero (which contributes nothing) and density
     (2 pi rho / (alpha c)) tau^(-2/alpha - 1) above the support point.  The
     substitution u = tau^(-2/alpha) compactifies the tail exactly, and
-    pi rho u0 = c nu with u0 = c / (pi rho_p), leaving
+    pi rho u0 = c nu with u0 = c / (pi rho_p), leaving, with
+    k = gamma^(2/alpha) and p = alpha/2,
 
-        pi * rho * Int_0^u0 du / (1 + (k / u)^(alpha/2)),   k = gamma^(2/alpha),
+        pi * rho * Int_0^u0 du / (1 + (u / k)^p)    (the integral),
+        pi * rho * Int_0^u0 du / (1 + (k / u)^p)    (its complement),
 
-    a bounded integrand that rises from 0 to 1 through the knee u = k.
-    The oracle's defect is c nu - 1 minus this, so next to c nu = 1 it
-    never subtracts two numbers near one.
+    bounded integrands that fall from 1 to 0, and rise from 0 to 1, through
+    the knee u = k.
 
     The integral is taken piecewise, decade by decade from the knee (or
     from 1 or u0, if lower) up to u0, and down over _DECADES_BELOW decades
-    under it to a last piece from 0; there the integrand is below
-    (u / k)^(alpha/2), so each decade down adds at most a hundredth of the
-    one above.  Every piece gets the n- and 2n-point Gauss-Legendre rules
+    under it to a last piece from 0; there the complement's integrand is
+    below (u / k)^p, so each of its decades down adds at most a hundredth
+    of the one above, and the integral's is as close to 1.  Every piece gets the n- and 2n-point Gauss-Legendre rules
     in one numpy call; a piece whose two values differ by more than
     _QUAD_RTOL of the whole integral is halved, for at most _QUAD_HALVINGS
     rounds.  A piece with a non-finite edge or value, or one still off
@@ -390,9 +392,11 @@ def _activity_complement(gamma: float, params: AsymptoticParams) -> float:
     while True:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            # (k / u)^p is inf below an underflowing u and 0 above an
-            # overflowing one, so the integrand stays in [0, 1]
-            f = 1.0 / (1.0 + (knee / (mid[:, None] + half[:, None] * x)) ** p)
+            u = mid[:, None] + half[:, None] * x
+            # a ratio that overflows, or divides by an underflowing u or k,
+            # is inf and one that underflows is 0, so the integrand stays
+            # in [0, 1]
+            f = 1.0 / (1.0 + ((knee / u) if complement else (u / knee)) ** p)
             coarse = half * (f[:, :_QUAD_NODES] @ w_n)
             fine = half * (f[:, _QUAD_NODES:] @ w_2n)
         err = np.abs(fine - coarse)
@@ -421,13 +425,21 @@ def _activity_complement(gamma: float, params: AsymptoticParams) -> float:
 def fixed_point_oracle(params: AsymptoticParams) -> float:
     """Independent quadrature solution of the normalized-SIR fixed point.
 
-    Solves gamma * c * Int tau dH(tau)/(1 + tau gamma) = 1 directly, as
-    c nu - 1 = _activity_complement(gamma); the integral is strictly
-    increasing in gamma from 0 to c * nu, so a unique root exists exactly
-    when c * nu > 1.
+    Solves gamma * c * Int tau dH(tau)/(1 + tau gamma) = 1 directly; the
+    integral is strictly increasing in gamma from 0 to c * nu, so a unique
+    root exists exactly when c * nu > 1.  At the root the integral is 1 and
+    its complement c nu - 1; the defect integrates whichever is smaller, so
+    the quadrature's error, relative to that integral, stays below the part
+    of the defect that moves with gamma: next to c nu = 1 it is
+    c nu - 1 minus the complement, which never subtracts two numbers near
+    one, and elsewhere the integral minus 1, whose error does not grow
+    with c nu.
     """
     excess = params.c * params.nu - 1.0
-    return _solve_root(lambda g: excess - _activity_complement(g, params), params)
+    if excess < 1.0:
+        return _solve_root(lambda g: excess - _activity_integral(g, params, complement=True),
+                           params)
+    return _solve_root(lambda g: _activity_integral(g, params) - 1.0, params)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,11 @@ FROZEN_EDGE_ROOTS = [
 ]
 
 
+# a root at large c (rho_p 0.01, nu 1), by (alpha, c); mpmath 60 digits,
+# from the alpha = 4 closed form pi rho sqrt(g) atan(c / (pi rho_p sqrt(g))) = 1
+# of the activity integral
+LARGE_C_ROOTS = [(4.0, 1e10, 410.63929022065855762)]
+
 # roots where x0 = (pi rho_p / c)^(alpha/2) underflows to 0 or to a
 # subnormal (rho_p 0.01, nu 1), by (alpha, c); mpmath 50 digits at the same
 # double arguments
@@ -315,7 +320,7 @@ class TestFixedPoint:
         "solve,defect",
         [
             (solve_beta_fixed_point, "fixed_point_equation"),
-            (fixed_point_oracle, "_activity_complement"),
+            (fixed_point_oracle, "_activity_integral"),
         ],
     )
     def test_bracket_ends_evaluated_once(self, monkeypatch, solve, defect):
@@ -325,9 +330,9 @@ class TestFixedPoint:
         calls = []
         inner = getattr(asymptotics, defect)
 
-        def counted(x, p):
+        def counted(x, p, **kwargs):
             calls.append(x)
-            return inner(x, p)
+            return inner(x, p, **kwargs)
 
         monkeypatch.setattr(asymptotics, defect, counted)
         brackets = spy_brent(monkeypatch)
@@ -368,6 +373,14 @@ class TestFixedPoint:
         assert sol.beta == pytest.approx(root, rel=rel)
         assert sol.residual <= 1e-10
 
+    @pytest.mark.parametrize("alpha,c,root", [case[:3] for case in FROZEN_EDGE_ROOTS])
+    def test_oracle_frozen_at_edges(self, alpha, c, root):
+        # the oracle takes c nu - 1 as it is rounded, as the frozen roots do,
+        # and next to c nu = 1 integrates the complement, c nu - 1 at the
+        # root, so it meets these to rounding; the integral minus 1 would
+        # lose 1e-12 / (c nu - 1)
+        assert fixed_point_oracle(params(alpha=alpha, c=c)) == pytest.approx(root, rel=1e-12)
+
     @pytest.mark.parametrize("alpha,c,root", UNDERFLOWING_SUPPORT)
     def test_solver_where_support_point_underflows(self, alpha, c, root):
         assert params(alpha=alpha, c=c).support_point < sys.float_info.min
@@ -377,12 +390,19 @@ class TestFixedPoint:
 
     def test_activity_integral_at_zero_gamma(self):
         # the knee gamma^(2/alpha) is 0 at gamma = 0, so the decades must
-        # start at 1 to end at all; the integrand of the complement is then
-        # 1 everywhere, and the activity integral is its gamma -> 0 limit,
-        # 0 to rounding
+        # start at 1 to end at all; the integral's integrand is then 0
+        # everywhere and the complement's 1, their gamma -> 0 limits
         p = params()
-        integral = p.c * p.nu - asymptotics._activity_complement(0.0, p)
-        assert abs(integral) <= 8 * sys.float_info.epsilon * p.c * p.nu
+        assert asymptotics._activity_integral(0.0, p) == 0.0
+        complement = asymptotics._activity_integral(0.0, p, complement=True)
+        assert complement == pytest.approx(p.c * p.nu, rel=8 * sys.float_info.epsilon)
+
+    @pytest.mark.parametrize("alpha,c,root", [*LARGE_C_ROOTS, *UNDERFLOWING_SUPPORT])
+    def test_oracle_frozen_at_large_c(self, alpha, c, root):
+        # the integral is 1 at the root however large c nu grows, while its
+        # complement is c nu - 1; a defect taken from the complement loses
+        # the part that moves with gamma to rounding from c about 1e10 on
+        assert fixed_point_oracle(params(alpha=alpha, c=c)) == pytest.approx(root, rel=1e-9)
 
     def test_solvers_refuse_an_underflowing_large_c_value(self):
         # beta_large_c underflows to 0 at rho_p 1e300, alpha 4; no bracket
@@ -404,8 +424,10 @@ class TestFixedPoint:
         ids=["c-1e308", "rho_p-5e-324", "nan"],
     )
     def test_quadrature_names_a_non_finite_piece(self, p, gamma, piece):
-        with pytest.raises(FloatingPointError, match=f"did not converge on {re.escape(piece)}"):
-            asymptotics._activity_complement(gamma, p)
+        for complement in (False, True):
+            with pytest.raises(FloatingPointError,
+                               match=f"did not converge on {re.escape(piece)}"):
+                asymptotics._activity_integral(gamma, p, complement=complement)
 
     def test_no_thinning_equals_unit_nu(self):
         p1 = params(alpha=4.0, nu=1.0, c=50.0)
@@ -527,14 +549,15 @@ class TestAgainstScipy:
         p = params(alpha=alpha, nu=nu, c=c)
         root = FROZEN_ROOTS[alpha, nu, c]
         for gamma in (root / 10.0, root, root * 10.0):
-            integral = p.c * p.nu - asymptotics._activity_complement(gamma, p)
-            assert integral == pytest.approx(quad_activity(gamma, p), rel=1e-12)
+            assert asymptotics._activity_integral(gamma, p) == pytest.approx(
+                quad_activity(gamma, p), rel=1e-12
+            )
 
     @pytest.mark.parametrize("alpha,c,root,rel", FROZEN_EDGE_ROOTS)
     def test_activity_complement_matches_quad_at_edge_roots(self, alpha, c, root, rel):
         # next to c nu = 1 the complement is c nu - 1 at the root, down to 1e-9
         p = params(alpha=alpha, c=c)
-        assert asymptotics._activity_complement(root, p) == pytest.approx(
+        assert asymptotics._activity_integral(root, p, complement=True) == pytest.approx(
             quad_activity(root, p, complement=True), rel=1e-13
         )
 
