@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,6 +105,11 @@ def _run_block(config: NetworkConfig, entropy, keys) -> tuple[np.ndarray, np.nda
         redraws[pending] = attempt
         pending = pending[np.isnan(sir[pending])]
     return sir, active, redraws
+
+
+def _run_blocks(tasks) -> list:
+    """_run_block on each task's (config, entropy, keys), in order: one pool task."""
+    return [_run_block(*t) for t in tasks]
 
 
 def run_realization(config: NetworkConfig, seed) -> mmse.SirSample:
@@ -247,11 +251,12 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
 
     The work items are blocks of BLOCK_SIZE consecutive replications of one
     point, each the arguments of one _run_block call (config, master seed,
-    spawn keys); with workers > 1 and more than one block the pool maps
-    _run_block over them with at most one worker per block.  Aggregation
-    happens in (point, replication) index order, and a replication's numbers
-    do not depend on its block, so the emitted numbers never depend on the
-    worker count or the execution schedule.  A point whose replication fails
+    spawn keys).  With workers > 1 and more than one block, each worker w of
+    a pool of W = min(workers, blocks) runs one task, the striped share
+    tasks[w::W], through _run_blocks.  Aggregation happens in (point,
+    replication) index order, and a replication's numbers do not depend on
+    its block, so the emitted numbers never depend on the worker count or
+    the execution schedule.  A point whose replication fails
     is flagged and reported with empty statistics (its redraw_total still
     counts MAX_REDRAWS per failed member); the remaining points still run.
     """
@@ -265,10 +270,14 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
              for pi, cfg in enumerate(configs) for span in spans]
     workers = min(workers, len(tasks))  # the pool forks every worker up front
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # off every pool-less import path
+        blocks = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_run_block, *zip(*tasks)))
+            shares = pool.map(_run_blocks, [tasks[w::workers] for w in range(workers)])
+            for w, share in enumerate(shares):
+                blocks[w::workers] = share
     else:
-        blocks = [_run_block(*t) for t in tasks]
+        blocks = _run_blocks(tasks)
 
     per_point = len(tasks) // len(configs)  # tasks, and so blocks, in (point, block) order
     points = []

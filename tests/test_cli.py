@@ -1096,6 +1096,18 @@ sys.exit(f"scipy modules loaded: {loaded}" if loaded else code)
 """
 
 
+# runs mmsenet.cli's main on argv in a fresh interpreter; its last stderr
+# line says whether the process pool's module got loaded, and it exits with
+# main's code
+_POOL_LOADED = """
+import sys
+from mmsenet import cli
+code = cli.main(sys.argv[1:])
+print(f"pool loaded: {'concurrent.futures.process' in sys.modules}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
 def run_fresh(script, argv):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -1177,6 +1189,24 @@ def test_scipy_commands_need_only_scipy_special(argv):
     proc = run_fresh(_SPECIAL_ONLY, argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize("argv,pool", [
+    (["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "50"], False),
+    (["reuse-opt", "--alpha", "4", "--n-branches", "4", "--rho-p", "0.01", "--rho-c", "0.001"],
+     False),
+    (["density", "--model", "independent", "--rho-p", "0.01", "--c", "50", "--n-branches", "2",
+      "--replications", "2"], False),
+    (["simulate", "--threads", "1"], False),
+    # two points of one block each: a pool of two
+    (["simulate", "--threads", "2"], True),
+], ids=["asymptote", "reuse-opt", "density", "simulate-threads-1", "simulate-threads-2"])
+def test_only_a_pool_imports_the_pool(tmp_path, argv, pool):
+    if argv[0] == "simulate":
+        argv = [*argv, "--config", str(write_config(tmp_path / "c.json"))]
+    proc = run_fresh(_POOL_LOADED, argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith(f"pool loaded: {pool}\n")
 
 
 def test_other_import_error_keeps_traceback(monkeypatch):

@@ -160,16 +160,20 @@ class TestRunExperiment:
             assert a.rate.std == b.rate.std
             assert a.empirical_density == b.empirical_density
 
-    @pytest.mark.parametrize("replications,pool_workers", [(BLOCK_SIZE, None), (3, None),
-                                                           (2 * BLOCK_SIZE + 1, 3)])
-    def test_no_more_workers_than_blocks(self, monkeypatch, replications, pool_workers):
-        # the pool forks every worker at its first submit, so its size is
-        # recorded by a stand-in that runs the blocks in this process
-        started = []
+    @staticmethod
+    def recording_pool(monkeypatch):
+        """Replaces the pool by a stand-in that runs its tasks in this process.
+
+        The pool forks every worker at its first submit, so its size and the
+        shares handed to map are recorded here: one (max_workers, shares)
+        pair per pool.
+        """
+        pools = []
 
         class Recorder:
             def __init__(self, max_workers):
-                started.append(max_workers)
+                self.shares = []
+                pools.append((max_workers, self.shares))
 
             def __enter__(self):
                 return self
@@ -177,16 +181,59 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def map(self, fn, shares):
+                self.shares.extend(shares)
+                return map(fn, self.shares)
 
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
+        return pools
+
+    @pytest.mark.parametrize("replications,pool_workers", [(BLOCK_SIZE, None), (3, None),
+                                                           (2 * BLOCK_SIZE + 1, 3)])
+    def test_no_more_workers_than_blocks(self, monkeypatch, replications, pool_workers):
         cfg = config(ModelSpec("hc1", h=0.5 * R_T))
         spec = ExperimentSpec(base=cfg, n_values=(2,), replications=replications,
                               master_seed=9)
         serial = run_experiment(spec, workers=1).points
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Recorder)
+        pools = self.recording_pool(monkeypatch)
         assert run_experiment(spec, workers=64).points == serial
-        assert started == ([] if pool_workers is None else [pool_workers])
+        assert [size for size, _ in pools] == ([] if pool_workers is None else [pool_workers])
+
+    @pytest.mark.parametrize("workers", [2, 4, 64])
+    def test_one_striped_share_per_worker(self, monkeypatch, workers):
+        # 2 points x 3 blocks: the blocks do not divide evenly at W=2 or 4
+        cfg = config(ModelSpec("hc1", h=0.5 * R_T))
+        reps = 2 * BLOCK_SIZE + 1
+        spec = ExperimentSpec(base=cfg, n_values=(2, 4), replications=reps, master_seed=9)
+        tasks = [(point, 9, [(pi, r) for r in range(r0, min(r0 + BLOCK_SIZE, reps))])
+                 for pi, point in enumerate(spec.point_configs())
+                 for r0 in range(0, reps, BLOCK_SIZE)]
+        serial = run_experiment(spec, workers=1).points
+        pools = self.recording_pool(monkeypatch)
+        assert run_experiment(spec, workers=workers).points == serial
+        ((size, shares),) = pools
+        width = min(workers, len(tasks))
+        assert size == len(shares) == width
+        assert shares == [tasks[w::width] for w in range(width)]
+        assert sorted(key for share in shares for _, _, keys in share for key in keys) == [
+            (pi, r) for pi in range(2) for r in range(reps)]
+
+    @pytest.mark.parametrize("model,c,n_values,redraws", [
+        # 2 points x 3 blocks of hc1
+        (ModelSpec("hc1", h=0.5 * R_T), 50.0, (2, 4), False),
+        # a sparse Boolean point at c * nu barely above 1, whose replications
+        # 13, 16 and 26 redraw (cli's test_summary_counts_redraws), 3 blocks
+        (ModelSpec("boolean", h=math.sqrt(0.14 / (math.pi * RHO_P)), rho_b=RHO_P), 10.0, (16,),
+         True),
+    ], ids=["hc1", "redrawing-boolean"])
+    def test_points_equal_at_any_worker_count(self, model, c, n_values, redraws):
+        spec = ExperimentSpec(base=config(model, c=c), n_values=n_values,
+                              replications=2 * BLOCK_SIZE + 10, master_seed=11)
+        serial = run_experiment(spec, workers=1).points
+        for workers in (2, 3, 64):
+            assert run_experiment(spec, workers=workers).points == serial, workers
+        assert not any(p.failed for p in serial)
+        assert (sum(p.redraw_total for p in serial) > 0) == redraws
 
     def test_variant_expansion_order(self):
         cfg = config(ModelSpec("hc1", h=0.5 * R_T))
