@@ -24,8 +24,8 @@ finder and the oracle's Gauss-Legendre quadrature are numpy and plain
 Python.  scipy.special is imported on first use, by those three functions,
 so importing this module, and every simulation path that uses only the
 closed-form rate predictions, needs numpy alone.
-All functions are pure; none hold state but that import and the cached
-Gauss-Legendre nodes.
+All functions are pure; none hold state but that import, the cached
+Gauss-Legendre nodes and, for the length of one search, the oracle's grids.
 """
 
 from __future__ import annotations
@@ -350,7 +350,8 @@ def _legendre() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate([x_n, x_2n]), w_n, w_2n
 
 
-def _activity_integral(gamma: float, params: AsymptoticParams, complement: bool = False) -> float:
+def _activity_integral(gamma: float, params: AsymptoticParams, complement: bool = False,
+                       grids: dict | None = None) -> float:
     """The activity integral gamma c Int tau dH(tau) / (1 + tau gamma), or
     with complement=True c nu minus it.
 
@@ -376,39 +377,52 @@ def _activity_integral(gamma: float, params: AsymptoticParams, complement: bool 
     _QUAD_RTOL of the whole integral is halved, for at most _QUAD_HALVINGS
     rounds.  A piece with a non-finite edge or value, or one still off
     after the last round, raises FloatingPointError naming it.  This path
-    never calls the hypergeometric code.
+    never calls the hypergeometric code.  grids, one dict per params, keeps
+    the edges from each start and each piece set's half widths and nodes,
+    so that a root search builds them once; no value depends on it.
     """
+    grids = {} if grids is None else grids
     p = params.alpha / 2.0
     u0 = params.c / (math.pi * params.rho_p)
     knee = gamma ** (2.0 / params.alpha)
     cut = min(1.0, u0, knee) if knee > 0.0 else min(1.0, u0)
-    edges = [0.0, *(cut * 10.0 ** -j for j in range(_DECADES_BELOW, 0, -1)), cut]
-    while edges[-1] < u0:
-        edges.append(min(edges[-1] * 10.0, u0))
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    if cut not in grids:
+        edges = [0.0, *(cut * 10.0 ** -j for j in range(_DECADES_BELOW, 0, -1)), cut]
+        while edges[-1] < u0:
+            edges.append(min(edges[-1] * 10.0, u0))
+        grids[cut] = np.array(edges[:-1]), np.array(edges[1:])
+    lo, hi = grids[cut]
     x, w_n, w_2n = _legendre()
     total = 0.0
     halvings = 0
     while True:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        key = lo.tobytes() + hi.tobytes()
+        if key not in grids:
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            with np.errstate(over="ignore", invalid="ignore"):
+                grids[key] = half, mid[:, None] + half[:, None] * x
+        half, u = grids[key]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            u = mid[:, None] + half[:, None] * x
             # a ratio that overflows, or divides by an underflowing u or k,
             # is inf and one that underflows is 0, so the integrand stays
             # in [0, 1]
-            f = 1.0 / (1.0 + ((knee / u) if complement else (u / knee)) ** p)
+            f = np.divide(knee, u) if complement else np.divide(u, knee)
+            f **= p
+            np.reciprocal(np.add(f, 1.0, out=f), out=f)
             coarse = half * (f[:, :_QUAD_NODES] @ w_n)
             fine = half * (f[:, _QUAD_NODES:] @ w_2n)
         err = np.abs(fine - coarse)
-        bad = ~(np.isfinite(lo) & np.isfinite(hi) & np.isfinite(fine) & np.isfinite(err))
-        if bad.any():
+        # a non-finite edge makes its piece's values non-finite too
+        if not (math.isfinite(hi[-1]) and np.isfinite(err).all()):
+            bad = ~(np.isfinite(lo) & np.isfinite(hi) & np.isfinite(fine) & np.isfinite(err))
             i = int(np.argmax(bad))
             raise FloatingPointError(f"quadrature did not converge on [{lo[i]:.3g}, {hi[i]:.3g}] "
                                      f"(value {fine[i]:.6g})")
-        off = err > _QUAD_RTOL * (total + fine.sum())
-        total += fine[~off].sum()
+        whole = total + fine.sum()
+        off = err > _QUAD_RTOL * whole
         if not off.any():
-            return math.pi * params.rho * float(total)
+            return math.pi * params.rho * float(whole)
+        total += fine[~off].sum()
         if halvings == _QUAD_HALVINGS:
             break
         halvings += 1
@@ -433,13 +447,14 @@ def fixed_point_oracle(params: AsymptoticParams) -> float:
     of the defect that moves with gamma: next to c nu = 1 it is
     c nu - 1 minus the complement, which never subtracts two numbers near
     one, and elsewhere the integral minus 1, whose error does not grow
-    with c nu.
+    with c nu.  All evaluations of the search share one dict of grids.
     """
+    grids = {}
     excess = params.c * params.nu - 1.0
     if excess < 1.0:
-        return _solve_root(lambda g: excess - _activity_integral(g, params, complement=True),
-                           params)
-    return _solve_root(lambda g: _activity_integral(g, params) - 1.0, params)
+        return _solve_root(lambda g: excess - _activity_integral(
+            g, params, complement=True, grids=grids), params)
+    return _solve_root(lambda g: _activity_integral(g, params, grids=grids) - 1.0, params)
 
 
 # ---------------------------------------------------------------------------

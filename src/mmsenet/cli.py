@@ -30,7 +30,6 @@ from dataclasses import replace
 from . import __version__, asymptotics, montecarlo
 from .asymptotics import AsymptoticParams, NoBracket
 from .pointproc import MODEL_NAMES, MODEL_PARAMS, ModelSpec, NetworkConfig, hex_spacing
-from .svgplot import RateSeries, render_rate_chart
 
 CSV_COLUMNS = (
     "model,N,c,alpha,rho_p,model_params,mean_rate,std_rate,sem,asymptote,"
@@ -503,6 +502,7 @@ def _parse_csv(path: str) -> list[dict]:
 
 
 def cmd_plot(args) -> int:
+    from .svgplot import RateSeries, render_rate_chart  # off every other command's import path
     series: dict[tuple, RateSeries] = {}
     skipped = 0
     for row in _parse_csv(args.report):

@@ -479,6 +479,55 @@ class TestFixedPoint:
         assert sol.rate(8, r_t) == pytest.approx(expect, rel=1e-14)
 
 
+class TestOracleGrids:
+    """fixed_point_oracle builds the quadrature grids once per root search;
+    the reuse must not show in any value, nor outlive the search."""
+
+    def test_reused_grids_change_no_value(self, monkeypatch):
+        # one search after another, as the asymptote grid runs them: each
+        # search's defects, evaluated on its own dict of grids, equal the
+        # integral taken afresh at the same gamma (the edge roots take the
+        # complement path)
+        cases = [
+            *(params(alpha, nu, c) for alpha, nu, c in sorted(FROZEN_ROOTS)),
+            *(params(alpha=alpha, c=c) for alpha, c, _, _ in FROZEN_EDGE_ROOTS),
+            *(params(alpha=alpha, c=c) for alpha, c, _ in [*LARGE_C_ROOTS, *UNDERFLOWING_SUPPORT]),
+        ]
+        inner = asymptotics._activity_integral
+        visits = []
+
+        def spy(gamma, p, complement=False, grids=None):
+            value = inner(gamma, p, complement=complement, grids=grids)
+            visits.append((gamma, p, complement, grids, value))
+            return value
+
+        monkeypatch.setattr(asymptotics, "_activity_integral", spy)
+        searches = []
+        for p in cases:
+            visits.clear()
+            fixed_point_oracle(p)
+            searches.append(list(visits))
+        monkeypatch.undo()
+        for search in searches:
+            for gamma, p, complement, _, value in search:
+                assert inner(gamma, p, complement=complement) == value, (p, gamma)
+        assert {complement for search in searches for _, _, complement, _, _ in search} == {
+            False, True}
+        # one dict per search, shared by all its evaluations (the spy keeps
+        # every dict alive, so no two share an id by reuse)
+        dicts = [{id(grids) for *_, grids, _ in search} for search in searches]
+        assert all(len(ids) == 1 for ids in dicts)
+        assert len(set.union(*dicts)) == len(cases)
+
+    def test_no_state_outlives_a_search(self):
+        a, b = params(4.0, 0.6, 50.0), params(2.5, 1.0, 500.0)
+        names = set(vars(asymptotics))
+        first = fixed_point_oracle(a)
+        assert fixed_point_oracle(b) == pytest.approx(FROZEN_ROOTS[2.5, 1.0, 500.0], rel=1e-9)
+        assert fixed_point_oracle(a) == first
+        assert set(vars(asymptotics)) == names
+
+
 ROOT_CASES = [
     *(pytest.param(params(alpha, nu, c), id=f"grid-{alpha}-{nu}-{c}")
       for alpha, nu, c in sorted(FROZEN_ROOTS)),

@@ -1108,6 +1108,26 @@ sys.exit(code)
 """
 
 
+# the same for the chart module, which only plot needs
+_SVGPLOT_LOADED = """
+import sys
+from mmsenet import cli
+code = cli.main(sys.argv[1:])
+print(f"svgplot loaded: {'mmsenet.svgplot' in sys.modules}", file=sys.stderr)
+sys.exit(code)
+"""
+
+# the commands that need neither a pool nor the chart module
+_LEAN_COMMANDS = [
+    pytest.param(["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "50"], id="asymptote"),
+    pytest.param(["reuse-opt", "--alpha", "4", "--n-branches", "4", "--rho-p", "0.01",
+                  "--rho-c", "0.001"], id="reuse-opt"),
+    pytest.param(["density", "--model", "independent", "--rho-p", "0.01", "--c", "50",
+                  "--n-branches", "2", "--replications", "2"], id="density"),
+    pytest.param(["simulate", "--threads", "1"], id="simulate-threads-1"),
+]
+
+
 def run_fresh(script, argv):
     root = pathlib.Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -1192,21 +1212,33 @@ def test_scipy_commands_need_only_scipy_special(argv):
 
 
 @pytest.mark.parametrize("argv,pool", [
-    (["asymptote", "--alpha", "4", "--rho-p", "0.01", "--c", "50"], False),
-    (["reuse-opt", "--alpha", "4", "--n-branches", "4", "--rho-p", "0.01", "--rho-c", "0.001"],
-     False),
-    (["density", "--model", "independent", "--rho-p", "0.01", "--c", "50", "--n-branches", "2",
-      "--replications", "2"], False),
-    (["simulate", "--threads", "1"], False),
+    *(pytest.param(*case.values, False, id=case.id) for case in _LEAN_COMMANDS),
     # two points of one block each: a pool of two
-    (["simulate", "--threads", "2"], True),
-], ids=["asymptote", "reuse-opt", "density", "simulate-threads-1", "simulate-threads-2"])
+    pytest.param(["simulate", "--threads", "2"], True, id="simulate-threads-2"),
+])
 def test_only_a_pool_imports_the_pool(tmp_path, argv, pool):
     if argv[0] == "simulate":
         argv = [*argv, "--config", str(write_config(tmp_path / "c.json"))]
     proc = run_fresh(_POOL_LOADED, argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.endswith(f"pool loaded: {pool}\n")
+
+
+@pytest.mark.parametrize("argv,svgplot", [
+    *(pytest.param(*case.values, False, id=case.id) for case in _LEAN_COMMANDS),
+    pytest.param(["plot"], True, id="plot"),
+])
+def test_only_plot_imports_svgplot(tmp_path, argv, svgplot):
+    config = write_config(tmp_path / "c.json")
+    if argv[0] == "simulate":
+        argv = [*argv, "--config", str(config)]
+    if argv[0] == "plot":
+        report = tmp_path / "r.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(report)]) == 0
+        argv = ["plot", "--report", str(report), "--out", str(tmp_path / "r.svg")]
+    proc = run_fresh(_SVGPLOT_LOADED, argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith(f"svgplot loaded: {svgplot}\n")
 
 
 def test_other_import_error_keeps_traceback(monkeypatch):
