@@ -200,15 +200,20 @@ def beta_large_c(rho: float, alpha: float) -> float:
     """Normalized-SIR limit when potential interferers vastly outnumber branches.
 
     beta = [alpha sin(2 pi / alpha) / (2 pi^2 rho)]^(alpha/2); the finite-c
-    correction term of the full fixed point vanishes as c grows.
+    correction term of the full fixed point vanishes as c grows.  Raises
+    OverflowError, naming rho and alpha, where beta exceeds the float range.
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     if not alpha > 2:
         raise ValueError(f"alpha must exceed 2, got {alpha}")
-    return (alpha * math.sin(2.0 * math.pi / alpha) / (2.0 * math.pi ** 2 * rho)) ** (
-        alpha / 2.0
-    )
+    try:
+        return (alpha * math.sin(2.0 * math.pi / alpha) / (2.0 * math.pi ** 2 * rho)) ** (
+            alpha / 2.0
+        )
+    except OverflowError:
+        raise OverflowError(f"the large-c value of beta overflows the float range at "
+                            f"rho = {rho:.3g}, alpha = {alpha:.9g}") from None
 
 
 def fixed_point_equation(beta: float, params: AsymptoticParams) -> float:
@@ -297,7 +302,8 @@ def _solve_root(func, params: AsymptoticParams) -> float:
     machine relative precision (rtol 4 eps; the negligible xtol keeps the
     stopping rule relative at every scale of beta), handing it the two end
     values already computed.  A search that does not converge raises
-    FloatingPointError: the defect is too noisy at these parameters.
+    FloatingPointError: the defect is too noisy at these parameters; so does
+    a large-c value below the normal float range.
     """
     # the activity integral is bounded by c * nu, so no positive root can
     # exist at or below one; the closed form would only produce spurious
@@ -308,10 +314,12 @@ def _solve_root(func, params: AsymptoticParams) -> float:
             "positive solution (fewer active interferers than branches)"
         )
     center = beta_large_c(params.rho, params.alpha)
-    if center == 0.0:
+    if center < sys.float_info.min:
+        # a subnormal center holds too few digits for the root's precision
+        value = "0" if center == 0.0 else f"the subnormal {center:.3g}"
         raise FloatingPointError(
-            f"the large-c value of beta underflows to 0 at rho = {params.rho:.3g}, "
-            f"alpha = {params.alpha:.9g}: no bracket can grow from it"
+            f"the large-c value of beta underflows to {value} at rho = {params.rho:.3g}, "
+            f"alpha = {params.alpha:.9g}: no bracket of normal floats can grow from it"
         )
     lo, hi = center / 10.0, center * 10.0
     for _ in range(_MAX_EXPAND):

@@ -42,9 +42,10 @@ _NETWORK_KEYS = {"rho_p", "alpha", "c", "r_T"}
 _TOP_KEYS = {"schema_version", "network", "model", "sweep", "replications", "master_seed"}
 
 # budget on the interferer fading matrix of one sweep point, N x round(c N)
-# complex entries (1.6 GB), on its Boolean cluster centers and on a block's
-# covariance stack, BLOCK_SIZE x N^2 complex entries; the test, demo and
-# benchmark regimes stay near 2e5
+# complex entries (1.6 GB), on its Boolean cluster centers, on a block's
+# covariance stack, BLOCK_SIZE x N^2 complex entries, and on a hard-core
+# member's expected close pairs; the test, demo and benchmark regimes stay
+# near 2e5
 MAX_FADING_ENTRIES = 10**8
 
 # bound on a cellular point's L = R / s, the disk radius in station spacings.
@@ -243,6 +244,16 @@ def _check_point(config: NetworkConfig, where: str) -> None:
     try:
         _check_size(config, f"network.c, {where}", f"model.rho_b, {where}",
                     f"model.rho_c, {where}")
+        h, n = config.model.h, config.n_nodes
+        if config.model.name in ("hc1", "hc2") and h <= 2.0 * config.radius:
+            # each node has about min(n, pi rho_p h^2) neighbours within h; a
+            # guard radius past the disk's diameter skips the pair search
+            pairs = n * min(n, math.pi * config.rho_p * h * h) / 2.0
+            if pairs > MAX_FADING_ENTRIES:
+                raise ConfigError(f"model.h, {where}: about n min(n, pi rho_p h^2) / 2 = "
+                                  f"{pairs:.3g} close pairs a member at N={config.n_branches}, "
+                                  f"c={config.c:.9g}, h={h:.9g} exceed the budget of "
+                                  f"{MAX_FADING_ENTRIES:.0e}")
         if montecarlo.BLOCK_SIZE * config.n_branches ** 2 > MAX_FADING_ENTRIES:
             raise ConfigError(f"{where}: the covariance stack, {montecarlo.BLOCK_SIZE} x N^2 at "
                               f"N={config.n_branches}, exceeds the budget of "

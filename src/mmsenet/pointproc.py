@@ -18,16 +18,21 @@ origin receiver.  Supported rules:
 * ``boolean`` -- a node transmits exactly when it falls strictly inside
   distance h of one of m uniformly placed cluster centers.
 
-Every "within h" above is the one strict test sqrt(dx*dx + dy*dy) < h
-(_within; np.hypot for h past 2^511), so a distance of exactly h never
-counts.  Each rule runs as one kernel over a stack of realizations
-(_hard_core, _cellular, _boolean).  Cellular activation decides each
-mobile's cell in float32 and sends only the mobiles within a stated margin
-of a cell edge to the exact float64 placement, which gives the same cells
-bit for bit; only the winners are then placed exactly.  A stacked pass
-(realize_passes) yields the activation and the active nodes' received
-powers w_i r_i^-alpha, which _received alone computes; realize rebuilds
-every node's fields from a pass's draws.
+Every "within h" above is the one strict test sqrt(dx*dx + dy*dy) < h on
+exact float64 positions (_within; np.hypot for h past 2^511), so a distance
+of exactly h never counts.  Each rule runs as one kernel over a stack of
+realizations (_hard_core, _boolean, _cellular), and all of them place
+exactly only what they read.  They decide on float32 points, in units of
+h or of the station spacing, and send only the decisions within a stated
+margin of their threshold to the exact float64 placement, which gives the
+same activation bit for bit: a pair within 2^-15 R/h + 2^-18 of h (_close),
+a mobile within 2^-14 R/s + 2^-24 of a cell edge (_cells).  From R/h of
+about 2^14 (R/s of about 2^13) on, the margin would take nearly every
+decision, and float64 points decide them all.  Only the active nodes are
+then placed exactly.  A stacked pass (realize_passes) yields the
+activation and the active nodes' received powers w_i r_i^-alpha, which
+_received alone computes; realize rebuilds every node's fields from a
+pass's draws.
 
 Geometry conventions: the receiver sits at the origin, the representative
 transmitter at (r_T, 0), and R is derived from (N, c, rho_p) so that
@@ -292,6 +297,28 @@ def _to_disk(radius: float, u_r: np.ndarray, u_theta: np.ndarray) -> np.ndarray:
     return points
 
 
+def _to_disk32(scale: float, u_r: np.ndarray, u_theta: np.ndarray) -> tuple:
+    """_to_disk(scale, u_r, u_theta)'s x and y in float32, each of u_r's shape.
+
+    The casts of the draws, sqrt, cos, sin and the products all round to
+    float32; the margins of _cells and _close bound how far that strays.
+    """
+    rho = np.sqrt(u_r, dtype=np.float32)
+    rho *= np.float32(scale)
+    theta = np.multiply(u_theta, np.float32(2.0 * math.pi), dtype=np.float32)
+    y = np.sin(theta)
+    y *= rho
+    x = np.cos(theta, out=theta)
+    x *= rho
+    return x, y
+
+
+def _place(radius: float, u_r: np.ndarray, u_theta: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """_to_disk(radius, u_r, u_theta)'s points at the flat indices flat, (k, 2), bit for bit."""
+    member, node = np.divmod(flat, u_r.shape[1])
+    return _to_disk(radius, u_r[member, node], u_theta[member, node])
+
+
 def _within(dx: np.ndarray, dy: np.ndarray, h: float) -> np.ndarray:
     # equal bit for bit to np.linalg.norm(np.column_stack((dx, dy)), axis=1) < h;
     # a square that overflows is a distance past 2^511, beyond any smaller h,
@@ -302,17 +329,78 @@ def _within(dx: np.ndarray, dy: np.ndarray, h: float) -> np.ndarray:
         return np.sqrt(dx * dx + dy * dy) < h
 
 
+# The float32 pair decision of hard-core and Boolean activation.  Nodes and
+# cluster centres are placed by _to_disk32 at L = radius / h, in units of h.
+# With u = 2^-24, each float32 point lies within 13.3 u L of the exact one:
+#   rho = L sqrt(u_r): the cast of u_r, sqrt, the product      2.5 u L radially
+#   theta = 2 pi u_theta: the cast of u_theta, the product      7.2 u, so
+#     7.2 u L tangentially (the cast of 2 pi is a rotation by 0.47 u theta)
+#   cos, sin: 1.5 u each for numpy's float32 loops; the products u each:
+#     3.6 u L together
+# so a pair's float32 distance d, the root of its float32 squared distance
+# s, differs from the exact distance over h by less than 30 u L + 6 u:
+#   both points, and their rotations 2 pi apart at most        29.5 u L
+#   the casts of L and 2 pi (common to all points), the rounding of dx and
+#   dy, of the squares and of their sum, at d <= 1.5           5.1 u
+#   for the guard, x_t / h rounded to float32: u |x_t| / h <= u (L + 2),
+#     as _hard_core skips the guard where no node lies within 2 h of x_t;
+#     with one point's 13.3 u L that stays under the bound
+# while the float64 pipeline and _within's rounding stay within some
+# 2^-50 (L + 1) of the exact distance, as long as h > 2^-500: squares of
+# distances near h then stay in float64's normal range.  So _within holds
+# where d < 1 - eps and fails where d > 1 + eps, for eps = 2^-15 L + 2^-18
+# = 512 u L + 64 u, ten times the bound.  A pair in between is placed
+# exactly and tested by _within.  The tests compare s with (1 -+ eps)^2
+# rounded to float32, which moves d by u / 4 (counted above).  By the same
+# bound a pair that _within holds for lies less than 1 + eps apart on each
+# float32 axis, so 1 + eps is the reach of the float32 search.  From L of
+# about 2^14 on, eps >= 1/2 and the margin holds nearly every candidate,
+# and below h = 2^-500 _within's squares lose precision: in both cases the
+# search runs on the float64 points themselves.
+_PAIR_MARGIN = 2.0 ** -15
+_PAIR_FLOOR = 2.0 ** -18
+_PAIR_LOW = 2.0 ** -500
+
+
+def _close(a: tuple, i: np.ndarray, b: tuple, j: np.ndarray, h: float, eps) -> np.ndarray:
+    """Whether _within(dx, dy, h) holds for the exact positions of the pairs
+    (point i of stack a, point j of stack b).
+
+    A stack is (x, y, place) with x and y flat.  With eps None they are the
+    exact positions.  Otherwise they are float32 positions in units of h, and
+    place(k) gives the exact x and y of the points k; a pair within the
+    margin eps of h (see above) is placed and decided by _within, every
+    other is decided in float32.
+    """
+    (ax, ay, place_a), (bx, by, place_b) = a, b
+    dx, dy = ax[i] - bx[j], ay[i] - by[j]
+    if eps is None:
+        return _within(dx, dy, h)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    close = dx < (1.0 - eps) ** 2
+    unsure = np.flatnonzero(dx <= (1.0 + eps) ** 2)
+    unsure = unsure[~close[unsure]]
+    if unsure.size:
+        (px, py), (qx, qy) = place_a(i[unsure]), place_b(j[unsure])
+        close[unsure] = _within(px - qx, py - qy, h)
+    return close
+
+
 # Banded cell-list neighbour search (the cell lists of molecular dynamics).
 # _within(dx, dy, h) implies |dx| < reach and |dy| < reach for
 # reach = max(h, 2^-511): in binary64 sqrt(d * d) == |d| unless d * d
-# underflows, which happens only for |d| < 2^-511.
+# underflows, which happens only for |d| < 2^-511.  On float32 points in
+# units of h the reach is 1 + eps (see _close).
 _REACH_FLOOR = 2.0 ** -511
 # Bands are a relative 2^-20 taller than the reach and columns a quarter of
 # a band wide.  The margin outweighs the rounding of the cell coordinates
-# (under 2^-31 cells while an axis has at most _MAX_CELLS cells), so a pair
-# closer than the reach lies in the same or adjacent bands and at most
-# _SPLIT columns apart.  Taller cells are always correct, so an axis that
-# would need more cells gets wider ones instead.
+# (under 2^-31 cells while an axis has at most _MAX_CELLS cells; they are
+# computed in float64 from float32 points too), so a pair closer than the
+# reach lies in the same or adjacent bands and at most _SPLIT columns
+# apart.  Taller cells are always correct, so an axis that would need more
+# cells gets wider ones instead.
 _CELL_MARGIN = 2.0 ** -20
 _MAX_CELLS = 2 ** 20
 _SPLIT = 4
@@ -324,26 +412,32 @@ _PAIR_BUDGET = 2 ** 16
 _KEY_END = np.iinfo(np.int64).max
 
 
-def _cell_keys(stacks: tuple, h: float) -> tuple[list, int]:
-    """Integer cell keys of point stacks on one banded grid for the search at h.
+def _reach(h: float, eps) -> float:
+    """The reach of a search at h: on exact points (eps None) or float32 ones in units of h."""
+    return max(h, _REACH_FLOOR) if eps is None else 1.0 + eps
 
-    Each stack is (B, n, 2) with the member on the leading axis.  A point's
-    key is (member * rows + band) * cols + column, exact in int64: the next
-    band's key is one row, cols, higher; every member ends in an empty band
-    and every band is padded by _SPLIT empty columns on both sides, so the
-    keys within _SPLIT of a point's key, or of that key +-cols (bands b-1
-    and b+1), belong to its own member.  Returns the flattened keys of each
-    stack and cols.
+
+def _cell_keys(stacks: tuple, reach: float) -> tuple[list, int]:
+    """Integer cell keys of point stacks on one banded grid for a search at reach.
+
+    Each stack is (x, y, ...) with (B, n) planes x and y, the member on the
+    leading axis.  A point's key is (member * rows + band) * cols + column,
+    exact in int64: the next band's key is one row, cols, higher; every
+    member ends in an empty band and every band is padded by _SPLIT empty
+    columns on both sides, so the keys within _SPLIT of a point's key, or of
+    that key +-cols (bands b-1 and b+1), belong to its own member.  Returns
+    the flattened keys of each stack and cols.
     """
-    reach = max(h, _REACH_FLOOR)
-    x_lo = min(float(s[..., 0].min()) for s in stacks)
-    y_lo = min(float(s[..., 1].min()) for s in stacks)
-    x_span = max(float(s[..., 0].max()) for s in stacks) - x_lo
-    y_span = max(float(s[..., 1].max()) for s in stacks) - y_lo
+    x_lo = min(float(s[0].min()) for s in stacks)
+    y_lo = min(float(s[1].min()) for s in stacks)
+    x_span = max(float(s[0].max()) for s in stacks) - x_lo
+    y_span = max(float(s[1].max()) for s in stacks) - y_lo
     height = max(reach * (1.0 + _CELL_MARGIN), y_span / _MAX_CELLS)
     width = max(height / _SPLIT, x_span / _MAX_CELLS)
-    bands = [np.floor((s[..., 1] - y_lo) / height).astype(np.int64) for s in stacks]
-    columns = [np.floor((s[..., 0] - x_lo) / width).astype(np.int64) for s in stacks]
+    bands = [np.floor(np.subtract(s[1], y_lo, dtype=float) / height).astype(np.int64)
+             for s in stacks]
+    columns = [np.floor(np.subtract(s[0], x_lo, dtype=float) / width).astype(np.int64)
+               for s in stacks]
     rows = max(int(band.max()) for band in bands) + 2
     cols = max(int(column.max()) for column in columns) + 1 + 2 * _SPLIT
     keys = []
@@ -392,26 +486,31 @@ def _offset_pairs(key: np.ndarray, runs):
         yield np.concatenate(queries), np.concatenate(ranks)
 
 
-def _close_pairs(positions: np.ndarray, h: float):
+def _flat(stack: tuple) -> tuple:
+    """A stack (x, y, place) with its (B, n) planes flattened, for _close."""
+    return stack[0].ravel(), stack[1].ravel(), stack[2]
+
+
+def _close_pairs(stack: tuple, h: float, eps=None):
     """Pairs of a stack's members closer than h, as chunks (i, j) with i < j.
 
-    positions is (B, n, 2); i and j index the flattened stack, and each pair
-    comes once.  One banded cell-list search covers the whole stack: the
-    points are sorted once by cell key (_cell_keys), and each point's
-    candidates are read off the sorted order by rank offset (_offset_pairs):
-    the later points of its own band up to _SPLIT columns right, and the
-    points of the next band up to _SPLIT columns either side, whose run
-    starts at one searchsorted.  The exact strict test _within decides each
-    chunk of candidates, so the cell sizes only cost time, and the order of
-    equal keys changes nothing.
+    stack is (x, y, place) with (B, n) planes; i and j index the flattened
+    stack, and each pair comes once.  One banded cell-list search covers
+    the whole stack: the points are sorted once by cell key (_cell_keys),
+    and each point's candidates are read off the sorted order by rank offset
+    (_offset_pairs): the later points of its own band up to _SPLIT columns
+    right, and the points of the next band up to _SPLIT columns either side,
+    whose run starts at one searchsorted.  _close decides each chunk of
+    candidates (exactly, or in float32 with eps), so the cell sizes only
+    cost time, and the order of equal keys changes nothing.
     """
-    size = positions.shape[0] * positions.shape[1]
+    size = stack[0].size
     if not h > 0 or size == 0:
         return
-    x, y = positions[..., 0].ravel(), positions[..., 1].ravel()
-    (key,), cols = _cell_keys((positions,), h)
+    (key,), cols = _cell_keys((stack,), _reach(h, eps))
     order = np.argsort(key)
     key = key[order]
+    points = _flat(stack)
 
     def runs():
         yield np.arange(1, size + 1), key + _SPLIT
@@ -419,47 +518,33 @@ def _close_pairs(positions: np.ndarray, h: float):
 
     for query, other in _offset_pairs(key, runs()):
         i, j = order[query], order[other]
-        close = _within(x[i] - x[j], y[i] - y[j], h)
+        close = _close(points, i, points, j, h, eps)
         i, j = i[close], j[close]
         yield np.minimum(i, j), np.maximum(i, j)
 
 
-def _beyond_every_pair(positions: np.ndarray, h: float) -> bool:
-    """Whether _within(dx, dy, h) holds for every pair of every member of a
-    (B, n, 2) stack: h past twice its largest node radius r.
-
-    A pair is at most 2 r apart, and its rounded distance at most
-    max(2 r, _REACH_FLOOR) (1 + 2^-24): a few ulps, and the absolute error
-    of squares that underflow.  The relative margin _CELL_MARGIN = 2^-20
-    covers that and the rounding of r.  The radii are taken only when h
-    passes twice the first member's largest coordinate, which r is not
-    below.
-    """
-    if positions.size == 0 or not h > 2.0 * np.abs(positions[0]).max():
-        return False
-    largest = float(np.hypot(positions[..., 0], positions[..., 1]).max())
-    return h > max(2.0 * largest, _REACH_FLOOR) * (1.0 + _CELL_MARGIN)
-
-
-def _hard_core(
-    positions: np.ndarray, marks: np.ndarray | None, x_t: np.ndarray, h: float
-) -> np.ndarray:
+def _hard_core(nodes: tuple, marks: np.ndarray | None, x_t: np.ndarray, h: float, eps,
+               largest: float) -> np.ndarray:
     """hc1 (marks None) or hc2 activation of a stack of members.
 
-    positions is (B, n, 2) and marks (B, n); returns the (B, n) activation.
-    hc1 mutes every node with a neighbour within h; hc2 keeps a node unless
-    a neighbour within h carries a strictly lower mark, and an exact mark
-    tie (probability zero) goes to the lower node index.  Either way a node
-    within h of the representative x_t is muted regardless of its mark.
-    Comparisons are strict: a distance of exactly h deactivates nothing.
-    The close pairs of every member come from one banded search over the
-    stack (_close_pairs), unless h is beyond every pair (_beyond_every_pair):
-    then hc1 mutes every member of two or more nodes whole, and hc2 keeps
-    each member's first lowest mark.  The guard around x_t runs once over
-    the stack.
+    nodes is a (x, y, place) stack of (B, n) planes (see _close) whose exact
+    positions lie within radius largest of the origin, and marks is (B, n);
+    returns the (B, n) activation.  hc1 mutes every node with a neighbour
+    within h; hc2 keeps a node unless a neighbour within h carries a
+    strictly lower mark, and an exact mark tie (probability zero) goes to
+    the lower node index.  Either way a node within h of the representative
+    x_t is muted regardless of its mark.  Comparisons are strict: a distance
+    of exactly h deactivates nothing.  The close pairs of every member come
+    from one banded search over the stack (_close_pairs), unless h is beyond
+    every pair: past twice largest, by the relative margin _CELL_MARGIN
+    (which covers the rounding of the pair distances, and the absolute
+    error of squares that underflow through the floor).  Then hc1 mutes
+    every member of two or more nodes whole, and hc2 keeps each member's
+    first lowest mark.  The guard around x_t runs once over the stack, where
+    x_t lies within 2 h of largest.
     """
-    b, n = positions.shape[:2]
-    if _beyond_every_pair(positions, h):
+    b, n = nodes[0].shape
+    if n and h > max(2.0 * largest, _REACH_FLOOR) * (1.0 + _CELL_MARGIN):
         if marks is None:
             active = np.full(b * n, n < 2)
         else:
@@ -468,47 +553,49 @@ def _hard_core(
     else:
         active = np.ones(b * n, dtype=bool)
         flat_marks = None if marks is None else marks.ravel()
-        for i, j in _close_pairs(positions, h):
+        for i, j in _close_pairs(nodes, h, eps):
             if flat_marks is None:
                 active[i] = False
                 active[j] = False
             else:
                 # the lower mark survives; equal marks dominate the larger index
                 active[np.where(flat_marks[i] <= flat_marks[j], j, i)] = False
-    x, y = positions[..., 0].ravel(), positions[..., 1].ravel()
-    active[_within(x - x_t[0], y - x_t[1], h)] = False
+    if math.hypot(*x_t) <= (largest + 2.0 * h) * (1.0 + _CELL_MARGIN):
+        t = x_t if eps is None else (x_t / h).astype(np.float32)
+        guard = _close(_flat(nodes), np.arange(b * n), (t[:1], t[1:], lambda k: x_t),
+                       np.zeros(b * n, dtype=np.intp), h, eps)
+        active[guard] = False
     return active.reshape(b, n)
 
 
-def _boolean(positions: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
-    """Boolean activation of a stack: positions (B, n, 2), centers (B, m, 2).
+def _boolean(nodes: tuple, centers: tuple, h: float, eps=None) -> np.ndarray:
+    """Boolean activation of a stack: nodes (B, n) and centers (B, m) stacks (see _close).
 
     A node transmits iff some cluster center of its member lies strictly
-    within h of it (_within); a center at distance exactly h does not cover
+    within h of it (_close); a center at distance exactly h does not cover
     it.  The banded cell-list search of _close_pairs with the nodes and the
     centers each sorted by cell key: a node's candidates are the centers of
     bands b-1, b and b+1 up to _SPLIT columns either side, one run per band
     that starts at one searchsorted and steps by rank offset.  The nodes are
     sorted only so that those searches run in key order.
     """
-    b, n = positions.shape[:2]
+    b, n = nodes[0].shape
     active = np.zeros(b * n, dtype=bool)
-    if not h > 0 or centers.shape[1] == 0 or n == 0:
+    if not h > 0 or centers[0].shape[1] == 0 or n == 0:
         return active.reshape(b, n)
-    (node_key, center_key), cols = _cell_keys((positions, centers), h)
-    nodes = np.argsort(node_key)
+    (node_key, center_key), cols = _cell_keys((nodes, centers), _reach(h, eps))
+    by_node = np.argsort(node_key)
     by_center = np.argsort(center_key)
-    node_key, center_key = node_key[nodes], center_key[by_center]
+    node_key, center_key = node_key[by_node], center_key[by_center]
     runs = (
         (np.searchsorted(center_key, node_key + (band * cols - _SPLIT)),
          node_key + (band * cols + _SPLIT))
         for band in (-1, 0, 1)
     )
-    x, y = positions[..., 0].ravel(), positions[..., 1].ravel()
-    cx, cy = centers[..., 0].ravel(), centers[..., 1].ravel()
+    points, cluster_points = _flat(nodes), _flat(centers)
     for query, other in _offset_pairs(center_key, runs):
-        i, j = nodes[query], by_center[other]
-        active[i[_within(x[i] - cx[j], y[i] - cy[j], h)]] = True
+        i, j = by_node[query], by_center[other]
+        active[i[_close(points, i, cluster_points, j, h, eps)]] = True
     return active.reshape(b, n)
 
 
@@ -641,24 +728,17 @@ def _cells(radius: float, spacing: float, u_r: np.ndarray, u_theta: np.ndarray) 
     """
     scale = radius / spacing
     eps = _F32_MARGIN * scale + _F32_FLOOR
-    rho = np.sqrt(u_r, dtype=np.float32)
-    rho *= np.float32(scale)
-    theta = np.multiply(u_theta, np.float32(2.0 * math.pi), dtype=np.float32)
-    f2 = np.sin(theta)
-    f2 *= rho
+    f1, f2 = _to_disk32(scale, u_r, u_theta)
     f2 *= np.float32(2.0 / math.sqrt(3.0))
-    f1 = np.cos(theta, out=theta)
-    f1 *= rho
     f1 -= 0.5 * f2
     p, q, (e1, e2, e3) = _hex_round(f1, f2)
     # the thresholds round to float32, by at most 2^-26 (the floor's share)
-    gap = np.maximum(e1, e2, out=rho)
+    gap = np.maximum(e1, e2)
     unsafe = np.maximum(gap, e3, out=gap) >= 0.5 - eps
     for a, b in ((e1, e2), (e1, e3), (e2, e3)):
         unsafe |= np.abs(np.subtract(a, b, out=gap), out=gap) <= 2.0 * eps
     unsafe = np.flatnonzero(unsafe)
-    member, node = np.divmod(unsafe, u_r.shape[1])
-    exact = _nearest_site(_to_disk(radius, u_r[member, node], u_theta[member, node]), spacing)
+    exact = _nearest_site(_place(radius, u_r, u_theta, unsafe), spacing)
     p.reshape(-1)[unsafe], q.reshape(-1)[unsafe] = exact[:2]
     return p, q
 
@@ -727,8 +807,7 @@ def _cellular(radius: float, spacing: float, kappa: int, u_r: np.ndarray, u_thet
     winners are placed, bit for bit as a pass over every mobile would.
     """
     active = _schedule(*_cells(radius, spacing, u_r, u_theta), marks, kappa)
-    member, node = np.divmod(np.flatnonzero(active), u_r.shape[1])
-    return active, _to_disk(radius, u_r[member, node], u_theta[member, node])
+    return active, _place(radius, u_r, u_theta, np.flatnonzero(active))
 
 
 # ---------------------------------------------------------------------------
@@ -750,29 +829,46 @@ def _draws(config: NetworkConfig, rngs) -> np.ndarray:
     return u
 
 
+def _stack(radius: float, h: float, eps, u_r: np.ndarray, u_theta: np.ndarray) -> tuple:
+    """The (x, y, place) stack (see _close) of (B, k) draws for a search at h:
+    _to_disk's points when eps is None, else _to_disk32's in units of h."""
+    if eps is None:
+        points = _to_disk(radius, u_r, u_theta)
+        return points[..., 0], points[..., 1], None
+    return *_to_disk32(radius / h, u_r, u_theta), lambda k: _place(radius, u_r, u_theta, k).T
+
+
 def _activate(config: NetworkConfig, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (B, n) activation of a stack's draws u, and the active nodes' exact
     positions (K, 2), member after member.
 
-    Activation runs once over the stack.  Hard-core and Boolean activation
-    place every node and search the whole pass with one banded cell list
-    (_close_pairs, _boolean); cellular activation places only its winners.
+    Activation runs once over the stack, and only the active nodes are
+    placed exactly.  Hard-core and Boolean activation search the whole pass
+    with one banded cell list (_close_pairs, _boolean) on float32 points,
+    placing exactly only the pairs within the margin of h (_close), or on
+    exact points where that margin would cover every pair; cellular
+    activation decides cells the same way (_cells).
     """
-    spec, n, m = config.model, config.n_nodes, config.n_clusters
+    spec, n, m, radius = config.model, config.n_nodes, config.n_clusters, config.radius
     u_r, u_theta = u[:, :n], u[:, n:2 * n]
     if spec.name == "cellular":
-        return _cellular(config.radius, hex_spacing(spec.rho_c), spec.kappa,
-                         u_r, u_theta, u[:, 2 * n:])
-    positions = _to_disk(config.radius, u_r, u_theta)
+        return _cellular(radius, hex_spacing(spec.rho_c), spec.kappa, u_r, u_theta, u[:, 2 * n:])
     if spec.name == "independent":
         active = np.ones((len(u), n), dtype=bool)
-    elif spec.name == "boolean":
-        centers = _to_disk(config.radius, u[:, 2 * n:2 * n + m], u[:, 2 * n + m:])
-        active = _boolean(positions, centers, spec.h)
-    else:  # hc1, or hc2 with its marks
-        marks = u[:, 2 * n:] if spec.name == "hc2" else None
-        active = _hard_core(positions, marks, config.x_t, spec.h)
-    return active, positions[active]
+    else:
+        h = spec.h
+        # float32 points, unless the margin would cover every pair or h is too small
+        eps = _PAIR_MARGIN * radius / h + _PAIR_FLOOR if h > _PAIR_LOW else math.inf
+        eps = eps if eps < 0.5 else None
+        nodes = _stack(radius, h, eps, u_r, u_theta)
+        if spec.name == "boolean":
+            centers = _stack(radius, h, eps, u[:, 2 * n:2 * n + m], u[:, 2 * n + m:])
+            active = _boolean(nodes, centers, h, eps)
+        else:  # hc1, or hc2 with its marks
+            marks = u[:, 2 * n:] if spec.name == "hc2" else None
+            largest = radius * math.sqrt(u_r.max()) if n else 0.0
+            active = _hard_core(nodes, marks, config.x_t, h, eps, largest)
+    return active, _place(radius, u_r, u_theta, np.flatnonzero(active))
 
 
 def _received(config: NetworkConfig, positions: np.ndarray) -> np.ndarray:

@@ -412,6 +412,21 @@ class TestFixedPoint:
             with pytest.raises(FloatingPointError, match="underflows to 0"):
                 solve(p)
 
+    @pytest.mark.parametrize("nu", [0.6, 0.8])
+    def test_solvers_refuse_a_subnormal_large_c_value(self, nu):
+        # at alpha 100, rho_p 1e6 beta_large_c is a subnormal of few digits;
+        # the fixed point and the oracle refuse it alike, naming it
+        p = params(alpha=100.0, nu=nu, rho_p=1e6)
+        assert 0.0 < beta_large_c(p.rho, p.alpha) < sys.float_info.min
+        for solve in (solve_beta_fixed_point, fixed_point_oracle):
+            with pytest.raises(FloatingPointError, match="underflows to the subnormal"):
+                solve(p)
+
+    def test_large_c_value_overflow_names_it(self):
+        with pytest.raises(OverflowError, match="large-c value of beta overflows the float "
+                                                "range at rho = 1e-06, alpha = 300$"):
+            beta_large_c(1e-6, 300.0)
+
     @pytest.mark.parametrize(
         "p,gamma,piece",
         [

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: config validation, CSV schema,
 plotting round trip, exit codes."""
 
+import importlib.util
 import json
 import math
 import os
@@ -255,6 +256,12 @@ class TestConfig:
                           "sweep": {"N": [4]}},
                          "model.rho_c, sweep.N[0]: the station spacing at N=4, c=800, "
                          "rho_c=4.94065646e-324 is inf", id="spacing"),
+            # 50000 nodes with some 5000 neighbours each: 1.3e8 pairs a member
+            pytest.param({"network": {"rho_p": RHO_P, "alpha": 4, "c": 25000, "r_T": R_T},
+                          "model": {"name": "hc2", "h": 400}, "sweep": {"N": [2]}},
+                         "model.h, sweep.N[0]: about n min(n, pi rho_p h^2) / 2 = 1.26e+08 "
+                         "close pairs a member at N=2, c=25000, h=400 exceed the budget of "
+                         "1e+08", id="pairs"),
             # no node at all (round(c N) = 0), and a stack of 25 x 10^36 covariance entries
             pytest.param({"network": {"rho_p": 1, "alpha": 4, "c": 1e-300, "r_T": 1},
                           "model": {"name": "independent"}, "sweep": {"N": [10**18]},
@@ -276,6 +283,31 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err and captured.err.count("\n") == 1
+
+    def test_acceptance_and_benchmark_points_pass_the_budgets(self, tmp_path, monkeypatch):
+        # the benchmark sweeps load as the benchmark writes them, and every
+        # hard-core regime of the acceptance suite (guard radii r_T / 2, r_T
+        # and the density check's, at up to 128 branches) passes the point
+        # checks, the expected-pairs budget among them
+        from mmsenet.cli import _check_point
+        from mmsenet.pointproc import ModelSpec, NetworkConfig
+
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+        spec = importlib.util.spec_from_file_location("bench_run", path)
+        bench = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, bench)
+        spec.loader.exec_module(bench)
+        for name, sweep in bench.SWEEPS.items():
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(sweep.config(1, sweep.replications)))
+            load_config(str(p))
+        h_density = math.sqrt(0.25 / (math.pi * RHO_P))
+        for name in ("hc1", "hc2"):
+            for h in (0.5 * R_T, R_T, h_density):
+                for n_branches in (2, 4, 6, 8, 12, 16, 32, 40, 64, 125, 128):
+                    for c in (45.0, 50.0):
+                        _check_point(NetworkConfig(RHO_P, 4.0, n_branches, c, R_T,
+                                                   ModelSpec(name, h=h)), "sweep.N[0]")
 
     def test_load_config_is_silent_below_the_regime(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.json", model=REGIME_MODEL, network=REGIME_NETWORK)
@@ -950,6 +982,16 @@ class TestArgumentErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cannot evaluate at" in captured.err and given in captured.err
+
+    def test_asymptote_large_c_overflow_names_beta(self, capsys):
+        # beta_large_c's float power overflows at alpha 300, rho_p 1e-6
+        assert main(["asymptote", "--alpha", "300", "--rho-p", "1e-6", "--c", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "asymptote: cannot evaluate at --alpha 300.0 --rho-p 1e-06 --nu 1.0 --c 50.0: "
+            "the large-c value of beta overflows the float range at rho = 1e-06, alpha = 300\n"
+        )
 
     @pytest.mark.parametrize(
         "argv,given",

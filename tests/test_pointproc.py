@@ -81,6 +81,22 @@ def hc2_brute(positions, marks, x_t, h):
     return active
 
 
+def exact(positions):
+    """The stack (see pointproc._close) of exact (B, n, 2) positions."""
+    return positions[..., 0], positions[..., 1], None
+
+
+def hard_core(positions, marks, x_t, h):
+    """_hard_core on exact (B, n, 2) positions, with their largest radius."""
+    largest = float(np.hypot(positions[..., 0], positions[..., 1]).max()) if positions.size else 0.0
+    return _hard_core(exact(positions), marks, x_t, h, None, largest)
+
+
+def boolean(positions, centers, h):
+    """_boolean on exact (B, n, 2) positions and (B, m, 2) centers."""
+    return _boolean(exact(positions), exact(centers), h)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -150,39 +166,39 @@ class TestHardCore:
     def test_pair_within_h_both_muted(self):
         pos = np.array([[0.0, 0.0], [0.5, 0.0]])
         x_t = np.array([100.0, 100.0])
-        assert not _hard_core(pos[None], None, x_t, 1.0).any()
+        assert not hard_core(pos[None], None, x_t, 1.0).any()
 
     def test_h_zero_all_active(self):
         rng = np.random.default_rng(3)
         pos = rng.random((50, 2)) * 10
         x_t = np.array([1.0, 1.0])
-        assert _hard_core(pos[None], None, x_t, 0.0).all()
-        assert _hard_core(pos[None], rng.random((1, 50)), x_t, 0.0).all()
+        assert hard_core(pos[None], None, x_t, 0.0).all()
+        assert hard_core(pos[None], rng.random((1, 50)), x_t, 0.0).all()
 
     def test_exactly_h_does_not_deactivate(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
         x_t = np.array([0.0, 1.0])  # node 0 at distance exactly h from x_t
-        assert _hard_core(pos[None], None, x_t, 1.0).all()
+        assert hard_core(pos[None], None, x_t, 1.0).all()
 
     def test_hc2_pair_lower_mark_wins(self):
         pos = np.array([[0.0, 0.0], [0.5, 0.0]])
         marks = np.array([0.7, 0.2])
         x_t = np.array([100.0, 100.0])
-        active = _hard_core(pos[None], marks[None], x_t, 1.0)[0]
+        active = hard_core(pos[None], marks[None], x_t, 1.0)[0]
         assert list(active) == [False, True]
 
     def test_hc2_tie_breaks_to_lower_index(self):
         pos = np.array([[0.0, 0.0], [0.5, 0.0]])
         marks = np.array([0.4, 0.4])
         x_t = np.array([100.0, 100.0])
-        active = _hard_core(pos[None], marks[None], x_t, 1.0)[0]
+        active = hard_core(pos[None], marks[None], x_t, 1.0)[0]
         assert list(active) == [True, False]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_hc1_matches_brute_force(self, seed):
         cfg = config(ModelSpec("hc1", h=0.5 * R_T), n_branches=4)
         pos = realize(cfg, seed).positions
-        got = _hard_core(pos[None], None, cfg.x_t, cfg.model.h)[0]
+        got = hard_core(pos[None], None, cfg.x_t, cfg.model.h)[0]
         want = hc1_brute(pos, cfg.x_t, cfg.model.h)
         assert np.array_equal(got, want)
 
@@ -192,7 +208,7 @@ class TestHardCore:
         rng = np.random.default_rng(seed + 100)
         pos = realize(cfg, seed).positions
         marks = rng.random(len(pos))
-        got = _hard_core(pos[None], marks[None], cfg.x_t, cfg.model.h)[0]
+        got = hard_core(pos[None], marks[None], cfg.x_t, cfg.model.h)[0]
         want = hc2_brute(pos, marks, cfg.x_t, cfg.model.h)
         assert np.array_equal(got, want)
 
@@ -220,8 +236,8 @@ class TestHardCore:
         for h, searched in ((math.nextafter(threshold, math.inf), False),
                             (math.nextafter(threshold, 0.0), True)):
             searches.clear()
-            got1 = _hard_core(positions, None, x_t, h)
-            got2 = _hard_core(positions, marks, x_t, h)
+            got1 = hard_core(positions, None, x_t, h)
+            got2 = hard_core(positions, marks, x_t, h)
             assert len(searches) == 2 * searched
             for k, pos in enumerate(positions):
                 assert np.array_equal(got1[k], hc1_brute(pos, x_t, h)), (h, k)
@@ -275,18 +291,18 @@ class TestBoolean:
     def test_h_zero_none_active(self):
         pos = np.random.default_rng(0).random((20, 2))
         centers = pos.copy()
-        assert not _boolean(pos[None], centers[None], 0.0).any()
+        assert not boolean(pos[None], centers[None], 0.0).any()
 
     def test_center_on_node_activates(self):
         pos = np.array([[1.0, 2.0], [5.0, 5.0]])
         centers = np.array([[1.0, 2.0]])
-        assert list(_boolean(pos[None], centers[None], 0.5)[0]) == [True, False]
+        assert list(boolean(pos[None], centers[None], 0.5)[0]) == [True, False]
         # distance 0 < h however small h is, even where h * h underflows to 0
-        assert list(_boolean(pos[None], centers[None], 1e-300)[0]) == [True, False]
+        assert list(boolean(pos[None], centers[None], 1e-300)[0]) == [True, False]
 
     def test_no_centers(self):
         pos = np.array([[1.0, 2.0]])
-        assert not _boolean(pos[None], np.empty((1, 0, 2)), 1.0).any()
+        assert not boolean(pos[None], np.empty((1, 0, 2)), 1.0).any()
 
     @staticmethod
     def brute_force(positions, centers, h):
@@ -304,7 +320,7 @@ class TestBoolean:
         rng = np.random.default_rng(seed)
         pos = rng.uniform(-5.0, 5.0, (n, 2))
         centers = rng.uniform(-5.5, 5.5, (m, 2))
-        got = _boolean(pos[None], centers[None], h)[0]
+        got = boolean(pos[None], centers[None], h)[0]
         assert got.dtype == bool
         assert np.array_equal(got, self.brute_force(pos, centers, h))
 
@@ -320,7 +336,7 @@ class TestBoolean:
             ([[0.0, -inside]], True),
         ):
             centers = np.vstack([far, ring])
-            got = _boolean(origin[None], centers[None], h)[0]
+            got = boolean(origin[None], centers[None], h)[0]
             assert got.tolist() == [want]
             assert np.array_equal(got, self.brute_force(origin, centers, h))
 
@@ -330,7 +346,7 @@ class TestBoolean:
     )
     def test_degenerate_inputs_none_active(self, centers, h):
         pos = np.zeros((4, 2))
-        got = _boolean(pos[None], centers[None], h)[0]
+        got = boolean(pos[None], centers[None], h)[0]
         assert got.shape == (4,) and not got.any()
         assert np.array_equal(got, self.brute_force(pos, centers, h))
 
@@ -412,18 +428,19 @@ def joined_pairs(chunks):
                  for k in (0, 1))
 
 
-def window_close_pairs(positions, h):
+def window_close_pairs(stack, h, eps=None):
     """The banded search before rank offsets, kept to compare memory with.
 
     Each point's candidates were the searchsorted windows [lo, hi) of the
     sorted keys, expanded into (query, position) pairs in chunks of whole
-    queries under _PAIR_BUDGET pairs.
+    queries under _PAIR_BUDGET pairs.  stack holds exact points (eps None).
     """
-    size = positions.shape[0] * positions.shape[1]
+    assert eps is None
+    size = stack[0].size
     if not h > 0 or size == 0:
         return
-    x, y = positions[..., 0].ravel(), positions[..., 1].ravel()
-    (key,), cols = pointproc._cell_keys((positions,), h)
+    x, y = stack[0].ravel(), stack[1].ravel()
+    (key,), cols = pointproc._cell_keys((stack,), pointproc._reach(h, None))
     order = np.argsort(key)
     key = key[order]
     split = pointproc._SPLIT
@@ -488,7 +505,7 @@ class TestBandedSearch:
     @pytest.mark.parametrize("kind", LAYOUTS)
     def test_close_pairs_equal_kd_tree(self, kind, h):
         positions, _ = stacked_layout(kind, 1)
-        i, j = joined_pairs(_close_pairs(positions, h))
+        i, j = joined_pairs(_close_pairs(exact(positions), h))
         assert np.all(i < j)
         got = set(zip(i.tolist(), j.tolist()))
         assert len(got) == i.size  # each pair once
@@ -498,7 +515,7 @@ class TestBandedSearch:
     @pytest.mark.parametrize("kind", LAYOUTS)
     def test_boolean_equals_kd_tree(self, kind, h):
         positions, centers = stacked_layout(kind, 2)
-        got = _boolean(positions, centers, h)
+        got = boolean(positions, centers, h)
         oracle = kd_boolean if h * h > 0 else brute_boolean
         assert np.array_equal(got, oracle(positions, centers, h))
 
@@ -507,7 +524,7 @@ class TestBandedSearch:
         # run in every member that reaches the next member's first rank, and
         # one in the last member that reaches the last sorted point
         positions, _ = stacked_layout("clumped", 1)
-        (key,), _ = pointproc._cell_keys((positions,), 0.1)
+        (key,), _ = pointproc._cell_keys((exact(positions),), 0.1)
         key = np.sort(key)
         run_end = np.searchsorted(key, key + pointproc._SPLIT, "right")
         assert (run_end - np.arange(1, key.size + 1)).max() >= 30
@@ -539,11 +556,11 @@ class TestBandedSearch:
             return within(dx, dy, h)
 
         monkeypatch.setattr(pointproc, "_within", spy)
-        i, _ = joined_pairs(_close_pairs(positions, math.inf))
+        i, _ = joined_pairs(_close_pairs(exact(positions), math.inf))
         assert i.size == sum(chunks) == 4 * 500 * 499 // 2
         assert len(chunks) > 1 and max(chunks) <= bound
         chunks.clear()
-        assert _boolean(positions, centers, math.inf).all()
+        assert boolean(positions, centers, math.inf).all()
         assert sum(chunks) == 4 * 500 * 300
         assert len(chunks) > 1 and max(chunks) <= bound
 
@@ -563,7 +580,7 @@ class TestBandedSearch:
             monkeypatch.setattr(pointproc, "_close_pairs", search)
             tracemalloc.start()
             try:
-                active = _hard_core(positions, marks, x_t, h)
+                active = hard_core(positions, marks, x_t, h)
                 return tracemalloc.get_traced_memory()[1], active
             finally:
                 tracemalloc.stop()
@@ -581,9 +598,9 @@ class TestBandedSearch:
 
         def activations():
             return [
-                _hard_core(positions, None, x_t, 0.3),
-                _hard_core(positions, marks, x_t, 0.3),
-                _boolean(positions, centers, 0.3),
+                hard_core(positions, None, x_t, 0.3),
+                hard_core(positions, marks, x_t, 0.3),
+                boolean(positions, centers, 0.3),
             ]
 
         whole = activations()
